@@ -22,7 +22,7 @@ Three sections, all landing in ``BENCH_online.json``:
   re-checked audited-vs-fused, proving the batched lowering did not
   perturb the shared kernel tier the offline engine rides on.
 
-Two gates, mirroring ``BENCH_kernels.json``:
+Two gates:
 
 * **smoke** (always, and what CI enforces): batched >= 3x per-parity.
   Even a 1-cpu numpy-only runner clears this — the per-parity path

@@ -2,8 +2,8 @@
 
 ``compile_plan`` lowers any :class:`ConversionPlan` — every code and
 approach the planners support — into flat gather/scatter index vectors
-plus batched parity encodes; ``execute_plan_compiled`` replays the
-program against a :class:`BlockArray` through the counted bulk-I/O API,
+plus fused parity region ops; ``execute_plan_compiled`` replays the
+program against a healthy :class:`BlockArray` through the counted bulk-I/O API,
 producing the byte-identical array and per-disk counters of the audited
 engine at a fraction of the wall time.  ``assemble_all_groups`` /
 ``batch_recover_columns`` apply the same idea to recovery.  See

@@ -255,7 +255,7 @@ def compile_plan(plan: ConversionPlan, use_cache: bool = True) -> CompiledPlan:
         program = _load_program_from_disk(disk_path, key, plan)
         if program is not None:
             _CACHE_STATS["disk_hits"] += 1
-            program = lower_program(program)
+            program = _lowered(program)
             _CACHE[key] = program
             return program
         _CACHE_STATS["disk_errors"] += 1
@@ -278,9 +278,22 @@ def compile_plan(plan: ConversionPlan, use_cache: bool = True) -> CompiledPlan:
     if use_cache and disk_path is not None:
         # persist the raw index vectors only; the fused IR is re-derived
         _store_program_to_disk(disk_path, program)
-    program = lower_program(program)
+    program = _lowered(program)
     if use_cache:
         _CACHE[key] = program
+    return program
+
+
+def _lowered(program: CompiledPlan) -> CompiledPlan:
+    """:func:`lower_program`, refusing a program with an unlowered parity
+    phase — the fused path is the executor's only parity tier."""
+    program = lower_program(program)
+    for ph in program.phases:
+        if ph.batch and ph.fused is None:
+            raise UnsupportedPlanError(
+                f"phase {ph.phase} has parity work the fused lowering cannot "
+                "express; run the plan on the audited engine"
+            )
     return program
 
 
@@ -441,13 +454,13 @@ def _check_hazards(
 
 
 # --------------------------------------------------------------------------
-# region-fusion lowering: stripe-tensor encode -> kernel-backend RegionOps
+# region-fusion lowering: stripe encode -> kernel-backend RegionOps
 # --------------------------------------------------------------------------
 #
-# The stripe-tensor path gathers every read/fill into a (batch, rows,
-# cols, block) tensor, runs ArrayCode.encode, and scatters the parities
-# back — two full copies of the working set before any XOR happens.  The
-# fusion pass removes both: the stripe value of any cell is, by
+# Read literally, a phase gathers every read/fill into a (batch, rows,
+# cols, block) stripe tensor, runs ArrayCode.encode, and scatters the
+# parities back — two full copies of the working set before any XOR
+# happens.  The fusion pass removes both: the stripe value of any cell is, by
 # construction, the physical block its slot reads/fills (or zero), so
 # each parity chain can be computed for all groups at once by XOR-ing
 # *views of the block store directly* into a (batch, block) destination.
@@ -465,10 +478,10 @@ def lower_program(program: CompiledPlan) -> CompiledPlan:
 
     Fusion replays :meth:`ArrayCode.encode` symbolically, so it is only
     valid for codes using the stock chain-walk encode; a subclass with a
-    custom ``encode`` keeps ``fused=None`` and runs the tensor path.
-    Phases that cannot be lowered (no parity work, or a shape the pass
-    does not model) also keep ``fused=None`` — lowering never fails, it
-    degrades.
+    custom ``encode`` keeps ``fused=None``.  Phases that cannot be
+    lowered (no parity work, or a shape the pass does not model) also
+    keep ``fused=None`` — lowering itself never fails;
+    :func:`compile_plan` refuses any parity phase left unlowered.
     """
     if type(program.code).encode is not ArrayCode.encode:
         return program

@@ -1,26 +1,26 @@
-"""Execute compiled conversion programs against a :class:`BlockArray`.
+"""Execute compiled conversion programs against a healthy :class:`BlockArray`.
 
 The executor replays a :class:`CompiledPlan` phase by phase through the
-array's counted bulk-I/O API.  Parity work runs on one of two paths:
+array's counted bulk-I/O API: migrations as one counted gather and one
+counted scatter, NULL invalidations and trims in bulk, and the parity
+work on the fused path — the phase's
+:class:`~repro.compiled.program.FusedPhase` region ops XOR strided views
+of the block store directly into a reused scratch buffer through the
+selected :class:`~repro.kernels.base.XorKernel` backend.  Counted reads
+are credited via :meth:`BlockArray.credit_ios` (the views bypass the
+counted gather); parity writes stay on the counted
+:meth:`BlockArray.write_blocks`.
 
-* **fused** (default when available): the phase's
-  :class:`~repro.compiled.program.FusedPhase` region ops XOR strided
-  views of the block store directly into a reused scratch buffer through
-  the selected :class:`~repro.kernels.base.XorKernel` backend — no
-  stripe tensor, no gather-copy-scatter round trip.  Counted reads are
-  credited via :meth:`BlockArray.credit_ios` (the views bypass the
-  counted gather); parity writes stay on the counted
-  :meth:`BlockArray.write_blocks`.
-* **stripe tensor** (fallback): two gathers into a ``(batch, rows, cols,
-  block)`` tensor, one batched :meth:`ArrayCode.encode`, one counted
-  scatter.  Used when a phase was not lowered, when a fault plane is
-  attached or disks have failed (fault hooks and degraded reads fire on
-  the counted entry points the fused path bypasses), or when the caller
-  forces it (``use_fused=False``, e.g. for benchmarking the baseline).
+Every parity phase is lowered (:func:`~repro.compiled.compiler.
+compile_plan` refuses a plan otherwise), so there is no second tier.
+The views bypass the counted read hooks that fault planes and failed
+disks observe, so :func:`execute_compiled` refuses such arrays:
+:func:`repro.faults.execute_checkpointed` is the fault-aware entry
+point, and runs faulted phases on the audited engine's group code.
 
-Both paths are byte-identical to the audited engine with identical
-per-disk counters (tested for every supported conversion); only the
-Python and memory-traffic overhead differs.
+Byte-identical to the audited engine with identical per-disk counters
+(tested for every supported conversion); only the Python and
+memory-traffic overhead differs.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compiled.compiler import compile_plan
-from repro.compiled.program import CompiledPlan, FusedPhase, PhaseProgram
-from repro.kernels import XorKernel, resolve_kernel
+from repro.compiled.program import CompiledPlan, PhaseProgram
+from repro.kernels import ScratchPool, XorKernel, resolve_kernel
+from repro.migration.batch import fused_run_usable
 from repro.migration.engine import ConversionResult
 from repro.migration.plan import ConversionPlan
 from repro.obs.metrics import get_registry
@@ -38,52 +39,16 @@ from repro.raid.array import BlockArray
 
 __all__ = ["execute_compiled", "execute_plan_compiled"]
 
-
-class _ScratchPool:
-    """Grow-only scratch backing for phase buffers.
-
-    One flat uint8 allocation is reused for every phase's stripe tensor
-    or fused output region (and across executor calls within a process),
-    eliminating the per-phase large-allocation churn.  ``take`` returns
-    a shaped view of the pool — callers must be done with the previous
-    view before taking the next (phases are sequential, so they are).
-    """
-
-    def __init__(self) -> None:
-        self._buf = np.empty(0, dtype=np.uint8)
-
-    def reserve(self, nbytes: int) -> None:
-        if self._buf.size < nbytes:
-            self._buf = np.empty(nbytes, dtype=np.uint8)
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        self.reserve(n)
-        return self._buf[:n].reshape(shape)
-
-
-_SCRATCH = _ScratchPool()
-
-
-def _fused_usable(array: BlockArray) -> bool:
-    """Fused execution bypasses the counted read path, so it is only
-    sound when nothing observes that path: no fault plane (crash/tear
-    hooks fire on bulk reads) and no failed disks (counted reads raise
-    :class:`DiskFailure`; views would silently serve stale bytes)."""
-    return array.fault_plane is None and not array.failed_disks
+#: process-wide fused output buffer, sized once per program
+_SCRATCH = ScratchPool()
 
 
 #: per-chain destination-tile budget for the cross-op slot tiling below
 _SLOT_TILE_BYTES = 1 << 17
 
 
-def _run_phase_fused(
-    program: CompiledPlan,
-    ph: PhaseProgram,
-    fz: FusedPhase,
-    array: BlockArray,
-    kernel: XorKernel,
-) -> None:
+def _run_phase_fused(ph: PhaseProgram, array: BlockArray, kernel: XorKernel) -> None:
+    fz = ph.fused
     bs = array.block_size
     batch = fz.batch
     store = array.bulk_view(slice(None), slice(None)).reshape(-1, bs)
@@ -141,14 +106,7 @@ def _run_phase_fused(
         registry.counter("kernels.xor_bytes", kernel=kernel.name).inc(xor_bytes)
 
 
-def _run_phase(
-    program: CompiledPlan,
-    ph: PhaseProgram,
-    array: BlockArray,
-    kernel: XorKernel | None = None,
-    use_fused: bool = True,
-) -> None:
-    code = program.code
+def _run_phase(ph: PhaseProgram, array: BlockArray, kernel: XorKernel) -> None:
     # 1. migrations: bulk read → bulk write (counted, queue order)
     if ph.migrate_src_disk.size:
         payload = array.read_blocks(ph.migrate_src_disk, ph.migrate_src_block)
@@ -159,82 +117,55 @@ def _run_phase(
     # 3. metadata trims (uncounted)
     if ph.trim_disk.size:
         array.trim_blocks(ph.trim_disk, ph.trim_block)
-    if ph.batch == 0:
-        return  # pure degrade phase: nothing to generate
-    if use_fused and ph.fused is not None and _fused_usable(array):
-        if kernel is None:
-            kernel = resolve_kernel()
-        _run_phase_fused(program, ph, ph.fused, array, kernel)
-        return
-    # 4. assemble the batched stripe tensor
-    stripes = _SCRATCH.take((ph.batch, code.rows, code.cols, array.block_size))
-    stripes[...] = 0
-    flat = stripes.reshape(-1, array.block_size)
-    if ph.read_disk.size:
-        flat[ph.read_cell] = array.read_blocks(ph.read_disk, ph.read_block)
-    if ph.fill_disk.size:
-        flat[ph.fill_cell] = array.gather_raw(ph.fill_disk, ph.fill_block)
-    # 5. one batched encode for every group of the phase
-    code.encode(stripes)
-    # 6. scatter the generated parities
-    if ph.parity_disk.size:
-        array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
-    # 7. audit reused parities against the recomputed values (engine step 7)
-    if ph.check_disk.size:
-        actual = array.gather_raw(ph.check_disk, ph.check_block)
-        if not np.array_equal(flat[ph.check_cell], actual):
-            bad = np.flatnonzero((flat[ph.check_cell] != actual).any(axis=1))
-            raise AssertionError(
-                f"pre-existing parity at {bad.size} location(s) of phase "
-                f"{ph.phase} does not match the recomputed value — old "
-                "parity was not valid"
-            )
+    # 4. parity generation and reused-parity audit, fused
+    if ph.fused is not None:
+        _run_phase_fused(ph, array, kernel)
 
 
 def execute_compiled(
     program: CompiledPlan,
     array: BlockArray,
     kernel: XorKernel | str | None = None,
-    use_fused: bool = True,
 ) -> None:
     """Run every phase of ``program`` on ``array`` (counters accumulate).
 
     ``kernel`` selects the XOR backend for fused phases — an
     :class:`XorKernel` instance, a registry name (``"numpy"``,
-    ``"numba"``, ``"auto"``), or None for the process default.
-    ``use_fused=False`` forces the stripe-tensor path (the pre-fusion
-    baseline, kept for benchmarking and as the fault-path engine).
+    ``"numba"``, ``"auto"``), or None for the process default.  The
+    array must be healthy: an attached fault plane or a failed disk
+    raises :class:`ValueError` (use
+    :func:`repro.faults.execute_checkpointed`).
     """
     if (array.n_disks, array.blocks_per_disk) != (program.n_disks, program.blocks_per_disk):
         raise ValueError(
             f"array geometry {(array.n_disks, array.blocks_per_disk)} does not "
             f"match program {(program.n_disks, program.blocks_per_disk)}"
         )
+    if not fused_run_usable(array):
+        raise ValueError(
+            "execute_compiled needs a healthy array (no fault plane, no failed "
+            "disks); use repro.faults.execute_checkpointed, the fault-aware "
+            "entry point"
+        )
     if not isinstance(kernel, XorKernel):
         kernel = resolve_kernel(kernel)
-    fused_ok = use_fused and _fused_usable(array)
     # size the scratch pool once for the largest phase, so no phase
-    # allocates (satellite: no per-op temporary churn)
-    need = 0
-    for ph in program.phases:
-        if ph.batch == 0:
-            continue
-        if fused_ok and ph.fused is not None:
-            need = max(need, ph.fused.n_chains * ph.batch * array.block_size)
-        else:
-            need = max(need, ph.batch * program.rows * program.cols * array.block_size)
-    _SCRATCH.reserve(need)
+    # allocates (no per-op temporary churn)
+    _SCRATCH.reserve(
+        max(
+            (ph.fused.n_chains * ph.batch * array.block_size
+             for ph in program.phases if ph.fused is not None),
+            default=0,
+        )
+    )
     tracer = get_tracer()
     for ph in program.phases:
-        fused = fused_ok and ph.fused is not None
         with tracer.span(
             f"phase{ph.phase}", cat="compiled.phase", phase=ph.phase, batch=ph.batch,
             migrates=int(ph.migrate_src_disk.size), nulls=int(ph.null_disk.size),
-            parities=int(ph.parity_disk.size),
-            path="fused" if fused else "stripe",
-            kernel=kernel.name if fused else "",
+            parities=int(ph.parity_disk.size), kernel=kernel.name,
         ):
-            _run_phase(program, ph, array, kernel=kernel, use_fused=use_fused)
+            _run_phase(ph, array, kernel)
 
 
 def execute_plan_compiled(
@@ -243,14 +174,13 @@ def execute_plan_compiled(
     data: np.ndarray,
     program: CompiledPlan | None = None,
     kernel: XorKernel | str | None = None,
-    use_fused: bool = True,
 ) -> ConversionResult:
     """Drop-in replacement for :func:`repro.migration.execute_plan`.
 
     Compiles ``plan`` (cached across calls) and executes it in bulk;
     raises :class:`~repro.compiled.compiler.UnsupportedPlanError` when
     the plan cannot be batched faithfully — fall back to the audited
-    engine in that case.  ``kernel`` / ``use_fused`` are forwarded to
+    engine in that case.  ``kernel`` is forwarded to
     :func:`execute_compiled`.
     """
     tracer = get_tracer()
@@ -265,7 +195,7 @@ def execute_plan_compiled(
         "execute", cat="compiled", engine="compiled", code=plan.code.name,
         approach=plan.approach, groups=plan.groups,
     ):
-        execute_compiled(program, array, kernel=kernel, use_fused=use_fused)
+        execute_compiled(program, array, kernel=kernel)
     return ConversionResult(
         array=array,
         plan=plan,

@@ -4,12 +4,13 @@ A :class:`CompiledPlan` is a :class:`~repro.migration.plan.ConversionPlan`
 lowered to flat numpy index vectors: per phase, the counted migrations,
 NULL writes and trims become gather/scatter index pairs, and every
 stripe-group that generates parity contributes rows to one batched
-``(groups, rows, cols, block)`` stripe tensor that is filled by two
-gathers (counted reads, uncounted controller-memory pulls), encoded with
-one batched :meth:`ArrayCode.encode`, and scattered back with one counted
-bulk write.  Executing the program performs *exactly* the audited
-engine's I/O — same bytes, same per-disk counters — without any
-per-block Python.
+``(groups, rows, cols, block)`` stripe layout — cell vectors naming its
+gathers (counted reads, uncounted controller-memory pulls), parity
+scatters and audits — which the lowering pass turns into fused region
+ops (:class:`FusedPhase`) that the executor runs without ever
+materialising the tensor.  Executing the program performs *exactly*
+the audited engine's I/O — same bytes, same per-disk counters —
+without any per-block Python.
 """
 
 from __future__ import annotations
@@ -151,9 +152,9 @@ class PhaseProgram:
     check_disk: np.ndarray = field(default_factory=_empty)
     check_block: np.ndarray = field(default_factory=_empty)
     check_cell: np.ndarray = field(default_factory=_empty)
-    #: kernel-backend lowering of the parity work (None: not lowered —
-    #: executor uses the stripe-tensor path); derived from the vectors
-    #: above, so it is never serialised, always recomputed
+    #: kernel-backend lowering of the parity work (None: no parity work;
+    #: compile_plan refuses an unlowered parity phase); derived from the
+    #: vectors above, so it is never serialised, always recomputed
     fused: FusedPhase | None = None
 
 
@@ -166,14 +167,6 @@ class CompiledPlan:
     n_disks: int
     blocks_per_disk: int
     phases: tuple[PhaseProgram, ...]
-
-    @property
-    def rows(self) -> int:
-        return self.code.rows
-
-    @property
-    def cols(self) -> int:
-        return self.code.cols
 
     def describe(self) -> str:
         reads = sum(p.read_disk.size + p.migrate_src_disk.size for p in self.phases)

@@ -77,25 +77,7 @@ def upgrade_to_raid6(
     plan = build_plan("code56", "direct", vplan.p, groups=groups, n_disks=m + 1)
     if rng is None:
         rng = np.random.default_rng(0)
-    array, payload = prepare_source_array(plan, rng, block_size=block_size)
-    if data is not None:
-        data = np.asarray(data, dtype=np.uint8)
-        if data.shape != payload.shape:
-            raise ValueError(f"data must be {payload.shape}, got {data.shape}")
-        # re-format the source region with caller data
-        src = Raid5Array(array, plan.source_layout, n_disks=plan.m)
-        for lba in range(plan.data_blocks):
-            stripe, disk = src.locate(lba)
-            array.raw(disk, stripe)[...] = data[lba]
-        for stripe in range(plan.data_blocks // (plan.m - 1)):
-            pd = src.parity_disk(stripe)
-            acc = np.zeros(block_size, dtype=np.uint8)
-            for d in range(plan.m):
-                if d != pd:
-                    np.bitwise_xor(acc, array.raw(d, stripe), out=acc)
-            array.raw(pd, stripe)[...] = acc
-        payload = data
-        array.reset_counters()
+    array, payload = prepare_source_array(plan, rng, block_size=block_size, data=data)
     result = execute_plan(plan, array, payload)
     verified = verify_conversion(result)
     return MigrationOutcome(plan=plan, result=result, verified=verified)

@@ -19,27 +19,35 @@ rollback first restores the exact pre-unit state — so a conversion
 resumed after a crash at any boundary converges to the byte-identical
 final array (the crash-sweep tests enumerate every boundary).
 
-Degraded mode rides the same path: every unit runs through a
-:class:`~repro.faults.degraded.ReconstructingReader`, which turns disk
-failures and read faults into RAID-5 row reconstructions for
-zero-movement plans (direct Code 5-6) and refuses anything else.
+Faults and degraded mode ride the audited engine's own group code: an
+audited unit always runs :func:`~repro.migration.engine._execute_group`,
+and a compiled phase unit runs its groups through it too, in group
+order, whenever a fault plane is attached or a disk has failed (a
+healthy compiled unit runs the executor's fused phase).  Every such
+read goes through a :class:`~repro.faults.degraded.ReconstructingReader`,
+which turns disk failures and read faults into RAID-5 row
+reconstructions for zero-movement plans (direct Code 5-6) and refuses
+anything else.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.faults.degraded import ReconstructingReader, plan_is_zero_movement
-from repro.faults.errors import ConversionCrash, ReadFaultError, TransientIOError
+from repro.faults.errors import ConversionCrash
 from repro.faults.journal import ConversionJournal
 from repro.faults.plane import FaultPlane
 from repro.faults.spec import FaultScenario
+from repro.kernels import resolve_kernel
+from repro.migration.batch import fused_run_usable
 from repro.migration.engine import ConversionResult, _execute_group
 from repro.migration.plan import ConversionPlan
-from repro.raid.array import BlockArray, DiskFailure
+from repro.raid.array import BlockArray
 
 __all__ = [
     "CheckpointedRun",
@@ -47,9 +55,6 @@ __all__ = [
     "run_to_completion",
     "count_crash_events",
 ]
-
-_RECOVERABLE = (DiskFailure, ReadFaultError, TransientIOError)
-
 
 @dataclass
 class CheckpointedRun:
@@ -94,8 +99,12 @@ def _audited_units(plan: ConversionPlan):
     return units
 
 
-def _compiled_units(program):
-    """(key, phase-program, written-disks, written-blocks) per phase."""
+def _compiled_units(plan: ConversionPlan, program):
+    """(key, (phase-program, group-works), written-disks, written-blocks)
+    per phase; the group works are the phase's, in group order."""
+    by_phase: dict[int, list] = defaultdict(list)
+    for gw in sorted(plan.group_works, key=lambda g: (g.phase, g.group)):
+        by_phase[gw.phase].append(gw)
     units = []
     for ph in program.phases:
         disks = np.concatenate(
@@ -104,95 +113,27 @@ def _compiled_units(program):
         blocks = np.concatenate(
             [ph.migrate_dst_block, ph.null_block, ph.trim_block, ph.parity_block]
         )
-        units.append((("phase", ph.phase), ph, disks, blocks))
+        units.append((("phase", ph.phase), (ph, by_phase[ph.phase]), disks, blocks))
     return units
 
 
-# ---------------------------------------------------- compiled phase (shadow)
-def _bulk_read_recovering(
-    array: BlockArray, reader: ReconstructingReader, disks, blocks
-) -> np.ndarray:
-    """One counted bulk read; falls back to per-block reconstruction.
+def _run_phase_checkpointed(plan, unit, array: BlockArray, reader) -> None:
+    """One compiled phase unit.
 
-    The healthy path is the executor's single gather (identical
-    counters); only when the bulk admission faults — a failed disk, a
-    sector error, an exhausted transient — does it degrade to per-block
-    reads through the reconstructing reader.
+    Healthy (no fault plane, no failed disk — e.g. a resume after the
+    crashing plane is detached): the executor's fused phase.  Otherwise
+    the phase's group works run, in group order, on the audited engine's
+    own code, whose per-block reads fall back to row reconstruction and
+    whose I/O hooks the fault plane observes.
     """
-    if disks.size == 0:
-        return np.zeros((0, array.block_size), dtype=np.uint8)
-    try:
-        return array.read_blocks(disks, blocks)
-    except _RECOVERABLE:
-        out = np.empty((disks.size, array.block_size), dtype=np.uint8)
-        for i in range(disks.size):
-            out[i] = reader.read(int(disks[i]), int(blocks[i]))
-        return out
+    from repro.compiled import executor
 
-
-def _gather_peek(array: BlockArray, reader: ReconstructingReader, disks, blocks) -> np.ndarray:
-    """Uncounted gather with reconstruction for failed-disk elements."""
-    if not array.failed_disks:
-        return array.gather_raw(disks, blocks)
-    out = np.array(array.gather_raw(disks, blocks), copy=True)
-    for i in np.flatnonzero(np.isin(disks, sorted(array.failed_disks))):
-        out[i] = reader.peek(int(disks[i]), int(blocks[i]))
-    return out
-
-
-def _run_phase_checkpointed(program, ph, array: BlockArray, reader) -> None:
-    """The compiled executor's phase, with degraded/fault fallbacks.
-
-    Mirrors :func:`repro.compiled.executor._run_phase` bulk for bulk (so
-    healthy runs land on identical bytes and counters) but lives here —
-    outside the hot-path modules — because its recovery fallbacks are
-    per-block by nature.  When the phase is lowered and nothing observes
-    the counted read path (no fault plane, no failed disks — e.g. a
-    resume after the crashing plane is detached), the parity work
-    delegates to the executor's fused kernel path; any attached plane or
-    failure keeps the shadow stripe-tensor path below, whose fallbacks
-    the recovery machinery needs.
-    """
-    from repro.compiled import executor as _executor
-
-    code = program.code
-    if ph.migrate_src_disk.size:
-        payload = _bulk_read_recovering(array, reader, ph.migrate_src_disk, ph.migrate_src_block)
-        array.write_blocks(ph.migrate_dst_disk, ph.migrate_dst_block, payload)
-    if ph.null_disk.size:
-        array.write_zero_blocks(ph.null_disk, ph.null_block)
-    if ph.trim_disk.size:
-        array.trim_blocks(ph.trim_disk, ph.trim_block)
-    if ph.batch == 0:
+    ph, gws = unit
+    if fused_run_usable(array):
+        executor._run_phase(ph, array, resolve_kernel())
         return
-    if ph.fused is not None and _executor._fused_usable(array):
-        _executor._run_phase_fused(
-            program, ph, ph.fused, array, _executor.resolve_kernel()
-        )
-        return
-    stripes = np.zeros((ph.batch, code.rows, code.cols, array.block_size), dtype=np.uint8)
-    flat = stripes.reshape(-1, array.block_size)
-    if ph.read_disk.size:
-        flat[ph.read_cell] = _bulk_read_recovering(array, reader, ph.read_disk, ph.read_block)
-    if ph.fill_disk.size:
-        flat[ph.fill_cell] = _gather_peek(array, reader, ph.fill_disk, ph.fill_block)
-    code.encode(stripes)
-    if ph.parity_disk.size:
-        array.write_blocks(ph.parity_disk, ph.parity_block, flat[ph.parity_cell])
-    if ph.check_disk.size:
-        auditable = (
-            ~np.isin(ph.check_disk, sorted(array.failed_disks))
-            if array.failed_disks
-            else np.ones(ph.check_disk.size, dtype=bool)
-        )
-        actual = array.gather_raw(ph.check_disk[auditable], ph.check_block[auditable])
-        if not np.array_equal(flat[ph.check_cell[auditable]], actual):
-            bad = np.flatnonzero((flat[ph.check_cell[auditable]] != actual).any(axis=1))
-            raise AssertionError(
-                f"pre-existing parity at {bad.size} location(s) of phase "
-                f"{ph.phase} does not match the recomputed value — old "
-                "parity was not valid"
-            )
+    for gw in gws:
+        _execute_group(plan, gw, array, io=reader)
 
 
 # ------------------------------------------------------------------ executor
@@ -240,7 +181,7 @@ def execute_checkpointed(
             from repro.compiled.compiler import compile_plan
 
             program = compile_plan(plan)
-        units = _compiled_units(program)
+        units = _compiled_units(plan, program)
     else:
         units = _audited_units(plan)
     reader = ReconstructingReader(
@@ -278,7 +219,7 @@ def execute_checkpointed(
             if plane is not None:
                 plane.crash_point(f"begin:{key}")
             if engine == "compiled":
-                _run_phase_checkpointed(program, work, array, reader)
+                _run_phase_checkpointed(plan, work, array, reader)
             else:
                 _execute_group(plan, work, array, io=reader)
             if plane is not None:

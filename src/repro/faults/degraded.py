@@ -7,9 +7,13 @@ degraded-mode conversion possible: a block on a failed disk (or one
 carrying a latent sector error) is the XOR of the other ``m-1`` blocks
 of its RAID-5 row, at any point during the conversion.
 
-:class:`ReconstructingReader` packages that recovery as an I/O adapter
-the engines consume — ``read`` (counted, with reconstruction fallback),
-``peek`` (uncounted, for controller-memory fills and parity audits) and
+:class:`ReconstructingReader` is the one fault-aware adapter over the
+raid layer's row-XOR seam (:func:`repro.raid.raid5.row_xor` /
+:func:`~repro.raid.raid5.row_xor_raw`), consumed by the offline engines
+and the online converter alike — ``read`` / ``read_ios`` (counted, with
+reconstruction fallback and the fault plane's ``reconstructed_blocks``
+/ ``degraded_reads`` counters), ``peek`` (uncounted, for
+controller-memory fills, parity audits and resume scans) and
 ``check_ok`` (whether a reused-parity audit of a disk is possible).  For
 plans that *do* move data (via-RAID-0/4 and the multi-phase codes) the
 row invariant breaks mid-flight, so the adapter is built with
@@ -23,6 +27,7 @@ import numpy as np
 
 from repro.faults.errors import ReadFaultError, TransientIOError
 from repro.raid.array import BlockArray, DiskFailure
+from repro.raid.raid5 import row_xor, row_xor_raw
 
 __all__ = ["ReconstructingReader", "plan_is_zero_movement"]
 
@@ -72,35 +77,31 @@ class ReconstructingReader:
     # ------------------------------------------------------------- counted
     def read(self, disk: int, block: int) -> np.ndarray:
         """One counted read; reconstructs through the row on any fault."""
+        return self.read_ios(disk, block)[0]
+
+    def read_ios(self, disk: int, block: int) -> tuple[np.ndarray, int]:
+        """:meth:`read` plus its I/O cost: 1, or ``m-1`` when reconstructed."""
         if disk not in self.array.failed_disks:
             try:
-                return self.array.read(disk, block)
+                return self.array.read(disk, block), 1
             except _RECOVERABLE:
                 if not self.allow or disk >= self.m:
                     raise
         elif not self.allow or disk >= self.m:
             # propagate the array's own failure semantics
-            return self.array.read(disk, block)
-        return self._reconstruct(disk, block)
-
-    def _reconstruct(self, disk: int, block: int) -> np.ndarray:
-        """XOR of the other ``m-1`` row members (counted reads)."""
+            return self.array.read(disk, block), 1
         from repro.obs.tracer import get_tracer
 
-        plane = self.array.fault_plane
         with get_tracer().span(
             "degraded.reconstruct", cat="faults", track="faults",
             disk=disk, block=block,
         ):
-            acc = np.zeros(self.array.block_size, dtype=np.uint8)
-            for d in range(self.m):
-                if d == disk:
-                    continue
-                np.bitwise_xor(acc, self.array.read(d, block), out=acc)
+            acc = row_xor(self.array, block, self.m, (disk,))
+        plane = self.array.fault_plane
         if plane is not None:
             plane.counters["reconstructed_blocks"] += 1
             plane.counters["degraded_reads"] += self.m - 2  # extra vs 1 read
-        return acc
+        return acc, self.m - 1
 
     # ----------------------------------------------------------- uncounted
     def peek(self, disk: int, block: int) -> np.ndarray:
@@ -109,11 +110,7 @@ class ReconstructingReader:
             return self.array.raw(disk, block)
         if not self.allow or disk >= self.m:
             raise DiskFailure(f"disk {disk} has failed")
-        acc = np.zeros(self.array.block_size, dtype=np.uint8)
-        for d in range(self.m):
-            if d != disk:
-                np.bitwise_xor(acc, self.array.raw(d, block), out=acc)
-        return acc
+        return row_xor_raw(self.array, block, self.m, (disk,))
 
     def check_ok(self, disk: int) -> bool:
         """Can a reused-parity audit read this disk's true bytes?"""

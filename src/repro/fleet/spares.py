@@ -23,7 +23,7 @@ import threading
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells
+from repro.raid.raid5 import row_xor_raw
 
 __all__ = ["SparePool", "ScrubCursor"]
 
@@ -107,10 +107,7 @@ class ScrubCursor:
         # skipped while a row member is failed (its raw bytes are stale
         # by design; the row is checked again once rebuilt)
         if not any(d < m for d in failed):
-            acc = np.zeros(array.block_size, dtype=np.uint8)
-            for d in range(m):
-                np.bitwise_xor(acc, array.raw(d, stripe), out=acc)
-            if acc.any():
+            if row_xor_raw(array, stripe, m).any():
                 self.errors_found += 1
                 self.errors.append((stripe, "horizontal"))
         # diagonal parity of this stripe's row, once journal-marked
@@ -122,11 +119,8 @@ class ScrubCursor:
             and m not in failed
             and not any(d < m for d in failed)
         ):
-            acc = np.zeros(array.block_size, dtype=np.uint8)
-            for r, c in diagonal_chain_cells(conv.p, row):
-                np.bitwise_xor(acc, array.raw(c, group * conv.rows + r), out=acc)
             cost += 1
-            if not np.array_equal(acc, array.raw(m, stripe)):
+            if not np.array_equal(conv.chain_xor_uncounted(group, row), array.raw(m, stripe)):
                 self.errors_found += 1
                 self.errors.append((stripe, "diagonal"))
         return cost

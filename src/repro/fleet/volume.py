@@ -55,7 +55,7 @@ from repro.fleet.qos import CircuitBreaker, QosTarget, TokenBucket
 from repro.fleet.spares import ScrubCursor, SparePool
 from repro.raid.array import BlockArray
 from repro.raid.layouts import Raid5Layout, locate_block, parity_disk
-from repro.raid.raid5 import Raid5Array
+from repro.raid.raid5 import Raid5Array, row_xor
 
 __all__ = ["VolumeSpec", "FleetVolume"]
 
@@ -243,11 +243,6 @@ class FleetVolume:
         return clock
 
     # ----------------------------------------------------- background work
-    def _cost_estimate(self) -> int:
-        est = self.spec.p - 1
-        failed_data = sum(1 for d in self.array.failed_disks if d < self.m)
-        return est + failed_data * (self.m - 2)
-
     def _background_until(self, deadline: float, clock: float) -> float:
         """Rebuild, then conversion, then idle scrub — up to ``deadline``."""
         while not self.health.terminal:
@@ -283,7 +278,7 @@ class FleetVolume:
                 return clock, False  # paused past this window
             clock = resume
             self._resume_from_watermark("breaker-reopen")
-        est = self._cost_estimate()
+        est = self.conv._parity_cost_estimate()
         delay = self.bucket.delay_until(est, clock)
         if delay > 0.0:
             if clock + delay >= deadline:
@@ -412,11 +407,7 @@ class FleetVolume:
             if clock + per_stripe > deadline:
                 return clock, False
             stripe = self._dirty.pop() if self._dirty else self._stage_cursor
-            acc = np.zeros(self.spec.block_size, dtype=np.uint8)
-            for d in range(self.m):
-                if d != disk:
-                    np.bitwise_xor(acc, self.array.read(d, stripe), out=acc)
-            staged[stripe] = acc
+            staged[stripe] = row_xor(self.array, stripe, self.m, (disk,))
             if stripe == self._stage_cursor:
                 self._stage_cursor += 1
             self.bucket.spend(per_stripe, clock)

@@ -8,7 +8,7 @@ and :mod:`repro.kernels.registry` for selection (``numpy`` | ``numba`` |
 ``auto``).
 """
 
-from repro.kernels.base import KernelUnavailableError, XorKernel
+from repro.kernels.base import KernelUnavailableError, ScratchPool, XorKernel
 from repro.kernels.numba_backend import NumbaXorKernel
 from repro.kernels.numpy_backend import NumpyXorKernel
 from repro.kernels.registry import (
@@ -25,6 +25,7 @@ from repro.kernels.registry import (
 __all__ = [
     "XorKernel",
     "KernelUnavailableError",
+    "ScratchPool",
     "NumpyXorKernel",
     "NumbaXorKernel",
     "KERNEL_CHOICES",

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["XorKernel", "KernelUnavailableError"]
+__all__ = ["XorKernel", "KernelUnavailableError", "ScratchPool"]
 
 
 class KernelUnavailableError(RuntimeError):
@@ -85,3 +85,25 @@ class XorKernel(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<XorKernel {self.name}>"
+
+
+class ScratchPool:
+    """Grow-only scratch backing for fused-kernel destinations.
+
+    One flat uint8 allocation is reused for every output region (and
+    across calls within a process), eliminating per-phase / per-run
+    large-allocation churn.  ``take`` returns a shaped view of the pool —
+    callers must be done with the previous view before taking the next.
+    """
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0, dtype=np.uint8)
+
+    def reserve(self, nbytes: int) -> None:
+        if self._buf.size < nbytes:
+            self._buf = np.empty(nbytes, dtype=np.uint8)
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        n = int(np.prod(shape))
+        self.reserve(n)
+        return self._buf[:n].reshape(shape)

@@ -13,11 +13,13 @@ scratch pool, and written back through the *counted*
 audited per-parity path performs — zero counter drift.
 
 The lowering never runs when a fault plane is attached or a disk has
-failed (:func:`fused_run_usable`): the views bypass the counted read
-hooks that crash points, sector errors and degraded reconstruction hang
-off, so those runs fall back to the audited per-parity generator inside
-:meth:`OnlineCode56Conversion.generate_run_step` — same run/mark
-protocol, full fault semantics.
+failed (:func:`fused_run_usable`, the same gate the offline compiled
+executor applies): the views bypass the counted read hooks that crash
+points, sector errors and degraded reconstruction hang off, so those
+runs fall back to the audited per-parity generator inside
+:meth:`OnlineCode56Conversion.generate_run_step`, whose chain reads go
+through :class:`~repro.faults.degraded.ReconstructingReader` — same
+run/mark protocol, full fault semantics.
 """
 
 from __future__ import annotations
@@ -27,27 +29,14 @@ from functools import lru_cache
 import numpy as np
 
 from repro.codes.code56 import diagonal_chain_cells
-from repro.kernels import XorKernel
+from repro.kernels import ScratchPool, XorKernel
 from repro.obs.metrics import get_registry
 from repro.raid.array import BlockArray
 
 __all__ = ["fused_run_usable", "execute_run_fused", "run_read_credit"]
 
 
-class _RunScratch:
-    """Grow-only scratch backing for run outputs (one flat allocation)."""
-
-    def __init__(self) -> None:
-        self._buf = np.empty(0, dtype=np.uint8)
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
-        if self._buf.size < n:
-            self._buf = np.empty(n, dtype=np.uint8)
-        return self._buf[:n].reshape(shape)
-
-
-_SCRATCH = _RunScratch()
+_SCRATCH = ScratchPool()
 
 #: destination-tile budget — keep each fused reduction's working set in
 #: cache rather than streaming a giant run extent once per chain cell
@@ -77,10 +66,12 @@ def _chain_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fused_run_usable(array: BlockArray) -> bool:
-    """Fused runs bypass the counted read path, so they are only sound
-    when nothing observes it: no fault plane (crash/tear hooks fire on
-    counted reads) and no failed disks (counted reads raise
-    ``DiskFailure``; views would silently serve stale bytes)."""
+    """Fused execution — online runs here and offline phases in
+    :mod:`repro.compiled.executor` — bypasses the counted read path, so
+    it is only sound when nothing observes it: no fault plane
+    (crash/tear hooks fire on counted reads) and no failed disks
+    (counted reads raise ``DiskFailure``; views would silently serve
+    stale bytes)."""
     return array.fault_plane is None and not array.failed_disks
 
 

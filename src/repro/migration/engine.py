@@ -25,7 +25,7 @@ import numpy as np
 from repro.migration.plan import ConversionPlan, GroupWork
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
-from repro.raid.raid5 import Raid5Array
+from repro.raid.raid5 import Raid5Array, row_xor_raw
 
 __all__ = ["ConversionResult", "prepare_source_array", "execute_plan", "verify_conversion"]
 
@@ -77,16 +77,12 @@ def prepare_source_array(
             )
     # format only the source region: format_with targets the whole disk, so
     # place blocks manually through the layout mapping.
-    from repro.raid.layouts import locate_block, parity_disk
-    from repro.util.blocks import xor_reduce
-
     for lba in range(plan.data_blocks):
-        stripe, disk = locate_block(plan.source_layout, lba, plan.m)
+        stripe, disk = source.locate(lba)
         array.raw(disk, stripe)[...] = data[lba]
     for stripe in range(stripes):
-        pd = parity_disk(plan.source_layout, stripe, plan.m)
-        views = [array.raw(d, stripe) for d in range(plan.m) if d != pd]
-        xor_reduce(views, out=array.raw(pd, stripe))
+        pd = source.parity_disk(stripe)
+        array.raw(pd, stripe)[...] = row_xor_raw(array, stripe, plan.m, (pd,))
     array.reset_counters()
     return array, data
 

@@ -81,7 +81,7 @@ import numpy as np
 
 from repro.codes.code56 import diagonal_chain_cells
 from repro.codes.registry import get_code
-from repro.faults.errors import ReadFaultError, TransientIOError
+from repro.faults.degraded import ReconstructingReader
 from repro.faults.events import DiskFailureEvent
 from repro.kernels import XorKernel, resolve_kernel
 from repro.migration.batch import execute_run_fused, fused_run_usable
@@ -95,10 +95,6 @@ __all__ = [
     "OnlineReport",
     "OnlineCode56Conversion",
 ]
-
-#: read faults the conversion hides by reconstructing through the RAID-5 row
-_RECOVERABLE_READS = (ReadFaultError, TransientIOError)
-
 
 @dataclass(frozen=True)
 class OnlineRequest:
@@ -193,6 +189,8 @@ class OnlineCode56Conversion:
         self.layout = Raid5Layout.LEFT_ASYMMETRIC
         self.rows = p - 1
         self.groups = array.blocks_per_disk // self.rows
+        #: reconstruct-on-read through the RAID-5 row (failed disks, LSEs)
+        self._reader = ReconstructingReader(array, self.m)
         # generated[g][i] — diagonal parity (i, p-1) of group g written?
         self._generated = np.zeros((self.groups, self.rows), dtype=bool)
         self._cursor = 0  # next (group * rows + row) to generate
@@ -220,7 +218,7 @@ class OnlineCode56Conversion:
             for row in range(self.rows):
                 if not journal.is_marked(group, row):
                     continue
-                expect = self._chain_xor_uncounted(group, row)
+                expect = self.chain_xor_uncounted(group, row)
                 block = group * self.rows + row
                 if np.array_equal(self.array.raw(self.m, block), expect):
                     self._generated[group, row] = True
@@ -232,18 +230,12 @@ class OnlineCode56Conversion:
             if plane is not None:
                 plane.counters["stale_checkpoints"] += stale
 
-    def _chain_xor_uncounted(self, group: int, parity_row: int) -> np.ndarray:
-        """Recompute one diagonal parity from raw bytes (recovery scan)."""
+    def chain_xor_uncounted(self, group: int, parity_row: int) -> np.ndarray:
+        """Recompute one diagonal parity from raw bytes (resume and scrub
+        scans); chain blocks on a failed disk are row-reconstructed."""
         acc = np.zeros(self.array.block_size, dtype=np.uint8)
-        failed = self.array.failed_disks
         for r, c in self._diag_chain(parity_row):
-            block = group * self.rows + r
-            if c in failed:  # RAID-5 row reconstruction, uncounted
-                for d in range(self.m):
-                    if d != c:
-                        np.bitwise_xor(acc, self.array.raw(d, block), out=acc)
-            else:
-                np.bitwise_xor(acc, self.array.raw(c, block), out=acc)
+            np.bitwise_xor(acc, self._reader.peek(c, group * self.rows + r), out=acc)
         return acc
 
     # ----------------------------------------------------------- geometry
@@ -253,6 +245,8 @@ class OnlineCode56Conversion:
 
     def locate(self, lba: int) -> tuple[int, int, int, int]:
         """lba -> (group, row, disk, block)."""
+        if not 0 <= lba < self.capacity_blocks:
+            raise ValueError(f"lba {lba} outside capacity {self.capacity_blocks}")
         stripe, disk = locate_block(self.layout, lba, self.m)
         group, row = divmod(stripe, self.rows)
         return group, row, disk, stripe
@@ -578,33 +572,16 @@ class OnlineCode56Conversion:
     def _read_block(self, disk: int, block: int, report: OnlineReport) -> tuple[np.ndarray, int]:
         """Read a square-column block, reconstructing if its disk failed.
 
-        Degraded path: XOR the other ``m-1`` blocks of the RAID-5 stripe
-        (data plus old parity) — costs ``m-1`` reads instead of 1.  The
-        same recovery hides latent sector errors and exhausted transient
-        faults surfaced by the fault plane; blocks on the hot-added disk
+        Degraded path (:class:`~repro.faults.degraded.ReconstructingReader`):
+        XOR the other ``m-1`` blocks of the RAID-5 stripe (data plus old
+        parity) — costs ``m-1`` reads instead of 1.  The same recovery
+        hides latent sector errors and exhausted transient faults
+        surfaced by the fault plane; blocks on the hot-added disk
         (``disk >= m``) have no covering row and re-raise.
         """
-        if disk not in self.array.failed_disks:
-            try:
-                return self.array.read(disk, block), 1
-            except _RECOVERABLE_READS:
-                if disk >= self.m:
-                    raise
-        elif disk >= self.m:
-            return self.array.read(disk, block), 1  # propagates DiskFailure
-        acc = np.zeros(self.array.block_size, dtype=np.uint8)
-        ios = 0
-        for d in range(self.m):
-            if d == disk:
-                continue
-            np.bitwise_xor(acc, self.array.read(d, block), out=acc)
-            ios += 1
+        value, ios = self._reader.read_ios(disk, block)
         report.degraded_reads += ios - 1
-        plane = self.array.fault_plane
-        if plane is not None:
-            plane.counters["reconstructed_blocks"] += 1
-            plane.counters["degraded_reads"] += ios - 1
-        return acc, ios
+        return value, ios
 
     def _generate_parity(self, group: int, parity_row: int, report: OnlineReport) -> int:
         chain = self._diag_chain(parity_row)

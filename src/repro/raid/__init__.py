@@ -2,7 +2,7 @@
 
 from repro.raid.array import BlockArray, DiskFailure
 from repro.raid.layouts import Raid5Layout, cell_role, data_disk, locate_block, parity_disk
-from repro.raid.raid5 import Raid5Array
+from repro.raid.raid5 import Raid5Array, row_xor, row_xor_raw
 from repro.raid.raid6 import Raid6Array
 
 __all__ = [
@@ -15,6 +15,8 @@ __all__ = [
     "data_disk",
     "locate_block",
     "cell_role",
+    "row_xor",
+    "row_xor_raw",
 ]
 
 from repro.raid.scrub import Raid5ScrubReport, Raid6ScrubReport, scrub_raid5, scrub_raid6

@@ -3,17 +3,51 @@
 One stripe occupies one block per disk; stripe ``s`` lives at block
 offset ``s`` on every disk.  This matches the paper's element==block
 granularity (Table II) — a "stripe" of a RAID-5 is a row.
+
+The row equation — the XOR of every member of a row is zero — is the one
+reconstruction rule of the whole package: a lost or unreadable block is
+the XOR of the other members of its row.  :func:`row_xor` (counted) and
+:func:`row_xor_raw` (uncounted) are its only implementations; degraded
+reads, rebuilds, the conversion engines' reconstruct-on-read
+(:class:`repro.faults.degraded.ReconstructingReader`) and the fleet's
+rebuild staging all call them.
 """
 
 from __future__ import annotations
+
+from collections.abc import Container
 
 import numpy as np
 
 from repro.raid.array import BlockArray
 from repro.raid.layouts import Raid5Layout, cell_role, data_disk, locate_block, parity_disk
-from repro.util.blocks import xor_reduce
 
-__all__ = ["Raid5Array"]
+__all__ = ["Raid5Array", "row_xor", "row_xor_raw"]
+
+
+def row_xor(array: BlockArray, block: int, width: int, skip: Container[int] = ()) -> np.ndarray:
+    """XOR of row ``block`` over disks ``0..width-1`` except ``skip``.
+
+    Counted: one :meth:`BlockArray.read` per member, so failures and
+    fault-plane hooks fire exactly as for any other read.  Skipping one
+    disk reconstructs that disk's block (the row XORs to zero).
+    """
+    acc = np.zeros(array.block_size, dtype=np.uint8)
+    for d in range(width):
+        if d not in skip:
+            np.bitwise_xor(acc, array.read(d, block), out=acc)
+    return acc
+
+
+def row_xor_raw(
+    array: BlockArray, block: int, width: int, skip: Container[int] = ()
+) -> np.ndarray:
+    """Uncounted :func:`row_xor` over raw bytes (audits, scans, fills)."""
+    acc = np.zeros(array.block_size, dtype=np.uint8)
+    for d in range(width):
+        if d not in skip:
+            np.bitwise_xor(acc, array.raw(d, block), out=acc)
+    return acc
 
 
 class Raid5Array:
@@ -81,24 +115,15 @@ class Raid5Array:
             self.array.raw(disk, stripe)[...] = data[lba]
         for stripe in range(self.stripes):
             pd = self.parity_disk(stripe)
-            views = [
-                self.array.raw(d, stripe) for d in range(self.n) if d != pd
-            ]
-            xor_reduce(views, out=self.array.raw(pd, stripe))
+            self.array.raw(pd, stripe)[...] = row_xor_raw(self.array, stripe, self.n, (pd,))
 
     # ------------------------------------------------------------------- I/O
     def read(self, lba: int) -> np.ndarray:
         """Logical read; reconstructs through parity when the disk failed."""
         stripe, disk = self.locate(lba)
         if disk in self.array.failed_disks:
-            return self._degraded_read(stripe, disk)
+            return row_xor(self.array, stripe, self.n, (disk,))
         return self.array.read(disk, stripe)
-
-    def _degraded_read(self, stripe: int, lost_disk: int) -> np.ndarray:
-        chunks = [
-            self.array.read(d, stripe) for d in range(self.n) if d != lost_disk
-        ]
-        return xor_reduce(chunks)
 
     def write(self, lba: int, payload: np.ndarray) -> int:
         """Logical read-modify-write; returns I/Os performed.
@@ -114,15 +139,10 @@ class Raid5Array:
         ios = 0
         if disk in failed:
             # data disk gone: refresh parity so the write is still durable.
-            others = [
-                self.array.read(d, stripe)
-                for d in range(self.n)
-                if d not in (disk, pd)
-            ]
-            ios += len(others)
-            new_parity = xor_reduce(others + [payload]) if others else payload.copy()
+            new_parity = row_xor(self.array, stripe, self.n, (disk, pd))
+            np.bitwise_xor(new_parity, payload, out=new_parity)
             self.array.write(pd, stripe, new_parity)
-            return ios + 1
+            return self.n - 1  # n-2 row reads + the parity write
         old = self.array.read(disk, stripe)
         ios += 1
         self.array.write(disk, stripe, payload)
@@ -140,19 +160,14 @@ class Raid5Array:
         """Reconstruct a replaced disk stripe-by-stripe."""
         self.array.replace_disk(disk)
         for stripe in range(self.stripes):
-            chunks = [
-                self.array.read(d, stripe) for d in range(self.n) if d != disk
-            ]
-            self.array.write(disk, stripe, xor_reduce(chunks))
+            self.array.write(disk, stripe, row_xor(self.array, stripe, self.n, (disk,)))
 
     # ----------------------------------------------------------------- audit
     def verify(self) -> bool:
         """Uncounted parity scrub over every stripe."""
-        for stripe in range(self.stripes):
-            views = [self.array.raw(d, stripe) for d in range(self.n)]
-            if xor_reduce(views).any():
-                return False
-        return True
+        return not any(
+            row_xor_raw(self.array, stripe, self.n).any() for stripe in range(self.stripes)
+        )
 
     def parity_map(self) -> list[tuple[int, int]]:
         """(stripe, parity disk) for every stripe — used by the planner."""

@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.codes.decoder import apply_recovery_plan
 from repro.codes.geometry import Cell
-from repro.raid.raid5 import Raid5Array
+from repro.raid.raid5 import Raid5Array, row_xor_raw
 from repro.raid.raid6 import Raid6Array
-from repro.util.blocks import xor_reduce
 
 __all__ = ["Raid5ScrubReport", "Raid6ScrubReport", "scrub_raid5", "scrub_raid6"]
 
@@ -61,8 +60,7 @@ def scrub_raid5(raid5: Raid5Array) -> Raid5ScrubReport:
     report = Raid5ScrubReport()
     for stripe in range(raid5.stripes):
         report.stripes_checked += 1
-        views = [raid5.array.raw(d, stripe) for d in range(raid5.n)]
-        if xor_reduce(views).any():
+        if row_xor_raw(raid5.array, stripe, raid5.n).any():
             report.inconsistent_stripes.append(stripe)
     return report
 

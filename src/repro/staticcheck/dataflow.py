@@ -487,7 +487,7 @@ def analyze_fused(
     for ph in program.phases:
         fz = ph.fused
         if fz is None:
-            continue  # not lowered: the executor runs the tensor path
+            continue  # no parity work (compile_plan refuses unlowered parity)
         checks += 1
         if fz.batch != ph.batch:
             flag(f"phase {ph.phase}: fused batch {fz.batch} != program batch {ph.batch}")

@@ -1,15 +1,15 @@
-"""The fused region-op execution path: lowering, scratch, fallbacks.
+"""The fused region-op execution path: lowering, scratch, refusals.
 
 Companion to ``test_compiled_engine.py`` (which proves byte identity of
 the executor as a whole) and ``test_kernels.py`` (identity per backend):
 this file pins down the machinery the fused path adds — when the
-lowering pass produces region ops and when it must refuse, that the
-executor's preallocated scratch is actually reused instead of churned,
-that fused execution steps aside for fault planes / failed disks /
-``use_fused=False``, that the obs bridge records kernel-labelled
-counters with zero I/O drift, and that degraded and crash/resume
-conversions from :mod:`repro.faults` stay byte-identical while fused
-selection is active.
+lowering pass produces region ops and when compilation must refuse,
+that the executor's preallocated scratch is actually reused instead of
+churned, that the executor refuses fault planes / failed disks (the
+checkpointed executor handles those), that the obs bridge records
+kernel-labelled counters with zero I/O drift, and that degraded and
+crash/resume conversions from :mod:`repro.faults` stay byte-identical
+while fused selection is active.
 """
 
 import dataclasses
@@ -19,16 +19,18 @@ import pytest
 
 from repro.codes.base import ArrayCode
 from repro.compiled import (
+    UnsupportedPlanError,
     compile_plan,
     execute_compiled,
     execute_plan_compiled,
     lower_program,
 )
 from repro.compiled import executor as executor_mod
-from repro.kernels import get_default_kernel, set_default_kernel
+from repro.kernels import ScratchPool, get_default_kernel, set_default_kernel
 from repro.migration import (
     build_plan,
     execute_plan,
+    fused_run_usable,
     prepare_source_array,
     verify_conversion,
 )
@@ -117,7 +119,7 @@ class TestScratchReuse:
         return array
 
     def test_pool_views_share_memory(self):
-        pool = executor_mod._ScratchPool()
+        pool = ScratchPool()
         pool.reserve(1024)
         a = pool.take((4, 64))
         assert np.shares_memory(a, pool._buf)
@@ -125,7 +127,7 @@ class TestScratchReuse:
         assert np.shares_memory(a, b)  # same backing, sequential reuse
 
     def test_pool_grows_only(self):
-        pool = executor_mod._ScratchPool()
+        pool = ScratchPool()
         pool.reserve(512)
         buf = pool._buf
         pool.reserve(256)
@@ -151,14 +153,14 @@ class TestScratchReuse:
             plan, np.random.default_rng(1), block_size=16
         )
         takes = []
-        orig = executor_mod._ScratchPool.take
+        orig = ScratchPool.take
 
         def spy(self, shape):
             out = orig(self, shape)
             takes.append(out)
             return out
 
-        monkeypatch.setattr(executor_mod._ScratchPool, "take", spy)
+        monkeypatch.setattr(ScratchPool, "take", spy)
         execute_plan_compiled(plan, array, data)
         assert takes
         assert all(np.shares_memory(t, executor_mod._SCRATCH._buf) for t in takes)
@@ -189,40 +191,46 @@ class TestFallbacks:
         execute_plan_compiled(plan, array, data)
         assert spy.calls > 0
 
-    def test_use_fused_false_forces_stripe_path(self, monkeypatch):
+    def test_compile_refuses_unlowerable_parity_phase(self):
+        """A parity phase the fusion pass cannot express has no executor
+        tier left to run on: compilation refuses it up front."""
         plan = _cycle_plan("code56", "direct", 5)
-        ref, data = self._arrays(plan)
-        execute_plan(plan, ref, data)
-        array, _ = self._arrays(plan)
-        spy = _FusedSpy(monkeypatch)
-        result = execute_plan_compiled(plan, array, data, use_fused=False)
-        assert spy.calls == 0
-        assert np.array_equal(ref.snapshot(), array.snapshot())
-        assert np.array_equal(ref.reads, array.reads)
-        assert verify_conversion(result)
 
-    def test_fault_plane_disables_fused(self, monkeypatch):
+        class WeirdCode(type(plan.code)):
+            def encode(self, stripe):  # pragma: no cover - never called
+                return super().encode(stripe)
+
+        weird = object.__new__(WeirdCode)
+        weird.__dict__.update(plan.code.__dict__)
+        with pytest.raises(UnsupportedPlanError, match="fused lowering"):
+            compile_plan(dataclasses.replace(plan, code=weird), use_cache=False)
+
+    @pytest.mark.parametrize("fault", ["plane", "failed-disk"])
+    def test_execute_compiled_refuses_faulted_array(self, fault):
         from repro.faults import FaultPlane, FaultScenario
 
         plan = _cycle_plan("code56", "direct", 5)
+        program = compile_plan(plan, use_cache=False)
         array, data = self._arrays(plan)
-        plane = FaultPlane(FaultScenario())
-        plane.attach(array)
-        spy = _FusedSpy(monkeypatch)
-        result = execute_plan_compiled(plan, array, data)
-        plane.detach()
-        assert spy.calls == 0  # hooks observe the counted path; honour them
-        assert verify_conversion(result)
+        before = array.snapshot()
+        if fault == "plane":
+            FaultPlane(FaultScenario()).attach(array)
+        else:
+            array.fail_disk(1)
+        with pytest.raises(ValueError, match="execute_checkpointed"):
+            execute_compiled(program, array)
+        with pytest.raises(ValueError, match="execute_checkpointed"):
+            execute_plan_compiled(plan, array, data, program=program)
+        assert np.array_equal(array.snapshot(), before)
+        assert array.total_ios == 0
 
     def test_failed_disk_disables_fused(self, monkeypatch):
-        program = compile_plan(_cycle_plan("code56", "direct", 5), use_cache=False)
         plan = _cycle_plan("code56", "direct", 5)
         array, _data = self._arrays(plan)
         array.fail_disk(1)
-        assert not executor_mod._fused_usable(array)
+        assert not fused_run_usable(array)
         array2, _ = self._arrays(plan)
-        assert executor_mod._fused_usable(array2)
-        del program
+        assert fused_run_usable(array2)
 
 
 class TestObsBridge:

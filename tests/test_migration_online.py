@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.migration import OnlineCode56Conversion, OnlineRequest
+from repro.migration import OnlineCode56Conversion, OnlineReport, OnlineRequest
 from repro.raid import BlockArray, Raid5Array, Raid5Layout
 
 
@@ -40,6 +40,32 @@ class TestQuietConversion:
         array = BlockArray(m, 8, block_size=8)
         with pytest.raises(ValueError):
             OnlineCode56Conversion(array, 5)
+
+
+class TestAddressing:
+    @pytest.mark.parametrize("is_write", [True, False])
+    @pytest.mark.parametrize("lba", [-1, 36, 37])
+    def test_lba_outside_capacity_rejected_before_io(self, lba, is_write, rng):
+        """p=5 over 13 blocks per disk: 3 whole groups, capacity 36 — the
+        trailing RAID-5 stripe is not converted, so its LBAs (and negative
+        ones) are refused before any block or parity is touched."""
+        array = BlockArray(4, 13, block_size=8)
+        r5 = Raid5Array(array, Raid5Layout.LEFT_ASYMMETRIC)
+        r5.format_with(rng.integers(0, 256, size=(r5.capacity_blocks, 8), dtype=np.uint8))
+        array.add_disk()
+        conv = OnlineCode56Conversion(array, 5)
+        assert (conv.groups, conv.capacity_blocks) == (3, 36)
+        before = array.snapshot()
+        report = OnlineReport()
+        req = OnlineRequest(
+            time=0.0, lba=lba, is_write=is_write,
+            payload=np.full(8, 0xAB, dtype=np.uint8) if is_write else None,
+        )
+        with pytest.raises(ValueError, match="outside capacity"):
+            conv.serve_request(req, 0.0, report)
+        assert np.array_equal(array.snapshot(), before)
+        assert array.total_ios == 0
+        assert report.interruptions == 0 and report.app_ticks == 0
 
 
 class TestConcurrentIO:
