@@ -91,14 +91,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
               "(positional or --code/--approach)", file=sys.stderr)
         return 2
 
-    from repro.kernels import KernelUnavailableError, set_default_kernel
-
-    try:
-        set_default_kernel(args.kernel)
-    except KernelUnavailableError as exc:
-        print(f"convert: {exc}", file=sys.stderr)
-        return 2
-
     if args.online:
         return _convert_online(args, code, approach)
 
@@ -180,13 +172,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                 sim_res = simulate_closed(stream, model)
             obs.record_sim_result(sim_res, registry, prefix="sim")
         if observing:
-            from repro.kernels import resolve_kernel
-
             obs.record_conversion(result, registry)
             obs.record_compiler_cache(registry)
-            registry.gauge(
-                "kernels.backend", backend=resolve_kernel(args.kernel).name
-            ).set(1.0)
             if plane is not None:
                 obs.record_fault_plane(plane, registry)
 
@@ -231,7 +218,7 @@ def _convert_online(args: argparse.Namespace, code: str, approach: str) -> int:
 
     Runs the online converter under a seeded application-write schedule,
     verifies the result, and prints the foreground-latency percentiles
-    (stall + service) alongside the batch/kernel accounting.
+    (stall + service) alongside the run accounting.
     """
     from repro import obs
     from repro.faults.journal import OnlineJournal
@@ -274,30 +261,26 @@ def _convert_online(args: argparse.Namespace, code: str, approach: str) -> int:
             ))
 
         journal = OnlineJournal(plan.groups, args.p - 1)
-        conv = OnlineCode56Conversion(
-            array, args.p, journal=journal, batch=args.batch, kernel=args.kernel
-        )
+        conv = OnlineCode56Conversion(array, args.p, journal=journal, batch=args.batch)
         with tracer.span("convert.online", cat="cli", batch=args.batch,
-                         kernel=conv.kernel.name, requests=len(requests)):
+                         requests=len(requests)):
             report = conv.run(requests)
         ok = bool(conv.verify())
 
         foreground = [s + l for s, l in
                       zip(report.request_stalls, report.request_latencies)]
         print(f"online conversion: p={args.p} groups={plan.groups} "
-              f"bs={args.block_size} batch={args.batch} "
-              f"kernel={report.kernel}")
+              f"bs={args.block_size} batch={args.batch}")
         print(f"verified: {ok}")
         print(f"ticks: conversion={report.conversion_ticks} app={report.app_ticks} "
               f"finish={report.finish_tick:.0f}")
         print(f"parities: {report.parities_generated} generated, "
               f"{report.interruptions} interruption(s), "
               f"{report.writes_to_converted} write(s) patched a diagonal")
-        if args.batch > 1:
-            print(f"runs: {report.runs_committed} committed "
-                  f"(max {report.max_run} parities, "
-                  f"{report.batch_shrinks} deadline shrink(s)), "
-                  f"journal appends={journal.appends}")
+        print(f"runs: {report.runs_committed} committed "
+              f"(max {report.max_run} parities, "
+              f"{report.batch_shrinks} deadline shrink(s)), "
+              f"journal appends={journal.appends}")
         if foreground:
             q = np.percentile(foreground, [50, 95, 99])
             print(f"foreground latency (ticks): p50={q[0]:.1f} "
@@ -305,15 +288,13 @@ def _convert_online(args: argparse.Namespace, code: str, approach: str) -> int:
         if observing:
             obs.record_online_report(report, registry)
             obs.record_array_io(array, registry, prefix="online.array")
-            registry.gauge("kernels.backend", backend=conv.kernel.name).set(1.0)
         if args.trace is not None:
             doc = obs.write_chrome_trace(
                 args.trace,
                 spans=tracer.spans,
                 metrics=registry.snapshot(),
                 meta={"command": "convert", "online": True, "code": code,
-                      "approach": approach, "p": args.p, "batch": args.batch,
-                      "kernel": conv.kernel.name},
+                      "approach": approach, "p": args.p, "batch": args.batch},
             )
             print(f"trace: {args.trace} ({len(doc['traceEvents'])} events; "
                   f"open in https://ui.perfetto.dev)")
@@ -481,13 +462,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         fault_soak,
         replay_scenario,
     )
-    from repro.kernels import KernelUnavailableError, set_default_kernel
-
-    try:
-        set_default_kernel(args.kernel)
-    except KernelUnavailableError as exc:
-        print(f"chaos: {exc}", file=sys.stderr)
-        return 2
 
     if args.replay is not None:
         from pathlib import Path
@@ -697,13 +671,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"sweep: unknown workload {exc}; known: {sorted(kinds)}", file=sys.stderr)
         return 2
-    from repro.kernels import KernelUnavailableError, resolve_kernel
-
-    try:
-        resolve_kernel(args.kernel)
-    except (KernelUnavailableError, KeyError) as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
-        return 2
 
     spec = SweepSpec(primes=tuple(args.primes), workloads=workloads, seed=args.seed)
     n_tasks = len(spec.tasks())
@@ -712,7 +679,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"({len(spec.resolved_pairs())} series x {len(args.primes)} primes x "
           f"{len(workloads)} workloads), workers={workers}")
 
-    serial = run_sweep(spec, workers=0, kernel=args.kernel)
+    serial = run_sweep(spec, workers=0)
     print(f"  serial   : {serial.wall_s:8.2f}s  digest {serial.digest()[:16]}  "
           f"compiled {serial.cache['parent']['compiled']}")
 
@@ -737,13 +704,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cache_dir = Path(tmp.name)
         try:
             cold = run_sweep(spec, workers=workers, chunksize=args.chunksize,
-                             cache_dir=cache_dir, kernel=args.kernel)
+                             cache_dir=cache_dir)
             print(f"  parallel : {cold.wall_s:8.2f}s  digest {cold.digest()[:16]}  "
                   f"compiled {cold.cache['compiled_total']}  "
                   f"(retried {cold.retried_chunks} chunks, "
                   f"{cold.fallback_tasks} tasks inline)")
             warm = run_sweep(spec, workers=workers, chunksize=args.chunksize,
-                             cache_dir=cache_dir, kernel=args.kernel)
+                             cache_dir=cache_dir)
             print(f"  warm     : {warm.wall_s:8.2f}s  digest {warm.digest()[:16]}  "
                   f"compiled {warm.cache['compiled_total']}")
         finally:
@@ -844,10 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--groups", type=int, default=None)
     p_conv.add_argument("--block-size", type=int, default=16)
     p_conv.add_argument("--seed", type=int, default=0)
-    p_conv.add_argument("--kernel", choices=["numpy", "numba", "auto"], default="auto",
-                        help="XOR kernel backend for the compiled engine's "
-                             "fused region ops (auto: numba if importable, "
-                             "else numpy)")
     p_conv.add_argument("--engine", choices=["audited", "compiled"], default="compiled",
                         help="batched compiled executor (default) or per-block audited engine")
     p_conv.add_argument("--online", action="store_true",
@@ -855,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "application-write schedule (code56/direct only)")
     p_conv.add_argument("--batch", type=int, default=1,
                         help="online: parity-run budget per conversion slice "
-                             "(>1 enables fused runs + group-committed marks)")
+                             "(>1 claims longer runs with one journal flush each)")
     p_conv.add_argument("--requests", type=int, default=16,
                         help="online: seeded application requests to interleave")
     p_conv.add_argument("--disk", default="sata-7200",
@@ -927,9 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--batch", type=int, default=1,
                          help="online sweep: converter run budget (crashes land "
                               "inside group-commit windows when > 1)")
-    p_chaos.add_argument("--kernel", choices=["numpy", "numba", "auto"],
-                         default="auto",
-                         help="XOR kernel backend for fused parity runs")
     p_chaos.add_argument("--sample", type=int, default=None,
                          help="sweep an evenly spaced subset of crash points "
                               "(default: exhaustive)")
@@ -1002,9 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--chunksize", type=int, default=None,
                          help="tasks per worker dispatch (default: auto)")
-    p_sweep.add_argument("--kernel", choices=["numpy", "numba", "auto"], default="auto",
-                         help="XOR kernel backend in every worker process "
-                              "(results are kernel-invariant byte-for-byte)")
     p_sweep.add_argument("--cache-dir", default=None, metavar="PATH",
                          help="persistent compiled-program cache directory "
                               "(default: fresh temp dir per invocation)")

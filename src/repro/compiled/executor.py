@@ -6,7 +6,8 @@ counted scatter, NULL invalidations and trims in bulk, and the parity
 work on the fused path — the phase's
 :class:`~repro.compiled.program.FusedPhase` region ops XOR strided views
 of the block store directly into a reused scratch buffer through the
-selected :class:`~repro.kernels.base.XorKernel` backend.  Counted reads
+:class:`~repro.kernels.base.XorKernel` that :func:`~repro.kernels.
+resolve_kernel` returns.  Counted reads
 are credited via :meth:`BlockArray.credit_ios` (the views bypass the
 counted gather); parity writes stay on the counted
 :meth:`BlockArray.write_blocks`.
@@ -29,7 +30,7 @@ import numpy as np
 
 from repro.compiled.compiler import compile_plan
 from repro.compiled.program import CompiledPlan, PhaseProgram
-from repro.kernels import ScratchPool, XorKernel, resolve_kernel
+from repro.kernels import ScratchPool, resolve_kernel
 from repro.migration.batch import fused_run_usable
 from repro.migration.engine import ConversionResult
 from repro.migration.plan import ConversionPlan
@@ -47,7 +48,8 @@ _SCRATCH = ScratchPool()
 _SLOT_TILE_BYTES = 1 << 17
 
 
-def _run_phase_fused(ph: PhaseProgram, array: BlockArray, kernel: XorKernel) -> None:
+def _run_phase_fused(ph: PhaseProgram, array: BlockArray) -> None:
+    kernel = resolve_kernel()
     fz = ph.fused
     bs = array.block_size
     batch = fz.batch
@@ -106,7 +108,7 @@ def _run_phase_fused(ph: PhaseProgram, array: BlockArray, kernel: XorKernel) -> 
         registry.counter("kernels.xor_bytes", kernel=kernel.name).inc(xor_bytes)
 
 
-def _run_phase(ph: PhaseProgram, array: BlockArray, kernel: XorKernel) -> None:
+def _run_phase(ph: PhaseProgram, array: BlockArray) -> None:
     # 1. migrations: bulk read → bulk write (counted, queue order)
     if ph.migrate_src_disk.size:
         payload = array.read_blocks(ph.migrate_src_disk, ph.migrate_src_block)
@@ -119,20 +121,13 @@ def _run_phase(ph: PhaseProgram, array: BlockArray, kernel: XorKernel) -> None:
         array.trim_blocks(ph.trim_disk, ph.trim_block)
     # 4. parity generation and reused-parity audit, fused
     if ph.fused is not None:
-        _run_phase_fused(ph, array, kernel)
+        _run_phase_fused(ph, array)
 
 
-def execute_compiled(
-    program: CompiledPlan,
-    array: BlockArray,
-    kernel: XorKernel | str | None = None,
-) -> None:
+def execute_compiled(program: CompiledPlan, array: BlockArray) -> None:
     """Run every phase of ``program`` on ``array`` (counters accumulate).
 
-    ``kernel`` selects the XOR backend for fused phases — an
-    :class:`XorKernel` instance, a registry name (``"numpy"``,
-    ``"numba"``, ``"auto"``), or None for the process default.  The
-    array must be healthy: an attached fault plane or a failed disk
+    The array must be healthy: an attached fault plane or a failed disk
     raises :class:`ValueError` (use
     :func:`repro.faults.execute_checkpointed`).
     """
@@ -147,8 +142,6 @@ def execute_compiled(
             "disks); use repro.faults.execute_checkpointed, the fault-aware "
             "entry point"
         )
-    if not isinstance(kernel, XorKernel):
-        kernel = resolve_kernel(kernel)
     # size the scratch pool once for the largest phase, so no phase
     # allocates (no per-op temporary churn)
     _SCRATCH.reserve(
@@ -163,9 +156,9 @@ def execute_compiled(
         with tracer.span(
             f"phase{ph.phase}", cat="compiled.phase", phase=ph.phase, batch=ph.batch,
             migrates=int(ph.migrate_src_disk.size), nulls=int(ph.null_disk.size),
-            parities=int(ph.parity_disk.size), kernel=kernel.name,
+            parities=int(ph.parity_disk.size),
         ):
-            _run_phase(ph, array, kernel)
+            _run_phase(ph, array)
 
 
 def execute_plan_compiled(
@@ -173,15 +166,13 @@ def execute_plan_compiled(
     array: BlockArray,
     data: np.ndarray,
     program: CompiledPlan | None = None,
-    kernel: XorKernel | str | None = None,
 ) -> ConversionResult:
     """Drop-in replacement for :func:`repro.migration.execute_plan`.
 
     Compiles ``plan`` (cached across calls) and executes it in bulk;
     raises :class:`~repro.compiled.compiler.UnsupportedPlanError` when
     the plan cannot be batched faithfully — fall back to the audited
-    engine in that case.  ``kernel`` is forwarded to
-    :func:`execute_compiled`.
+    engine in that case.
     """
     tracer = get_tracer()
     if program is None:
@@ -195,7 +186,7 @@ def execute_plan_compiled(
         "execute", cat="compiled", engine="compiled", code=plan.code.name,
         approach=plan.approach, groups=plan.groups,
     ):
-        execute_compiled(program, array, kernel=kernel)
+        execute_compiled(program, array)
     return ConversionResult(
         array=array,
         plan=plan,

@@ -283,10 +283,10 @@ def crash_sweep_online(
     app requests are durable, so the resume harness replays exactly the
     unserved suffix (``requests_served``).
 
-    ``batch > 1`` sweeps the batched converter instead: crashes land
-    inside group-commit windows (whole runs of correct-but-unmarked
-    parities), and the reference bytes stay those of an *unbatched*
-    run — byte-identity then also proves batched == per-parity.
+    ``batch > 1`` sweeps longer runs: crashes land inside group-commit
+    windows (whole runs of correct-but-unmarked parities), and the
+    reference bytes stay those of a budget-1 run — byte-identity then
+    also proves batched == per-parity.
     """
     from repro.migration.online import OnlineCode56Conversion
 

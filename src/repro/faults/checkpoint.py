@@ -43,7 +43,6 @@ from repro.faults.errors import ConversionCrash
 from repro.faults.journal import ConversionJournal
 from repro.faults.plane import FaultPlane
 from repro.faults.spec import FaultScenario
-from repro.kernels import resolve_kernel
 from repro.migration.batch import fused_run_usable
 from repro.migration.engine import ConversionResult, _execute_group
 from repro.migration.plan import ConversionPlan
@@ -130,7 +129,7 @@ def _run_phase_checkpointed(plan, unit, array: BlockArray, reader) -> None:
 
     ph, gws = unit
     if fused_run_usable(array):
-        executor._run_phase(ph, array, resolve_kernel())
+        executor._run_phase(ph, array)
         return
     for gw in gws:
         _execute_group(plan, gw, array, io=reader)

@@ -22,7 +22,7 @@ work between foreground arrivals:
    image — is one atomic slice bounded by the stripe count.  Rebuild
    spends token-bucket bandwidth but ignores the circuit breaker:
    restoring redundancy outranks latency.
-2. **conversion**: Algorithm 2 steps (per-parity or batched runs),
+2. **conversion**: Algorithm 2 runs (``batch`` parities at most),
    token-bucket-gated and paused while the breaker is open.  A pause
    discards the in-memory converter; resume constructs a fresh one from
    the journal, which re-validates every mark — literally "resume from
@@ -126,7 +126,6 @@ class FleetVolume:
             self.array, p, journal=self.journal, batch=spec.batch
         )
         self.report = OnlineReport()
-        self.report.kernel = self.conv.kernel.name if spec.batch > 1 else "per-parity"
         self.requests = self._request_schedule()
         self.health = VolumeHealth()
         self.breaker = CircuitBreaker(spec.qos)
@@ -284,14 +283,8 @@ class FleetVolume:
             if clock + delay >= deadline:
                 return clock, False  # starved past this window
             clock += delay
-        budget = 1
-        if self.spec.batch > 1:
-            budget = self.spec.batch
-            if deadline != float("inf"):
-                room = int(np.ceil((deadline - clock) / est))
-                budget = max(1, min(budget, room))
-            tokens = int(self.bucket.available(clock) // est)
-            budget = max(1, min(budget, tokens))
+        tokens = int(self.bucket.available(clock) // est)
+        budget = max(1, min(self.conv.run_budget(deadline, clock), tokens))
         cost = self._convert_step(budget)
         if cost == 0:
             return clock, False
@@ -300,30 +293,11 @@ class FleetVolume:
         return clock + cost, True
 
     def _convert_step(self, budget: int) -> int:
-        """One generate+mark (or run+group-commit) under the crash plane."""
+        """One run plus its group commit, under the crash plane."""
         for _attempt in range(_MAX_CRASH_RESUMES):
             try:
                 with self.plane.crashable():
-                    if self.spec.batch > 1:
-                        cost = self.conv.generate_run_step(self.report, budget=budget)
-                        if cost == 0:
-                            return 0
-                        run = self.conv.in_flight_run
-                        assert run is not None
-                        self.plane.crash_point(
-                            f"pre-mark-run:g{run[0][0]}r{run[0][1]}x{len(run)}"
-                        )
-                        self.report.runs_committed += 1
-                        self.report.max_run = max(self.report.max_run, len(run))
-                        self.conv.mark_run_step()
-                        return cost
-                    pending = self.conv.pending_parity()
-                    if pending is None:
-                        return 0
-                    cost = self.conv.generate_step(self.report)
-                    self.plane.crash_point(f"pre-mark:g{pending[0]}r{pending[1]}")
-                    self.conv.mark_step()
-                    return cost
+                    return self.conv.convert_run(self.report, budget)
             except ConversionCrash:
                 self.crashes += 1
                 self.plane.disarm_crash()
@@ -528,7 +502,6 @@ class FleetVolume:
             "degraded_reads": self.report.degraded_reads,
             "failures_survived": self.report.failures_survived,
             "batch": self.spec.batch,
-            "kernel": self.report.kernel,
             "verified": verified,
             "divergent_blocks": divergent,
             "latency": {

@@ -1,39 +1,36 @@
-"""Pluggable XOR kernel backends for the compiled engine.
+"""The XOR kernel behind the fused execution paths.
 
 The compiled engine's lowering pass (:mod:`repro.compiled.compiler`)
-turns per-block XOR chains into contiguous-region reduction ops; this
-package supplies the execution tiers for those ops.  See
-:class:`~repro.kernels.base.XorKernel` for the two-primitive contract
-and :mod:`repro.kernels.registry` for selection (``numpy`` | ``numba`` |
-``auto``).
+and the online converter's fused runs (:mod:`repro.migration.batch`)
+turn per-block XOR chains into contiguous-region reduction ops; this
+package executes them.  :class:`~repro.kernels.base.XorKernel` is the
+two-primitive seam and :class:`~repro.kernels.numpy_backend.
+NumpyXorKernel` its one implementation.
+
+:func:`resolve_kernel` returns the single cached instance every fused
+XOR goes through, so wrapping its two primitives (as a profiler does)
+observes every call.
 """
 
-from repro.kernels.base import KernelUnavailableError, ScratchPool, XorKernel
-from repro.kernels.numba_backend import NumbaXorKernel
+from repro.kernels.base import ScratchPool, XorKernel
 from repro.kernels.numpy_backend import NumpyXorKernel
-from repro.kernels.registry import (
-    KERNEL_CHOICES,
-    available_kernels,
-    get_default_kernel,
-    get_kernel,
-    kernel_info,
-    register_kernel,
-    resolve_kernel,
-    set_default_kernel,
-)
 
 __all__ = [
     "XorKernel",
-    "KernelUnavailableError",
     "ScratchPool",
     "NumpyXorKernel",
-    "NumbaXorKernel",
-    "KERNEL_CHOICES",
-    "register_kernel",
-    "get_kernel",
     "resolve_kernel",
     "available_kernels",
-    "kernel_info",
-    "set_default_kernel",
-    "get_default_kernel",
 ]
+
+_KERNEL = NumpyXorKernel()
+
+
+def resolve_kernel() -> XorKernel:
+    """The process's XOR kernel (one cached instance)."""
+    return _KERNEL
+
+
+def available_kernels() -> list[str]:
+    """Names of the kernels this build can run."""
+    return [_KERNEL.name]

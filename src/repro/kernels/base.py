@@ -12,12 +12,10 @@ two primitives:
 * :meth:`XorKernel.scatter_xor` — ``dst[rows] ^= payload`` for the
   sparse remainder that does not coalesce into a strided region.
 
-A backend implements those two methods and nothing else; everything
+A kernel implements those two methods and nothing else; everything
 above the seam (lowering, hazard analysis, I/O accounting, fault
-semantics) is backend-independent, so the same verified program runs on
-any tier.  Backends advertise themselves through
-:meth:`XorKernel.is_available` / :meth:`XorKernel.capabilities` and the
-registry (:mod:`repro.kernels.registry`) picks one by name or ``auto``.
+semantics) is kernel-independent, so the same verified program runs on
+any implementation.
 """
 
 from __future__ import annotations
@@ -27,11 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["XorKernel", "KernelUnavailableError", "ScratchPool"]
-
-
-class KernelUnavailableError(RuntimeError):
-    """The requested backend cannot run on this host (missing dependency)."""
+__all__ = ["XorKernel", "ScratchPool"]
 
 
 class XorKernel(ABC):
@@ -39,25 +33,13 @@ class XorKernel(ABC):
 
     Instances are stateless and shared; both methods must be
     deterministic and byte-exact (XOR is associative and commutative, so
-    any evaluation order produces identical bytes — backends may tile or
+    any evaluation order produces identical bytes — a kernel may tile or
     parallelise freely).
     """
 
-    #: registry name (``numpy``, ``numba``, ...)
+    #: label on the kernel's metrics (``numpy``)
     name: str = "abstract"
 
-    # ------------------------------------------------------------ probing
-    @classmethod
-    def is_available(cls) -> bool:
-        """True when the backend can execute on this host."""
-        return True
-
-    @classmethod
-    def capabilities(cls) -> dict:
-        """Describe the tier (JSON-safe; surfaced by ``kernel_info``)."""
-        return {"name": cls.name, "available": cls.is_available()}
-
-    # ---------------------------------------------------------- primitives
     @abstractmethod
     def region_xor_reduce(
         self,

@@ -1,4 +1,4 @@
-"""Default backend: cache-blocked in-place numpy XOR.
+"""The XOR kernel: cache-blocked in-place numpy XOR.
 
 The reduction walks the destination in row tiles sized to stay resident
 in cache while every source is folded in (the ISA-L
@@ -24,7 +24,8 @@ TILE_BYTES = 1 << 20
 
 
 class NumpyXorKernel(XorKernel):
-    """Pure numpy tier — always available, the byte-identity reference."""
+    """Pure numpy kernel — the one :func:`repro.kernels.resolve_kernel`
+    returns."""
 
     name = "numpy"
 
@@ -32,16 +33,6 @@ class NumpyXorKernel(XorKernel):
         if tile_bytes < 1:
             raise ValueError("tile_bytes must be positive")
         self._tile_bytes = tile_bytes
-
-    @classmethod
-    def capabilities(cls) -> dict:
-        return {
-            "name": cls.name,
-            "available": True,
-            "tier": "numpy",
-            "parallel": False,
-            "tile_bytes": TILE_BYTES,
-        }
 
     def region_xor_reduce(
         self,

@@ -1,13 +1,14 @@
-"""Fused run lowering for the online converter (Algorithm 2, batched).
+"""Fused run lowering for the online converter (Algorithm 2).
 
 Between application events the online conversion thread claims a *run*
 of pending diagonal parities (:meth:`OnlineCode56Conversion.pending_run`)
-and, when the array is healthy, hands the whole run to
-:func:`execute_run_fused`: the run is grouped by parity row, each row's
-chain becomes one fused XOR reduction over strided ``bulk_view`` slices
-of the block store (the ISA-L region-op idiom), reduced through the
-selected :class:`~repro.kernels.base.XorKernel` backend into a reused
-scratch pool, and written back through the *counted*
+and, when the run has at least two parities and the array is healthy,
+hands it to :func:`execute_run_fused`: the run is grouped by parity row,
+each row's chain becomes one fused XOR reduction over strided
+``bulk_view`` slices of the block store (the ISA-L region-op idiom),
+reduced through the :class:`~repro.kernels.base.XorKernel` that
+:func:`~repro.kernels.resolve_kernel` returns into a reused scratch
+pool, and written back through the *counted*
 :meth:`BlockArray.write_blocks` bulk API.  Reads are credited via
 :meth:`BlockArray.credit_ios` with exactly the per-disk totals the
 audited per-parity path performs — zero counter drift.
@@ -16,7 +17,7 @@ The lowering never runs when a fault plane is attached or a disk has
 failed (:func:`fused_run_usable`, the same gate the offline compiled
 executor applies): the views bypass the counted read hooks that crash
 points, sector errors and degraded reconstruction hang off, so those
-runs fall back to the audited per-parity generator inside
+runs take the audited per-parity generator inside
 :meth:`OnlineCode56Conversion.generate_run_step`, whose chain reads go
 through :class:`~repro.faults.degraded.ReconstructingReader` — same
 run/mark protocol, full fault semantics.
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.codes.code56 import diagonal_chain_cells
-from repro.kernels import ScratchPool, XorKernel
+from repro.kernels import ScratchPool, resolve_kernel
 from repro.obs.metrics import get_registry
 from repro.raid.array import BlockArray
 
@@ -90,7 +91,6 @@ def execute_run_fused(
     array: BlockArray,
     p: int,
     run: tuple[tuple[int, int], ...],
-    kernel: XorKernel,
 ) -> int:
     """Generate every diagonal parity of ``run`` in fused region ops.
 
@@ -102,6 +102,7 @@ def execute_run_fused(
     """
     if not run:
         return 0
+    kernel = resolve_kernel()
     m = p - 1
     rows = p - 1
     bs = array.block_size

@@ -18,19 +18,31 @@ its own I/Os.  The end state is verified: all parities consistent and
 every logical block equal to the ground-truth model after the same write
 sequence.
 
-The conversion thread is a **resumable step function**: its transitions
-are exposed individually so external schedulers (the interleaving model
-checker in :mod:`repro.staticcheck.concur`) can drive arbitrary
-interleavings of conversion progress, application writes, crash points
-and journal flushes:
+The conversion thread is a **resumable step function** over *runs*:
+between application events it claims up to ``batch`` pending parities,
+writes them, then commits their journal marks.  A budget of 1 is the
+paper-faithful per-parity interleave; larger budgets are the same
+protocol with longer runs.  The transitions are exposed individually so
+external schedulers (the interleaving model checker in
+:mod:`repro.staticcheck.concur`) can drive arbitrary interleavings of
+conversion progress, application writes, crash points and journal
+flushes:
 
-* :meth:`~OnlineCode56Conversion.pending_parity` — the next diagonal
-  parity the conversion thread will generate (or None when done);
-* :meth:`~OnlineCode56Conversion.generate_step` — one conversion step:
-  read the chain, write the parity (the array mutation, *without* the
-  journal flush — the crash window between the two is explicit);
-* :meth:`~OnlineCode56Conversion.mark_step` — the journal flush: record
-  the just-written parity as generated and advance the cursor;
+* :meth:`~OnlineCode56Conversion.pending_run` — the next (up to a
+  budget) pending parities, in cursor order, without mutating state;
+* :meth:`~OnlineCode56Conversion.generate_run_step` — generate every
+  parity of the run.  A run of at least :data:`FUSED_MIN_RUN` parities
+  on a healthy array goes through :func:`repro.migration.batch.
+  execute_run_fused` (region XOR through the kernel, counted bulk
+  write, credited reads); every other run goes through the audited
+  per-parity loop, which is cheaper for one parity and the only sound
+  choice under a fault plane / failed disk.  The run stays *in flight*
+  — bytes landed, nothing marked;
+* :meth:`~OnlineCode56Conversion.mark_run_step` — the group commit: one
+  journal flush (:meth:`OnlineJournal.mark_many`) for the whole run,
+  only after every parity write landed.  Write-ahead ordering is
+  preserved run-wide: a crash mid-run leaves correct-but-unmarked
+  parities, regenerated idempotently on resume;
 * :meth:`~OnlineCode56Conversion.serve_request` — one application
   request (a write interrupts the conversion, Algorithm 2);
 * :meth:`~OnlineCode56Conversion.thread_state` /
@@ -38,31 +50,19 @@ and journal flushes:
   restore the conversion thread's in-memory state (cursor + generated
   bitmap + in-flight run) for depth-first state-space exploration.
 
-**Batched transitions** (``batch > 1``) lower a whole *run* of pending
-parities onto the fused kernel tier between application events:
-
-* :meth:`~OnlineCode56Conversion.pending_run` — the next (up to a
-  budget) pending parities, in cursor order, without mutating state;
-* :meth:`~OnlineCode56Conversion.generate_run_step` — generate every
-  parity of the run: through :func:`repro.migration.batch.
-  execute_run_fused` on a healthy array (region XOR through the
-  selected kernel backend, counted bulk write, credited reads), or the
-  audited per-parity loop under a fault plane / failed disk.  The run
-  stays *in flight* — bytes landed, nothing marked;
-* :meth:`~OnlineCode56Conversion.mark_run_step` — the group commit: one
-  journal flush (:meth:`OnlineJournal.mark_many`) for the whole run,
-  only after every parity write landed.  Write-ahead ordering is
-  preserved run-wide: a crash mid-run leaves correct-but-unmarked
-  parities, regenerated idempotently on resume.
+:meth:`~OnlineCode56Conversion.pending_parity`,
+:meth:`~OnlineCode56Conversion.generate_step` and
+:meth:`~OnlineCode56Conversion.mark_step` are one-parity wrappers over
+the same transitions.
 
 Application writes that arrive while a run is in flight are detected by
 a vectorized overlap check against the run's address interval
 (:meth:`~OnlineCode56Conversion.run_overlaps`): an overlapping write
 patches the already-written (unmarked) parity — XOR commutes, so resume
-stays idempotent — and the scheduler additionally *shrinks* the next
-batch so a run never overshoots a request arrival by more than one
-parity's cost (foreground latency is bounded exactly as in per-parity
-mode).
+stays idempotent — and the scheduler *shrinks* each run
+(:meth:`~OnlineCode56Conversion.run_budget`) so it never overshoots a
+request arrival by more than one parity's cost (foreground latency is
+bounded exactly as in the per-parity interleave).
 
 :meth:`~OnlineCode56Conversion.run` is a driver over exactly these
 transitions, so the cooperative-scheduler behaviour and the model
@@ -83,7 +83,6 @@ from repro.codes.code56 import diagonal_chain_cells
 from repro.codes.registry import get_code
 from repro.faults.degraded import ReconstructingReader
 from repro.faults.events import DiskFailureEvent
-from repro.kernels import XorKernel, resolve_kernel
 from repro.migration.batch import execute_run_fused, fused_run_usable
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
@@ -94,7 +93,13 @@ __all__ = [
     "DiskFailureEvent",  # re-exported; the dataclass lives in repro.faults.events
     "OnlineReport",
     "OnlineCode56Conversion",
+    "FUSED_MIN_RUN",
 ]
+
+#: shortest run the fused path takes.  Draining 1152 parities (p=13,
+#: 4 KiB blocks, 2-CPU Xeon) took 42-52 ms on the audited loop and
+#: 66-68 ms fused at one parity per run, 40 ms and 35-37 ms at two.
+FUSED_MIN_RUN = 2
 
 @dataclass(frozen=True)
 class OnlineRequest:
@@ -125,13 +130,12 @@ class OnlineReport:
     #: extra reads spent reconstructing blocks of failed disks
     degraded_reads: int = 0
     failures_survived: int = 0
-    #: batched-mode accounting (``batch > 1``)
+    #: run accounting (one run per generate/mark pair)
     runs_committed: int = 0
     max_run: int = 0
-    #: runs clipped below the batch budget by an approaching request
+    #: runs clipped below the batch budget (an approaching request, or
+    #: the fleet's token bucket)
     batch_shrinks: int = 0
-    #: resolved XOR backend for fused runs ("per-parity" when batch == 1)
-    kernel: str = ""
 
 
 class OnlineCode56Conversion:
@@ -157,14 +161,9 @@ class OnlineCode56Conversion:
     batch:
         Conversion-run budget: how many pending parities the conversion
         thread may claim between application events.  ``1`` (default) is
-        the paper-faithful per-parity interleave; larger budgets lower
-        whole runs onto the fused kernel tier and group-commit their
-        journal marks.  Deadline-aware shrinking keeps foreground
-        latency bounded exactly as in per-parity mode.
-    kernel:
-        XOR backend for fused runs — an :class:`~repro.kernels.base.
-        XorKernel` instance, a registry name (``"numpy"``/``"numba"``/
-        ``"auto"``), or None for the process default.
+        the paper-faithful per-parity interleave; larger budgets claim
+        longer runs and group-commit their journal marks.  Deadline-aware
+        shrinking keeps foreground latency bounded exactly as at budget 1.
     """
 
     def __init__(
@@ -174,7 +173,6 @@ class OnlineCode56Conversion:
         block_size: int | None = None,
         journal=None,
         batch: int = 1,
-        kernel: XorKernel | str | None = None,
     ):
         self.array = array
         self.p = p
@@ -182,7 +180,6 @@ class OnlineCode56Conversion:
         if batch < 1:
             raise ValueError(f"batch budget must be >= 1, got {batch}")
         self.batch = int(batch)
-        self.kernel = kernel if isinstance(kernel, XorKernel) else resolve_kernel(kernel)
         if array.n_disks < p:
             raise ValueError("add the new disk (Step 2) before converting")
         self.code = get_code("code56", p)
@@ -276,7 +273,6 @@ class OnlineCode56Conversion:
         """
         tracer = get_tracer()
         report = OnlineReport()
-        report.kernel = self.kernel.name if self.batch > 1 else "per-parity"
         events: list[tuple[float, int, object]] = [
             (r.time, 1, r) for r in requests
         ]
@@ -330,49 +326,20 @@ class OnlineCode56Conversion:
         return bool(self._generated.all())
 
     def pending_parity(self) -> tuple[int, int] | None:
-        """Next ``(group, row)`` the conversion thread will generate.
-
-        Advances the cursor past already-generated entries (a resumed
-        converter skips validated work); returns None when the thread
-        has drained.
-        """
-        total = self.groups * self.rows
-        while self._cursor < total:
-            group, row = divmod(self._cursor, self.rows)
-            if not self._generated[group, row]:
-                return group, row
-            self._cursor += 1
-        return None
+        """Next ``(group, row)`` the conversion thread will generate, or
+        None when it has drained (a one-parity :meth:`pending_run`)."""
+        run = self.pending_run(1)
+        return run[0] if run else None
 
     def generate_step(self, report: OnlineReport) -> int:
-        """Transition: generate the pending diagonal parity — array only.
-
-        Reads the chain and writes the parity block, but does **not**
-        record it as generated nor flush the journal: the window between
-        this step and :meth:`mark_step` is the protocol's crash window
-        (a crash here leaves a correct-but-unmarked parity, regenerated
-        idempotently on resume).  Returns the I/O cost in ticks, 0 when
-        nothing is pending.
-        """
-        pending = self.pending_parity()
-        if pending is None:
-            return 0
-        return self._generate_parity(pending[0], pending[1], report)
+        """Transition: generate the pending parity as a one-parity run
+        (:meth:`generate_run_step` at budget 1)."""
+        return self.generate_run_step(report, budget=1)
 
     def mark_step(self) -> None:
-        """Transition: the journal flush for the parity just generated.
+        """Transition: commit the one-parity run (:meth:`mark_run_step`)."""
+        self.mark_run_step()
 
-        Records the cursor's parity as generated, marks the watermark
-        (write-ahead ordering: only *after* the parity write landed) and
-        advances the cursor.
-        """
-        group, row = divmod(self._cursor, self.rows)
-        self._generated[group, row] = True
-        if self.journal is not None:
-            self.journal.mark(group, row)
-        self._cursor += 1
-
-    # ----------------------------------------------- batched run transitions
     @property
     def in_flight_run(self) -> tuple[tuple[int, int], ...] | None:
         """The run whose parity bytes landed but whose marks have not."""
@@ -399,12 +366,13 @@ class OnlineCode56Conversion:
     def generate_run_step(self, report: OnlineReport, budget: int | None = None) -> int:
         """Transition: claim a run and write every parity in it — array only.
 
-        On a healthy array the whole run is lowered to fused region ops
-        through the kernel backend (:func:`repro.migration.batch.
-        execute_run_fused` — counted bulk write, credited reads, zero
-        counter drift); under a fault plane or with failed disks it
-        falls back to the audited per-parity generator so degraded
-        reconstruction and crash/fault hooks keep firing at every I/O.
+        A run of at least :data:`FUSED_MIN_RUN` parities on a healthy
+        array is lowered to fused region ops (:func:`repro.migration.
+        batch.execute_run_fused` — counted bulk write, credited reads,
+        zero counter drift).  Every other run goes through the audited
+        per-parity generator: one parity is cheaper there, and under a
+        fault plane or with failed disks it keeps degraded
+        reconstruction and crash/fault hooks firing at every I/O.
         Either way nothing is marked: the run stays in flight until
         :meth:`mark_run_step`, and the whole window is the crash window
         — a crash leaves correct-but-unmarked parities, regenerated
@@ -415,8 +383,8 @@ class OnlineCode56Conversion:
         run = self.pending_run(budget)
         if not run:
             return 0
-        if fused_run_usable(self.array):
-            cost = execute_run_fused(self.array, self.p, run, self.kernel)
+        if len(run) >= FUSED_MIN_RUN and fused_run_usable(self.array):
+            cost = execute_run_fused(self.array, self.p, run)
         else:
             cost = 0
             for group, row in run:
@@ -492,10 +460,48 @@ class OnlineCode56Conversion:
         failed_data = sum(1 for d in self.array.failed_disks if d < self.m)
         return est + failed_data * (self.m - 2)
 
+    def run_budget(self, deadline: float, clock: float) -> int:
+        """Parities the next run may claim before ``deadline``.
+
+        ``min(batch, ceil((deadline - clock) / cost_estimate))``, and
+        always at least 1 (guaranteed progress), so a run overshoots a
+        request arrival by strictly less than one parity's cost — the
+        per-parity interleave's foreground-latency bound at any budget.
+        """
+        if deadline == float("inf"):
+            return self.batch
+        room = int(np.ceil((deadline - clock) / self._parity_cost_estimate()))
+        return max(1, min(self.batch, room))
+
+    def convert_run(self, report: OnlineReport, budget: int) -> int:
+        """Generate one run, pass its pre-mark crash point, commit it.
+
+        The crash point sits in the write-done/marks-missing window: a
+        crash there leaves correct but unmarked parities, regenerated
+        idempotently on resume.  Returns the run's I/O cost in ticks, 0
+        when the thread has drained.
+        """
+        cost = self.generate_run_step(report, budget=budget)
+        if cost == 0:
+            return 0
+        run = self._run
+        assert run is not None
+        plane = self.array.fault_plane
+        if plane is not None:
+            plane.crash_point(f"pre-mark-run:g{run[0][0]}r{run[0][1]}x{len(run)}")
+        report.runs_committed += 1
+        report.max_run = max(report.max_run, len(run))
+        if budget < self.batch and len(run) == budget:
+            report.batch_shrinks += 1
+        self.mark_run_step()
+        return cost
+
     def _convert_until(self, deadline: float, clock: float, report: OnlineReport) -> float:
+        """Run the conversion thread, one deadline-shrunk run at a time,
+        until ``clock`` reaches ``deadline`` or the thread drains."""
         from contextlib import nullcontext
 
-        if self._cursor >= self.groups * self.rows:
+        if self.conversion_done:
             return clock
         start_tick, start_parities = clock, int(self._generated.sum())
         plane = self.array.fault_plane
@@ -504,69 +510,18 @@ class OnlineCode56Conversion:
         with get_tracer().span(
             "convert", cat="online", track="conversion", tick=clock,
         ) as span, (plane.crashable() if plane is not None else nullcontext()):
-            if self.batch <= 1:
-                clock = self._convert_per_parity(deadline, clock, report, plane)
-            else:
-                clock = self._convert_batched(deadline, clock, report, plane)
+            while True:  # at least one run per call: guaranteed progress
+                cost = self.convert_run(report, self.run_budget(deadline, clock))
+                if cost == 0:
+                    break
+                report.conversion_ticks += cost
+                clock += cost
+                if clock >= deadline:
+                    break
             span.set(
                 ticks=clock - start_tick,
                 parities=int(self._generated.sum()) - start_parities,
             )
-        return clock
-
-    def _convert_per_parity(self, deadline, clock, report, plane) -> float:
-        """Paper-faithful interleave: one parity per generate/mark pair."""
-        while True:
-            pending = self.pending_parity()
-            if pending is None:
-                break
-            cost = self.generate_step(report)
-            if plane is not None:
-                # the write-done/mark-missing window: a crash here
-                # leaves a correct but unmarked parity, regenerated
-                # (idempotently) on resume
-                plane.crash_point(f"pre-mark:g{pending[0]}r{pending[1]}")
-            report.conversion_ticks += cost
-            clock += cost
-            self.mark_step()
-            if clock >= deadline:
-                break
-        return clock
-
-    def _convert_batched(self, deadline, clock, report, plane) -> float:
-        """Claim deadline-shrunk runs and group-commit their marks.
-
-        The budget per run is ``min(batch, ceil((deadline - clock) /
-        cost_estimate))`` (always at least 1, matching per-parity mode's
-        guaranteed minimum progress), so a run overshoots a request
-        arrival by strictly less than one parity's cost — the same
-        foreground-latency bound as the per-parity interleave.
-        """
-        while True:
-            budget = self.batch
-            if deadline != float("inf"):
-                est = self._parity_cost_estimate()
-                room = int(np.ceil((deadline - clock) / est))
-                budget = max(1, min(self.batch, room))
-            cost = self.generate_run_step(report, budget=budget)
-            if cost == 0:
-                break
-            run = self._run
-            assert run is not None
-            if plane is not None:
-                # group-wide write-done/marks-missing window
-                plane.crash_point(
-                    f"pre-mark-run:g{run[0][0]}r{run[0][1]}x{len(run)}"
-                )
-            report.conversion_ticks += cost
-            clock += cost
-            report.runs_committed += 1
-            report.max_run = max(report.max_run, len(run))
-            if budget < self.batch and len(run) == budget:
-                report.batch_shrinks += 1
-            self.mark_run_step()
-            if clock >= deadline:
-                break
         return clock
 
     def _read_block(self, disk: int, block: int, report: OnlineReport) -> tuple[np.ndarray, int]:

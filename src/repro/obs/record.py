@@ -72,18 +72,16 @@ def record_conversion(result, registry: MetricsRegistry | None = None) -> None:
 def record_online_report(
     report, registry: MetricsRegistry | None = None, prefix: str = "online"
 ) -> None:
-    """Counters, batch accounting and the foreground-latency histogram
+    """Counters, run accounting and the foreground-latency histogram
     of an :class:`~repro.migration.online.OnlineReport`.
 
     Foreground latency is what the application observed: the queueing
     stall behind the conversion thread plus the request's own service
     ticks (``request_stalls[i] + request_latencies[i]``).  It lands in a
-    tick-bucketed, kernel-labelled histogram so ``repro stats`` renders
-    p50/p95/p99 per backend — the number the batched path must not
-    regress.
+    tick-bucketed histogram so ``repro stats`` renders p50/p95/p99 — the
+    number a longer run budget must not regress.
     """
     registry = registry if registry is not None else get_registry()
-    kernel = report.kernel or "per-parity"
     for name, value in (
         ("conversion_ticks", report.conversion_ticks),
         ("app_ticks", report.app_ticks),
@@ -96,21 +94,17 @@ def record_online_report(
         ("runs_committed", report.runs_committed),
         ("batch_shrinks", report.batch_shrinks),
     ):
-        registry.counter(f"{prefix}.{name}", kernel=kernel).inc(int(value))
-    registry.gauge(f"{prefix}.finish_tick", kernel=kernel).set(float(report.finish_tick))
-    registry.gauge(f"{prefix}.max_run", kernel=kernel).set(float(report.max_run))
+        registry.counter(f"{prefix}.{name}").inc(int(value))
+    registry.gauge(f"{prefix}.finish_tick").set(float(report.finish_tick))
+    registry.gauge(f"{prefix}.max_run").set(float(report.max_run))
     hist = registry.histogram(
-        f"{prefix}.request_latency_ticks",
-        buckets=ONLINE_LATENCY_BUCKETS_TICKS,
-        kernel=kernel,
+        f"{prefix}.request_latency_ticks", buckets=ONLINE_LATENCY_BUCKETS_TICKS
     )
     stalls = report.request_stalls or [0.0] * len(report.request_latencies)
     for stall, service in zip(stalls, report.request_latencies):
         hist.observe(stall + service)
     for q in (50, 95, 99):
-        registry.gauge(
-            f"{prefix}.request_latency_ticks.p{q}", kernel=kernel
-        ).set(hist.percentile(q))
+        registry.gauge(f"{prefix}.request_latency_ticks.p{q}").set(hist.percentile(q))
 
 
 def record_sim_result(result, registry: MetricsRegistry | None = None, prefix: str = "sim") -> None:

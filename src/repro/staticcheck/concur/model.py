@@ -2,8 +2,8 @@
 
 The online converter (:class:`repro.migration.online.
 OnlineCode56Conversion`) exposes its protocol as explicit transitions —
-``generate_step`` / ``mark_step`` / ``serve_request`` plus the journal
-flush and crash windows between them.  This module drives those
+``generate_run_step`` / ``mark_run_step`` / ``serve_request`` plus the
+journal flush and crash windows between them.  This module drives those
 transitions through **every** interleaving at a small scope (the
 small-scope hypothesis: protocol bugs show up at p=5 with one or two
 in-flight writes) via depth-first search with state hashing and
@@ -25,28 +25,22 @@ safety invariants at every reachable state:
   horizontal (RAID-5) parity equals the XOR of its row, and every
   *generated* diagonal parity equals its chain XOR.
 
-Transition alphabet (``batch == 1``, the per-parity protocol):
+Transition alphabet, the same at every run budget (``batch``; 1 is the
+paper's per-parity interleave).  The conversion step is split at the
+run/mark boundary, so the in-flight window — parity bytes landed, group
+commit pending — is an explicit reachable state that application writes
+interleave into (exercising the converter's vectorized overlap check):
 
-* ``CONVERT`` — one healthy conversion step (generate + journal mark);
-* ``WRITE i`` — serve application write ``i`` (Algorithm 2 interrupt);
-* ``CRASH-CLEAN`` — generate the pending parity, crash in the pre-mark
-  window (bytes landed, mark lost), reboot and resume;
-* ``CRASH-TORN`` — same, but the parity write tears mid-block before
-  the crash (half old bytes, half new).
-
-Batched scenarios (``batch > 1``) split the conversion step at the
-run/mark boundary so the in-flight window — parity bytes landed,
-group-commit pending — is an explicit reachable state that application
-writes interleave into (exercising the converter's vectorized overlap
-check):
-
-* ``GEN`` — :meth:`generate_run_step`: claim and write a whole run
-  (the fused lowering on these healthy model arrays);
+* ``GEN`` — :meth:`generate_run_step`: claim and write a run of up to
+  ``batch`` parities (the fused lowering for runs of two or more on
+  these healthy model arrays, the audited loop for one);
 * ``MARK`` — :meth:`mark_run_step`: the single group-commit flush;
 * ``CRASH-WINDOW`` — crash *inside* the window: the run's bytes stand,
-  every mark of the run is lost, reboot and resume;
-* ``CRASH-CLEAN`` / ``CRASH-TORN`` — generate a run then crash before
-  the commit (torn: the run's last parity write tears mid-block).
+  every mark of the run is lost, reboot and resume (a clean crash
+  before the commit is ``GEN`` followed by this);
+* ``CRASH-TORN`` — generate a run, its last parity write tears
+  mid-block (half old bytes, half new), crash before the commit;
+* ``WRITE i`` — serve application write ``i`` (Algorithm 2 interrupt).
 
 Fleet scenarios add the self-healing service's transitions
 (:mod:`repro.fleet`), so the breaker pause and the hot-spare rebuild are
@@ -73,16 +67,13 @@ would be the same XOR), and chain XORs reconstruct failed cells.
 
 Partial-order reduction is sound here because the independent pairs
 commute *by construction*: two writes to distinct LBAs touch disjoint
-data blocks and XOR-patch parities (XOR commutes), and a conversion
-step commutes with any write — converting first then patching the
-diagonal, or writing first then folding the new data into the chain
-XOR, produce the same parity bytes.  Crash transitions are treated as
-dependent with everything.  In batched scenarios only distinct-LBA
-write pairs are treated as independent (``GEN``/``MARK`` interact with
-every write through the overlap window) — conservative, hence still
-sound.  Sleep sets never remove *states* from the exploration, only
-redundant transitions, so per-state invariants keep their full
-coverage.
+data blocks and XOR-patch parities (XOR commutes).  Only distinct-LBA
+write pairs are treated as independent; ``GEN``/``MARK`` interact with
+every write through the overlap window, and crash and fleet
+transitions reshape the whole thread state, so all of those stay
+dependent — conservative, hence still sound.  Sleep sets never remove
+*states* from the exploration, only redundant transitions, so
+per-state invariants keep their full coverage.
 """
 
 from __future__ import annotations
@@ -123,8 +114,8 @@ class ModelScenario:
     max_crashes: int = 1
     #: evaluate SC-C003 at every state (else only at post-crash states)
     resume_everywhere: bool = True
-    #: run budget the explorer hands to ``generate_run_step``; 1 keeps
-    #: the per-parity ``generate_step``/``mark_step`` alphabet
+    #: run budget the explorer hands to ``generate_run_step`` (1 is the
+    #: per-parity interleave)
     batch: int = 1
     #: breaker pauses the explorer may interleave (each discards the
     #: in-memory converter and resumes from the journal watermark)
@@ -260,22 +251,17 @@ class _Explorer:
     # ------------------------------------------------------- transitions
     def _enabled(self) -> list[tuple]:
         out: list[tuple] = []
-        batched = self.scenario.batch > 1
-        if batched and self.conv.in_flight_run is not None:
+        in_window = self.conv.in_flight_run is not None
+        pending = not in_window and self.conv.pending_parity() is not None
+        if in_window:
             out.append(("M",))
             if self.crashes < self.scenario.max_crashes:
                 out.append(("K",))
-        elif self.conv.pending_parity() is not None:
-            out.append(("G",) if batched else ("C",))
+        elif pending:
+            out.append(("G",))
             if self.crashes < self.scenario.max_crashes:
-                out.append(("KC",))
                 out.append(("KT",))
-        in_window = batched and self.conv.in_flight_run is not None
-        if (
-            self.pauses_done < self.scenario.pauses
-            and not in_window
-            and self.conv.pending_parity() is not None
-        ):
+        if self.pauses_done < self.scenario.pauses and pending:
             # the fleet commits an in-flight run before pausing, so the
             # pause edge only exists between committed steps
             out.append(("P",))
@@ -290,21 +276,11 @@ class _Explorer:
         return out
 
     def _independent(self, a: tuple, b: tuple) -> bool:
-        # crashes are dependent with everything (they reshape the whole
-        # thread state); so are pause/fail/spare-attach (conservative:
-        # the fleet transitions reshape converter identity or geometry);
-        # distinct-LBA writes and write-vs-convert commute
-        if a[0] in ("KC", "KT", "K", "P", "F", "S") or b[0] in (
-            "KC", "KT", "K", "P", "F", "S",
-        ):
-            return False
-        if a[0] == "W" and b[0] == "W":
-            return a[1] != b[1]  # distinct scenario writes → distinct LBAs
-        if self.scenario.batch > 1:
-            # GEN/MARK interact with every write through the in-flight
-            # overlap window — keep them dependent (conservative, sound)
-            return False
-        return a != b
+        # only distinct-LBA writes commute; GEN/MARK interact with every
+        # write through the in-flight overlap window, and crashes and the
+        # fleet transitions reshape thread state, converter identity or
+        # geometry (conservative, sound)
+        return a[0] == "W" and b[0] == "W" and a[1] != b[1]
 
     def _serve_write(self, i: int) -> None:
         from repro.migration.online import OnlineReport, OnlineRequest
@@ -323,10 +299,6 @@ class _Explorer:
         kind = t[0]
         if kind == "W":
             self._serve_write(t[1])
-            return
-        if kind == "C":
-            self.conv.generate_step(OnlineReport())
-            self.conv.mark_step()
             return
         if kind == "G":
             self.conv.generate_run_step(OnlineReport(), budget=self.scenario.batch)
@@ -355,28 +327,18 @@ class _Explorer:
         if kind == "S":
             self._attach_spare()
             return
-        # crash variants: the pending work's parity writes land (clean)
-        # or the last one tears (torn), the mark is lost with the
-        # process, then reboot
-        if self.scenario.batch > 1:
-            run = self.conv.pending_run(self.scenario.batch)
-            assert run
-            group, prow = run[-1]
-        else:
-            pending = self.conv.pending_parity()
-            assert pending is not None
-            group, prow = pending
+        # KT: the run's parity writes land, the last one tears, the marks
+        # are lost with the process, then reboot
+        run = self.conv.pending_run(self.scenario.batch)
+        assert run
+        group, prow = run[-1]
         block = group * self.rows + prow
         pre = self.array.raw(self.m, block).copy()
-        if self.scenario.batch > 1:
-            self.conv.generate_run_step(OnlineReport(), budget=self.scenario.batch)
-        else:
-            self.conv.generate_step(OnlineReport())
-        if kind == "KT":
-            torn = self.array.raw(self.m, block).copy()
-            half = torn.shape[0] // 2
-            torn[half:] = pre[half:]
-            self.array.restore_blocks([self.m], [block], torn[None, :])
+        self.conv.generate_run_step(OnlineReport(), budget=self.scenario.batch)
+        torn = self.array.raw(self.m, block).copy()
+        half = torn.shape[0] // 2
+        torn[half:] = pre[half:]
+        self.array.restore_blocks([self.m], [block], torn[None, :])
         self.crashes += 1
         # the in-memory converter died with the crash; the journal and
         # the array survive.  Check SC-C002 on exactly that wreckage.
@@ -620,11 +582,9 @@ class _Explorer:
         if t[0] == "W":
             return f"W{t[1]}"
         return {
-            "C": "C",
             "G": "gen",
             "M": "mark",
             "K": "window-crash",
-            "KC": "crash",
             "KT": "torn-crash",
             "P": "pause",
             "F": "fail",

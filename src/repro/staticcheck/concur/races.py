@@ -38,7 +38,7 @@ Rules (all purely syntactic — nothing is imported or executed):
   syntactic pass cannot see.
 * **SC-R004** — a worker-context function other than the initializer
   calls a process-wide singleton mutator (``set_registry`` /
-  ``set_tracer`` / ``set_default_kernel`` / ``set_program_cache_dir``).
+  ``set_tracer`` / ``set_program_cache_dir``).
   Swapping a singleton mid-task races every other task in the same
   worker; the initializer is the one ordered place to do it.
 """
@@ -77,7 +77,7 @@ _MUTATORS = frozenset(
 )
 #: process-wide singleton mutators (SC-R004)
 _SINGLETON_MUTATORS = frozenset(
-    {"set_registry", "set_tracer", "set_default_kernel", "set_program_cache_dir"}
+    {"set_registry", "set_tracer", "set_program_cache_dir"}
 )
 #: constructors whose results alias a shared-memory segment (SC-R003)
 _SHM_SOURCES = frozenset(

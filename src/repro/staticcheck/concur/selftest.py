@@ -11,15 +11,12 @@ Probes:
 * **lost diagonal patch** — a converter whose write path drops the
   diagonal-parity RMW (the exact Algorithm 2 lost-write window); the
   model checker must flag SC-C001/C003/C004.
-* **mark-before-write** — the journal mark lands before the parity
-  bytes; a torn crash then leaves a marked-but-stale watermark that the
-  model checker's post-crash SC-C002 sweep must flag.
+* **mark-before-write** — the run's ``mark_many`` flush lands before
+  its parity writes; a torn crash then leaves a marked-but-stale
+  watermark that the model checker's post-crash SC-C002 sweep must
+  flag.  Probed at run budgets 1 (the per-parity interleave) and 2.
 * **eager watermark** — the journal runs one entry ahead of generation;
   same SC-C002 obligation.
-* **group-commit-before-run** — the batched converter's ``mark_many``
-  flush lands before the run's parity writes; a crash inside the run
-  then leaves marked-but-stale watermarks that the batched-scenario
-  SC-C002 sweep must flag.
 * **racy cache write** — a worker-context function publishing a shared
   file without the atomic-rename idiom; the AST race detector must flag
   SC-R002 (plus SC-R001/R003/R004 probes for the other rules).
@@ -61,26 +58,7 @@ def _model_probes() -> tuple[int, list[Finding]]:
             return 2  # claims the I/O, never touches the parity
 
     class MarkBeforeWrite(OnlineCode56Conversion):
-        """Defect: journal mark ordered before the parity write."""
-
-        def generate_step(self, report):
-            pending = self.pending_parity()
-            if pending is not None and self.journal is not None:
-                self.journal.mark(*pending)
-            return super().generate_step(report)
-
-    class EagerWatermark(OnlineCode56Conversion):
-        """Defect: the watermark runs one entry ahead of generation."""
-
-        def mark_step(self):
-            super().mark_step()
-            if self.journal is not None:
-                ahead = self.pending_parity()
-                if ahead is not None:
-                    self.journal.mark(*ahead)
-
-    class GroupCommitBeforeRun(OnlineCode56Conversion):
-        """Defect: the batched group commit precedes the parity writes."""
+        """Defect: the run's journal marks precede its parity writes."""
 
         def generate_run_step(self, report, budget=None):
             run = self.pending_run(budget)
@@ -88,14 +66,24 @@ def _model_probes() -> tuple[int, list[Finding]]:
                 self.journal.mark_many(run)
             return super().generate_run_step(report, budget=budget)
 
+    class EagerWatermark(OnlineCode56Conversion):
+        """Defect: the watermark runs one entry ahead of generation."""
+
+        def mark_run_step(self):
+            super().mark_run_step()
+            if self.journal is not None:
+                ahead = self.pending_parity()
+                if ahead is not None:
+                    self.journal.mark(*ahead)
+
     scenario = ModelScenario(p=5, groups=2, lbas=(0, 7))
     batched = ModelScenario(p=5, groups=2, lbas=(0, 7), batch=2)
     probes = (
         ("lost-diagonal-patch", scenario, LostDiagonalPatch,
          {"SC-C001", "SC-C003", "SC-C004"}),
         ("mark-before-write", scenario, MarkBeforeWrite, {"SC-C002"}),
+        ("mark-before-write@batch=2", batched, MarkBeforeWrite, {"SC-C002"}),
         ("eager-watermark", scenario, EagerWatermark, {"SC-C002"}),
-        ("group-commit-before-run", batched, GroupCommitBeforeRun, {"SC-C002"}),
     )
     findings: list[Finding] = []
     for name, scen, cls, expected in probes:

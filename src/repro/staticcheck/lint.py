@@ -26,9 +26,9 @@ invariant earlier PRs fought for:
   ``repro.kernels``.  A function-local taint pass marks every value
   derived from ``bulk_view`` / ``gather_raw`` (the bulk storage
   accessors) and flags XOR calls touching tainted data: hot-path XOR on
-  the store must go through an :class:`~repro.kernels.base.XorKernel`
-  backend, or backend selection, instrumentation and the numba path are
-  silently bypassed.
+  the store must go through the :class:`~repro.kernels.base.XorKernel`
+  that :func:`~repro.kernels.resolve_kernel` returns, or the kernel's
+  instrumentation (and any profiler wrapping it) is silently bypassed.
 * **SC-L006** — no nondeterminism primitives in the deterministic
   packages (``repro.core``, ``repro.compiled``, ``repro.migration``,
   ``repro.faults``).  Every run there must replay bit-identically from
@@ -222,8 +222,8 @@ class _Linter(ast.NodeVisitor):
                 "SC-L005",
                 node,
                 f"direct `{name}` on BlockArray storage (bulk_view/gather_raw "
-                "data) outside repro.kernels — route it through an XorKernel "
-                "backend (repro.kernels.resolve_kernel)",
+                "data) outside repro.kernels — route it through the XorKernel "
+                "(repro.kernels.resolve_kernel)",
             )
         self._check_nondet_call(node)
         self.generic_visit(node)

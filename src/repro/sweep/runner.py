@@ -211,23 +211,13 @@ def run_task(task: SweepTask, pool: np.ndarray | None = None, pool_seed: int = 0
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(
-    pool_handle: dict | None,
-    pool_seed: int,
-    cache_dir: str | None,
-    kernel: str | None = None,
-) -> None:
-    """Pool initializer: private obs state, shared data pool, disk cache,
-    and the process-wide XOR kernel tier (``repro.kernels``)."""
+def _worker_init(pool_handle: dict | None, pool_seed: int, cache_dir: str | None) -> None:
+    """Pool initializer: private obs state, shared data pool, disk cache."""
     from repro.compiled import set_program_cache_dir
     from repro.obs import set_registry, set_tracer
 
     if cache_dir is not None:
         set_program_cache_dir(cache_dir)
-    if kernel is not None:
-        from repro.kernels import set_default_kernel
-
-        set_default_kernel(kernel)
     registry = MetricsRegistry(enabled=True)
     tracer = Tracer(enabled=True)
     set_registry(registry)
@@ -330,7 +320,6 @@ def run_sweep(
     cache_dir: str | os.PathLike | None = None,
     mp_context: str = "spawn",
     executor_factory=None,
-    kernel: str | None = None,
 ) -> SweepResult:
     """Run every task of ``spec``; ``workers=0`` executes inline.
 
@@ -341,18 +330,20 @@ def run_sweep(
     (else :class:`SweepError`).  Results are merged by task index, so the
     payload is byte-identical however the work was scheduled.
 
-    ``kernel`` selects the XOR backend tier (``numpy`` / ``numba`` /
-    ``auto``) in every process that executes tasks — the pool workers via
-    their initializer and the parent for serial or fallback execution.
-    Backends are byte-exact, so the merged payload digest is
-    kernel-invariant (asserted by the sweep tests).
-
     ``executor_factory`` (tests) builds the pool given ``(workers,
     initargs)``; by default a spawn-context :class:`ProcessPoolExecutor`.
     """
     from repro.compiled import program_cache_info, set_program_cache_dir
     from repro.obs import set_registry, set_tracer
 
+    # validate before touching any process state (the program cache dir)
+    if any(
+        w.kind == "execute" and w.options["block_size"] > POOL_BLOCK_SIZE
+        for w in spec.workloads
+    ):
+        raise ValueError(
+            f"execute block_size must be <= POOL_BLOCK_SIZE ({POOL_BLOCK_SIZE})"
+        )
     t0 = time.perf_counter()
     tasks = spec.tasks()
     registry = MetricsRegistry(enabled=True)
@@ -362,23 +353,8 @@ def run_sweep(
     fellback = 0
 
     prev_cache_dir = set_program_cache_dir(cache_dir) if cache_dir is not None else None
-    prev_kernel = None
-    if kernel is not None:
-        from repro.kernels import get_default_kernel, set_default_kernel
-
-        prev_kernel = get_default_kernel()
-        set_default_kernel(kernel)  # parent: serial runs + inline fallback
     cache_before = program_cache_info()
-
     needs_pool = any(w.kind == "execute" for w in spec.workloads)
-    bad = [
-        w for w in spec.workloads
-        if w.kind == "execute" and w.options["block_size"] > POOL_BLOCK_SIZE
-    ]
-    if bad:
-        raise ValueError(
-            f"execute block_size must be <= POOL_BLOCK_SIZE ({POOL_BLOCK_SIZE})"
-        )
 
     worker_stats: dict[int, dict] = {}
     segment = None
@@ -410,9 +386,7 @@ def run_sweep(
 
                 segment = SharedNDArray.from_array(local_pool)
                 pool_handle = segment.handle.to_dict()
-            init_args = (
-                pool_handle, spec.seed, str(cache_dir) if cache_dir else None, kernel,
-            )
+            init_args = (pool_handle, spec.seed, str(cache_dir) if cache_dir else None)
             if executor_factory is None:
                 def executor_factory(n, initargs):
                     return ProcessPoolExecutor(
@@ -481,10 +455,6 @@ def run_sweep(
             segment.unlink()
         if cache_dir is not None:
             set_program_cache_dir(prev_cache_dir)
-        if prev_kernel is not None:
-            from repro.kernels import set_default_kernel
-
-            set_default_kernel(prev_kernel)
 
     assert all(r is not None for r in results)
     parent_cache = _cache_delta(cache_before, program_cache_info())

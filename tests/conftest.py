@@ -18,3 +18,24 @@ def rng() -> np.random.Generator:
 @pytest.fixture(params=PAPER_PRIMES)
 def paper_p(request) -> int:
     return request.param
+
+
+@pytest.fixture
+def xor_calls():
+    """Counts ``region_xor_reduce`` calls on the process's one kernel
+    (the instance :func:`repro.kernels.resolve_kernel` returns)."""
+    from repro.kernels import resolve_kernel
+
+    kernel = resolve_kernel()
+    original = kernel.region_xor_reduce
+    calls: list[int] = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    kernel.region_xor_reduce = counted
+    try:
+        yield calls
+    finally:
+        del kernel.region_xor_reduce

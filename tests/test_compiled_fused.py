@@ -1,7 +1,7 @@
 """The fused region-op execution path: lowering, scratch, refusals.
 
 Companion to ``test_compiled_engine.py`` (which proves byte identity of
-the executor as a whole) and ``test_kernels.py`` (identity per backend):
+the executor as a whole) and ``test_kernels.py`` (identity per block size):
 this file pins down the machinery the fused path adds — when the
 lowering pass produces region ops and when compilation must refuse,
 that the executor's preallocated scratch is actually reused instead of
@@ -26,7 +26,7 @@ from repro.compiled import (
     lower_program,
 )
 from repro.compiled import executor as executor_mod
-from repro.kernels import ScratchPool, get_default_kernel, set_default_kernel
+from repro.kernels import ScratchPool
 from repro.migration import (
     build_plan,
     execute_plan,
@@ -246,7 +246,7 @@ class TestObsBridge:
         registry = MetricsRegistry(enabled=True)
         prev = set_registry(registry)
         try:
-            result = execute_plan_compiled(plan, fused, data, kernel="numpy")
+            result = execute_plan_compiled(plan, fused, data)
         finally:
             set_registry(prev)
         snap = registry.snapshot()
@@ -284,15 +284,8 @@ class TestFaultsUnderFusedSelection:
 
     The fused path must step aside for these (they observe the counted
     read path) without the caller doing anything — same bytes, same
-    recovery behaviour, whatever the process-default kernel says.
+    recovery behaviour.
     """
-
-    @pytest.fixture(autouse=True)
-    def _numpy_default(self):
-        prev = get_default_kernel()
-        set_default_kernel("numpy")
-        yield
-        set_default_kernel(prev)
 
     def test_degraded_conversion_byte_identical(self):
         from repro.faults import FaultPlane, FaultScenario, execute_checkpointed

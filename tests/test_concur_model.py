@@ -103,19 +103,19 @@ class TestSeededDefects:
 
     def test_mark_before_write_is_caught(self):
         class MarkFirst(OnlineCode56Conversion):
-            def generate_step(self, report):
-                pending = self.pending_parity()
-                if pending is not None and self.journal is not None:
-                    self.journal.mark(*pending)
-                return super().generate_step(report)
+            def generate_run_step(self, report, budget=None):
+                run = self.pending_run(budget)
+                if run and self.journal is not None:
+                    self.journal.mark_many(run)
+                return super().generate_run_step(report, budget=budget)
 
         _stats, findings = check_scenario(self.SCENARIO, converter_cls=MarkFirst)
         assert "SC-C002" in {f.rule for f in findings}
 
     def test_eager_watermark_is_caught(self):
         class Eager(OnlineCode56Conversion):
-            def mark_step(self):
-                super().mark_step()
+            def mark_run_step(self):
+                super().mark_run_step()
                 if self.journal is not None:
                     ahead = self.pending_parity()
                     if ahead is not None:
@@ -186,7 +186,7 @@ class TestBatchedProtocol:
         assert {f.rule for f in findings} & {"SC-C003", "SC-C004"}
 
     def test_window_crash_is_explored(self):
-        """max_crashes=0 removes K/KC/KT from the batched alphabet too."""
+        """max_crashes=0 removes K/KT from the batched alphabet too."""
         base = ModelScenario(p=5, groups=2, lbas=(3,), batch=2)
         with_crash, _ = check_scenario(base)
         without, findings = check_scenario(

@@ -1,12 +1,13 @@
-"""XOR kernel backends: registry, unit semantics, and byte identity.
+"""The XOR kernel: unit semantics and byte identity.
 
-The kernel seam only earns its keep if every backend is bit-for-bit
-interchangeable: the parametrized identity suite runs every supported
-(code, approach) pair through the fused executor under every backend
-available on this host, at block sizes from sub-cache-line to well past
-the kernels' tile budgets, and demands the audited engine's exact bytes
-and per-disk counters.  The numba tier is exercised when importable and
-skipped (not silently passed) when not.
+The kernel seam only earns its keep if the fused paths built on it are
+bit-for-bit the audited engine: the identity suite runs every supported
+(code, approach) pair through the fused executor at block sizes from
+sub-cache-line to well past the kernel's tile budget, demands the
+audited engine's exact bytes and per-disk counters, and checks the XOR
+work really went through the one kernel :func:`resolve_kernel` returns.
+Tests are parametrized over :func:`available_kernels` (one kernel), so
+their ids name it.
 """
 
 import numpy as np
@@ -14,16 +15,10 @@ import pytest
 
 from repro.compiled import execute_plan_compiled
 from repro.kernels import (
-    KernelUnavailableError,
-    NumbaXorKernel,
     NumpyXorKernel,
     XorKernel,
     available_kernels,
-    get_default_kernel,
-    get_kernel,
-    kernel_info,
     resolve_kernel,
-    set_default_kernel,
 )
 from repro.migration import (
     build_plan,
@@ -35,8 +30,7 @@ from repro.migration import (
 from repro.migration.approaches import alignment_cycle
 
 CONVERSIONS = supported_conversions()
-#: every backend this host can actually run (numpy is always present)
-BACKENDS = available_kernels()
+KERNELS = available_kernels()
 #: sub-tile, one-page, the bench floor, and past the numpy tile budget
 BLOCK_SIZES = (16, 512, 4096, 65536)
 
@@ -47,51 +41,18 @@ def _cycle_plan(code, approach, p, cycles=1):
 
 
 class TestRegistry:
+    """The seam's two lookups: ``resolve_kernel`` and ``available_kernels``."""
+
     def test_numpy_always_available(self):
-        assert "numpy" in BACKENDS
+        assert KERNELS == ["numpy"]
 
     def test_auto_resolves_to_available_backend(self):
-        kernel = resolve_kernel("auto")
+        kernel = resolve_kernel()
         assert isinstance(kernel, XorKernel)
-        assert kernel.name in BACKENDS
+        assert kernel.name in KERNELS
 
     def test_instances_are_cached(self):
-        assert get_kernel("numpy") is get_kernel("numpy")
-
-    def test_unknown_name_raises_keyerror(self):
-        with pytest.raises(KeyError, match="unknown kernel"):
-            get_kernel("cuda")
-
-    def test_kernel_info_reports_all_tiers(self):
-        info = kernel_info()
-        assert set(info) >= {"numpy", "numba"}
-        assert info["numpy"]["available"] is True
-        assert isinstance(info["numba"]["available"], bool)
-
-    def test_unavailable_backend_raises(self):
-        if NumbaXorKernel.is_available():
-            pytest.skip("numba importable here; nothing is unavailable")
-        with pytest.raises(KernelUnavailableError):
-            get_kernel("numba")
-        with pytest.raises(KernelUnavailableError):
-            NumbaXorKernel()
-
-    def test_default_kernel_roundtrip(self):
-        prev = get_default_kernel()
-        try:
-            set_default_kernel("numpy")
-            assert get_default_kernel() == "numpy"
-            assert resolve_kernel().name == "numpy"
-        finally:
-            set_default_kernel(prev)
-
-    def test_set_default_validates_eagerly(self):
-        if NumbaXorKernel.is_available():
-            pytest.skip("numba importable here")
-        prev = get_default_kernel()
-        with pytest.raises(KernelUnavailableError):
-            set_default_kernel("numba")
-        assert get_default_kernel() == prev
+        assert resolve_kernel() is resolve_kernel()
 
 
 def _reference_reduce(dst, sources, init):
@@ -104,9 +65,11 @@ def _reference_reduce(dst, sources, init):
 class TestKernelSemantics:
     """Unit contract of region_xor_reduce / scatter_xor, per backend."""
 
-    @pytest.fixture(params=BACKENDS)
+    @pytest.fixture(params=KERNELS)
     def kernel(self, request):
-        return get_kernel(request.param)
+        kernel = resolve_kernel()
+        assert kernel.name == request.param
+        return kernel
 
     def test_reduce_matches_reference(self, kernel):
         rng = np.random.default_rng(0)
@@ -178,26 +141,14 @@ class TestKernelSemantics:
         assert np.array_equal(dst, expect)
 
 
-@pytest.mark.skipif(
-    NumbaXorKernel.is_available(), reason="numba importable; tier is live"
-)
-class TestNumbaUnavailable:
-    def test_capabilities_report_unavailable(self):
-        caps = NumbaXorKernel.capabilities()
-        assert caps["available"] is False
-
-    def test_auto_falls_back_to_numpy(self):
-        assert resolve_kernel("auto").name == "numpy"
-
-
 class TestByteIdentity:
-    """Fused executor under every backend == the audited engine, exactly."""
+    """Fused executor == the audited engine, exactly, through the kernel."""
 
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
-    @pytest.mark.parametrize("kernel_name", BACKENDS)
+    @pytest.mark.parametrize("kernel_name", KERNELS)
     @pytest.mark.parametrize("code,approach", CONVERSIONS)
     def test_all_pairs_all_backends_all_block_sizes(
-        self, code, approach, kernel_name, block_size
+        self, code, approach, kernel_name, block_size, xor_calls
     ):
         plan = _cycle_plan(code, approach, 5)
         audited, data = prepare_source_array(
@@ -207,7 +158,9 @@ class TestByteIdentity:
         fused, _ = prepare_source_array(
             plan, np.random.default_rng(7), block_size=block_size
         )
-        result = execute_plan_compiled(plan, fused, data, kernel=kernel_name)
+        result = execute_plan_compiled(plan, fused, data)
+        assert resolve_kernel().name == kernel_name
+        assert xor_calls  # the parity work went through the kernel
         assert np.array_equal(audited.snapshot(), fused.snapshot())
         assert np.array_equal(audited.reads, fused.reads)
         assert np.array_equal(audited.writes, fused.writes)
@@ -215,8 +168,8 @@ class TestByteIdentity:
         assert result.measured_writes == plan.write_ios
         assert verify_conversion(result)
 
-    @pytest.mark.parametrize("kernel_name", BACKENDS)
-    def test_multi_cycle_batches_get_stride_terms(self, kernel_name):
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_multi_cycle_batches_get_stride_terms(self, kernel_name, xor_calls):
         """Batches past the alignment cycle exercise strided operands."""
         plan = _cycle_plan("code56", "direct", 5, cycles=8)
         audited, data = prepare_source_array(
@@ -226,26 +179,22 @@ class TestByteIdentity:
         fused, _ = prepare_source_array(
             plan, np.random.default_rng(8), block_size=64
         )
-        execute_plan_compiled(plan, fused, data, kernel=kernel_name)
+        execute_plan_compiled(plan, fused, data)
+        assert resolve_kernel().name == kernel_name
+        assert xor_calls
         assert np.array_equal(audited.snapshot(), fused.snapshot())
         assert np.array_equal(audited.reads, fused.reads)
         assert np.array_equal(audited.writes, fused.writes)
 
-    def test_kernel_instance_accepted(self):
-        plan = _cycle_plan("code56", "direct", 5)
-        fused, data = prepare_source_array(
-            plan, np.random.default_rng(9), block_size=32
-        )
-        result = execute_plan_compiled(plan, fused, data, kernel=NumpyXorKernel())
-        assert verify_conversion(result)
-
 
 class TestOnlineBackendMatrix:
-    """Batched online conversion under every backend == per-parity bytes.
+    """Online conversion through the kernel == budget-1 bytes.
 
     The live-migration analogue of TestByteIdentity: batch sizes x
-    backends x {healthy, degraded} x crash/resume at run boundaries,
-    always byte-compared against the audited per-parity converter.
+    {healthy, degraded} x crash/resume at run boundaries, always
+    byte-compared against budget 1 (one-parity runs, the audited loop).
+    Healthy runs of two or more parities go through the kernel; degraded
+    and fault-planed runs never touch it.
     """
 
     @staticmethod
@@ -274,8 +223,8 @@ class TestOnlineBackendMatrix:
 
     @pytest.mark.parametrize("block_size", (16, 4096))
     @pytest.mark.parametrize("batch", (2, 4, 8))
-    @pytest.mark.parametrize("kernel_name", BACKENDS)
-    def test_healthy_identity(self, kernel_name, batch, block_size):
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_healthy_identity(self, kernel_name, batch, block_size, xor_calls):
         from repro.migration.online import OnlineCode56Conversion
 
         plan = build_plan("code56", "direct", 5, groups=2)
@@ -287,17 +236,18 @@ class TestOnlineBackendMatrix:
         arr, _ = prepare_source_array(
             plan, np.random.default_rng(0), block_size=block_size
         )
-        conv = OnlineCode56Conversion(arr, 5, batch=batch, kernel=kernel_name)
+        conv = OnlineCode56Conversion(arr, 5, batch=batch)
         report = conv.run(self._requests(block_size=block_size))
 
         assert conv.verify()
-        assert report.kernel == kernel_name
+        assert resolve_kernel().name == kernel_name
+        assert len(xor_calls) > 0 and report.max_run > 1
         assert np.array_equal(ref.snapshot(), arr.snapshot())
         assert np.array_equal(ref.reads, arr.reads)
         assert np.array_equal(ref.writes, arr.writes)
 
-    @pytest.mark.parametrize("kernel_name", BACKENDS)
-    def test_degraded_identity(self, kernel_name):
+    @pytest.mark.parametrize("kernel_name", KERNELS)
+    def test_degraded_identity(self, kernel_name, xor_calls):
         from repro.migration.online import OnlineCode56Conversion
 
         ref = self._array()
@@ -306,20 +256,14 @@ class TestOnlineBackendMatrix:
 
         arr = self._array()
         arr.fail_disk(2)
-        conv = OnlineCode56Conversion(arr, 5, batch=4, kernel=kernel_name)
-        conv.run([])
+        OnlineCode56Conversion(arr, 5, batch=4).run([])
+        assert xor_calls == []  # failed disk: the audited loop only
         assert np.array_equal(ref.snapshot(), arr.snapshot())
 
-    @pytest.mark.parametrize("kernel_name", BACKENDS)
+    @pytest.mark.parametrize("kernel_name", KERNELS)
     def test_crash_resume_at_run_boundaries(self, kernel_name):
         from repro.faults.chaos import crash_sweep_online
-        from repro.kernels import set_default_kernel
 
-        set_default_kernel(kernel_name)
-        try:
-            report = crash_sweep_online(
-                5, groups=2, schedules=1, batch=4, sample=6
-            )
-        finally:
-            set_default_kernel("auto")
+        report = crash_sweep_online(5, groups=2, schedules=1, batch=4, sample=6)
+        assert resolve_kernel().name == kernel_name
         assert report["ok"], report["failures"]

@@ -68,13 +68,23 @@ class TestQuietBatchedIdentity:
         report = conv.run([])
         assert report.runs_committed == 2  # 8 parities / budget 4
         assert report.max_run == 4
-        assert report.kernel == conv.kernel.name
 
-    def test_per_parity_report_kernel_label(self):
-        arr = _online_array()
-        report = OnlineCode56Conversion(arr, 5, batch=1).run([])
-        assert report.kernel == "per-parity"
-        assert report.runs_committed == 0
+    def test_executor_choice_by_run_length(self, xor_calls):
+        """One-parity runs take the audited loop (no kernel call); two-parity
+        runs on a healthy array take the fused path; same bytes and counters."""
+        one = _online_array()
+        report_one = OnlineCode56Conversion(one, 5, batch=1).run([])
+        assert len(xor_calls) == 0
+        assert report_one.runs_committed == 8 and report_one.max_run == 1
+
+        two = _online_array()
+        report_two = OnlineCode56Conversion(two, 5, batch=2).run([])
+        assert len(xor_calls) == report_two.runs_committed == 4
+
+        assert np.array_equal(one.snapshot(), two.snapshot())
+        assert np.array_equal(one.reads, two.reads)
+        assert np.array_equal(one.writes, two.writes)
+        assert report_one.conversion_ticks == report_two.conversion_ticks
 
     def test_group_commit_is_one_flush_per_run(self):
         journal = OnlineJournal(2, 4)
@@ -87,6 +97,27 @@ class TestQuietBatchedIdentity:
         arr2 = _online_array()
         OnlineCode56Conversion(arr2, 5, journal=per_parity, batch=1).run([])
         assert per_parity.appends == 8
+
+
+class TestOfflineOracle:
+    """Every run budget lands on the audited offline engine's image."""
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    @pytest.mark.parametrize("budget", ["1", "2", "rows", "all"])
+    def test_quiet_online_equals_offline_direct(self, p, budget):
+        from repro.migration import execute_plan
+
+        groups, rows = 3, p - 1
+        batch = {"1": 1, "2": 2, "rows": rows, "all": groups * rows}[budget]
+        plan = build_plan("code56", "direct", p, groups=groups)
+        offline, data = prepare_source_array(plan, np.random.default_rng(p), block_size=16)
+        execute_plan(plan, offline, data)
+
+        online, _ = prepare_source_array(plan, np.random.default_rng(p), block_size=16)
+        conv = OnlineCode56Conversion(online, p, batch=batch)
+        conv.run([])
+        assert conv.verify()
+        assert np.array_equal(offline.snapshot(), online.snapshot())
 
 
 class TestBatchedUnderWrites:
@@ -280,16 +311,12 @@ class TestObsBridge:
         registry = MetricsRegistry()
         registry.enabled = True
         record_online_report(report, registry)
-        kernel = report.kernel
-        hist = registry.histogram(
-            "online.request_latency_ticks",
-            kernel=kernel,
-        )
+        hist = registry.histogram("online.request_latency_ticks")
         assert hist.count == len(report.request_latencies)
         foreground = [s + l for s, l in
                       zip(report.request_stalls, report.request_latencies)]
         assert hist.sum == pytest.approx(sum(foreground))
-        p99 = registry.gauge("online.request_latency_ticks.p99", kernel=kernel)
+        p99 = registry.gauge("online.request_latency_ticks.p99")
         assert p99.value >= 0.0
         snap = registry.snapshot()
         assert any(

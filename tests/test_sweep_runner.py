@@ -62,10 +62,15 @@ class TestSerial:
         names = {c["name"] for c in snap["counters"]}
         assert "sweep.tasks" in names
 
-    def test_oversized_execute_blocks_rejected(self):
+    def test_oversized_execute_blocks_rejected(self, tmp_path):
+        from repro.compiled import program_cache_dir
+
+        before = program_cache_dir()
         spec = SweepSpec(primes=(5,), workloads=(Workload.execute(block_size=128),))
         with pytest.raises(ValueError, match="POOL_BLOCK_SIZE"):
-            run_sweep(spec, workers=0)
+            run_sweep(spec, workers=0, cache_dir=tmp_path)
+        # rejected before any process state was touched
+        assert program_cache_dir() == before
 
 
 class TestRealPool:
