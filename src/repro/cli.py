@@ -448,8 +448,9 @@ def _cmd_scrub_demo(args: argparse.Namespace) -> int:
     print(f"  located     : {report.located}")
     print(f"  repaired    : {report.repaired}")
     print(f"  unlocatable : {report.unlocatable_groups}")
-    print(f"array consistent after repair: {raid6.verify()}")
-    return 0 if raid6.verify() else 1
+    consistent = raid6.verify()
+    print(f"array consistent after repair: {consistent}")
+    return 0 if consistent else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:

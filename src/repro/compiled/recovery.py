@@ -3,9 +3,13 @@
 The audited path assembles and repairs one stripe-group at a time;
 rebuild and verification workloads touch *every* group, so this module
 compiles the ``(group, cell) -> (disk, block)`` map of a conversion plan
-into one gather index and runs :func:`apply_recovery_plan` across the
-whole ``(groups, rows, cols, block)`` batch in a single pass — the
-recovery-side counterpart of the compiled conversion executor.
+into one gather index (and the ``lba -> (disk, block)`` map into a
+second), both cached per plan identity, and runs
+:func:`apply_recovery_plan` across the whole ``(groups, rows, cols,
+block)`` batch in a single pass — the recovery-side counterpart of the
+compiled conversion executor.  The repair writes only the failed
+columns, so a verifier can save those columns, repair in place and
+compare them alone instead of copying the whole tensor.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from repro.codes.plans import RecoveryPlan
 from repro.migration.plan import ConversionPlan
 from repro.raid.array import BlockArray
 
-__all__ = ["assemble_all_groups", "batch_recover_columns"]
+__all__ = ["assemble_all_groups", "batch_recover_columns", "data_gather_indices"]
 
 #: cache of gather indices per plan identity (see compiler.plan_cache_key)
 _GATHER_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+#: cache of data-location indices per plan identity
+_DATA_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -43,6 +49,32 @@ def _gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray, np.nd
     )
     _GATHER_CACHE[key] = out
     return out
+
+
+def data_gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray]:
+    """``(disks, blocks)`` of every source logical block, in LBA order.
+
+    ``plan.data_locations`` resolved through ``plan.cell_locations`` and
+    cached per plan identity like the stripe gather, so verification
+    compares ``gather_raw(disks, blocks)`` with the ground truth as is.
+    """
+    from repro.compiled.compiler import plan_cache_key
+
+    key = plan_cache_key(plan)
+    cached = _DATA_CACHE.get(key)
+    if cached is not None:
+        return cached
+    locations = plan.data_locations
+    if sorted(locations) != list(range(len(locations))):
+        raise ValueError("plan.data_locations must map LBAs 0..n-1")
+    disks = np.empty(len(locations), dtype=np.intp)
+    blocks = np.empty(len(locations), dtype=np.intp)
+    for lba, (group, cell) in locations.items():
+        loc = plan.cell_locations[(group, cell)]
+        disks[lba] = loc.disk
+        blocks[lba] = loc.block
+    _DATA_CACHE[key] = (disks, blocks)
+    return disks, blocks
 
 
 def assemble_all_groups(plan: ConversionPlan, array: BlockArray) -> np.ndarray:

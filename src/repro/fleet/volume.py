@@ -36,12 +36,15 @@ audit, and a byte-for-byte comparison against the analytically
 constructed offline-conversion image of the final logical data (RAID-5
 rows + Code 5-6 diagonals over the truth model) — zero divergence means
 the online migration landed exactly where an offline conversion of the
-same writes would have.
+same writes would have.  Both audits are whole-array tensor operations:
+the reference image is built from cached placement and chain indices
+and compared with an uncounted view of the array, never a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +64,34 @@ __all__ = ["VolumeSpec", "FleetVolume"]
 
 #: resume attempts per volume before declaring the crash schedule hostile
 _MAX_CRASH_RESUMES = 8
+
+
+@lru_cache(maxsize=16)
+def _raid5_placement(
+    layout: Raid5Layout, m: int, stripes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(stripe, disk)`` of every LBA and the parity disk of every stripe
+    of an ``m``-disk RAID-5, from :func:`locate_block` / :func:`parity_disk`."""
+    capacity = stripes * (m - 1)
+    place = np.array(
+        [locate_block(layout, lba, m) for lba in range(capacity)], dtype=np.intp
+    ).reshape(capacity, 2)
+    parity = np.array([parity_disk(layout, s, m) for s in range(stripes)], dtype=np.intp)
+    out = (place[:, 0], place[:, 1], parity)
+    for index in out:
+        index.flags.writeable = False  # shared by every volume of this shape
+    return out
+
+
+@lru_cache(maxsize=None)
+def _diagonal_chains(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of each diagonal chain, one row per parity row:
+    two ``(p-1, p-2)`` index arrays from :func:`diagonal_chain_cells`."""
+    cells = np.array([diagonal_chain_cells(p, row) for row in range(p - 1)], dtype=np.intp)
+    chain_rows, chain_cols = cells[..., 0], cells[..., 1]
+    chain_rows.flags.writeable = False
+    chain_cols.flags.writeable = False
+    return chain_rows, chain_cols
 
 
 @dataclass(frozen=True)
@@ -426,48 +457,47 @@ class FleetVolume:
         parities computed analytically over the truth model — exactly
         the bytes an offline conversion of the post-write image
         produces (both parity families are determined by the data).
+        Independent of the converter: data lands through the cached
+        ``locate_block`` index, each horizontal parity is one XOR-reduce
+        over the ``m`` RAID-5 disks, and each diagonal chain is reduced
+        for every group at once.
         """
         spec = self.spec
         rows, m, bs = spec.rows, self.m, spec.block_size
         stripes = spec.groups * rows
         final = self.data.copy()
-        for lba, payload in self.applied.items():
-            final[lba] = payload
+        if self.applied:
+            lbas = np.fromiter(self.applied, dtype=np.intp, count=len(self.applied))
+            final[lbas] = np.stack(list(self.applied.values()))
+        stripe_of, disk_of, parity_of = _raid5_placement(self.layout, m, stripes)
         expect = np.zeros((spec.p, stripes, bs), dtype=np.uint8)
-        for lba in range(spec.capacity_blocks):
-            stripe, disk = locate_block(self.layout, lba, m)
-            expect[disk, stripe] = final[lba]
-        for stripe in range(stripes):
-            pd = parity_disk(self.layout, stripe, m)
-            acc = np.zeros(bs, dtype=np.uint8)
-            for d in range(m):
-                if d != pd:
-                    np.bitwise_xor(acc, expect[d, stripe], out=acc)
-            expect[pd, stripe] = acc
-        for group in range(spec.groups):
-            for row in range(rows):
-                acc = np.zeros(bs, dtype=np.uint8)
-                for r, c in diagonal_chain_cells(spec.p, row):
-                    np.bitwise_xor(acc, expect[c, group * rows + r], out=acc)
-                expect[m, group * rows + row] = acc
+        expect[disk_of, stripe_of] = final
+        # the parity slot of each row is still zero, so the row XOR over
+        # all m disks is the horizontal parity
+        expect[parity_of, np.arange(stripes)] = np.bitwise_xor.reduce(expect[:m], axis=0)
+        chain_rows, chain_cols = _diagonal_chains(spec.p)
+        square = expect[:m].reshape(m, spec.groups, rows, bs)
+        # (rows, p-2, groups, block): chain members of every group
+        members = square[chain_cols, :, chain_rows]
+        expect[m].reshape(spec.groups, rows, bs)[...] = np.bitwise_xor.reduce(
+            members, axis=1
+        ).transpose(1, 0, 2)
         return expect
 
     def divergent_blocks(self) -> int:
         """Blocks differing from the offline-conversion reference.
 
         Failed (unrebuilt) disks hold stale bytes by design and are
-        excluded; every surviving disk must match exactly.
+        excluded; every surviving disk must match exactly.  The array is
+        compared in place (an uncounted view), not through a snapshot.
         """
         expect = self.reference_snapshot()
-        got = self.array.snapshot()
-        diverged = 0
-        for disk in range(self.spec.p):
-            if disk in self.array.failed_disks:
-                continue
-            diverged += int(
-                np.any(expect[disk] != got[disk], axis=-1).sum()
-            )
-        return diverged
+        got = self.array.bulk_view(slice(0, self.spec.p), slice(None))
+        differs = np.any(expect != got, axis=-1)
+        failed = self.array.failed_disks
+        return sum(
+            int(differs[disk].sum()) for disk in range(self.spec.p) if disk not in failed
+        )
 
     def result(self) -> dict:
         """JSON-ready per-volume outcome (the fleet report's unit)."""

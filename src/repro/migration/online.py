@@ -621,7 +621,12 @@ class OnlineCode56Conversion:
 
     # ---------------------------------------------------------------- audit
     def verify(self) -> bool:
-        """Uncounted full-stripe audit of the converted RAID-6.
+        """Uncounted whole-array audit of the converted RAID-6.
+
+        One batched :meth:`ArrayCode.verify` over a zero-copy ``(groups,
+        rows, p, block)`` view of the store: columns ``0..p-2`` are disks
+        ``0..p-2`` and column ``p-1`` is the diagonal disk ``m``, so every
+        chain is checked for every group at once without copying a stripe.
 
         Requires a healthy array — rebuild failed disks first (e.g. via
         ``Raid6Array.rebuild_disks``); a degraded array's failed columns
@@ -631,12 +636,8 @@ class OnlineCode56Conversion:
             raise RuntimeError(
                 f"rebuild failed disks {sorted(self.array.failed_disks)} before verifying"
             )
-        stripe = self.code.empty_stripe(self.array.block_size)
-        for g in range(self.groups):
-            for r in range(self.rows):
-                for c in range(self.p - 1):
-                    stripe[r, c] = self.array.raw(c, g * self.rows + r)
-                stripe[r, self.p - 1] = self.array.raw(self.m, g * self.rows + r)
-            if not self.code.verify(stripe):
-                return False
-        return True
+        view = self.array.bulk_view(slice(0, self.p), slice(0, self.groups * self.rows))
+        stripes = view.reshape(
+            self.p, self.groups, self.rows, self.array.block_size
+        ).transpose(1, 2, 0, 3)
+        return self.code.verify(stripes)

@@ -148,11 +148,16 @@ class ConversionPlan:
 
     @property
     def read_ios(self) -> int:
-        return sum(1 for op in self.ops if op.kind is OpKind.READ)
+        # counted from the group-work sizes: one READ per read cell and
+        # per migration source, as in :meth:`GroupWork.ops`
+        return sum(len(gw.reads) + len(gw.migrates) for gw in self.group_works)
 
     @property
     def write_ios(self) -> int:
-        return sum(1 for op in self.ops if op.kind is OpKind.WRITE)
+        return sum(
+            len(gw.migrates) + len(gw.null_writes) + len(gw.parity_writes)
+            for gw in self.group_works
+        )
 
     @property
     def total_ios(self) -> int:

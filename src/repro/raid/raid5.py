@@ -10,7 +10,9 @@ the XOR of the other members of its row.  :func:`row_xor` (counted) and
 :func:`row_xor_raw` (uncounted) are its only implementations; degraded
 reads, rebuilds, the conversion engines' reconstruct-on-read
 (:class:`repro.faults.degraded.ReconstructingReader`) and the fleet's
-rebuild staging all call them.
+rebuild staging all call them.  The scrub (:meth:`Raid5Array.verify`)
+checks the equation for every row at once: one kernel XOR-reduce over
+the disks' views.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from collections.abc import Container
 
 import numpy as np
 
+from repro.kernels import resolve_kernel
 from repro.raid.array import BlockArray
 from repro.raid.layouts import Raid5Layout, cell_role, data_disk, locate_block, parity_disk
 
@@ -164,10 +167,12 @@ class Raid5Array:
 
     # ----------------------------------------------------------------- audit
     def verify(self) -> bool:
-        """Uncounted parity scrub over every stripe."""
-        return not any(
-            row_xor_raw(self.array, stripe, self.n).any() for stripe in range(self.stripes)
-        )
+        """Uncounted parity scrub over every stripe: one XOR-reduce of the
+        ``n`` disks' views through the kernel; every row must XOR to zero."""
+        disks = self.array.bulk_view(slice(0, self.n), slice(None))
+        residue = np.empty(disks.shape[1:], dtype=np.uint8)
+        resolve_kernel().region_xor_reduce(residue, list(disks))
+        return not residue.any()
 
     def parity_map(self) -> list[tuple[int, int]]:
         """(stripe, parity disk) for every stripe — used by the planner."""

@@ -1,0 +1,340 @@
+"""Whole-array audits: every batched verifier catches planted corruption.
+
+The online converter, ``Raid6Array``, ``Raid5Array``, ``verify_conversion``
+and the fleet's offline-image oracle each check a whole array with a few
+tensor operations.  The per-group (and per-LBA) loops they replaced are
+kept here as oracles: on every clean and every corrupted array, the
+batched verifier and its loop must agree.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from repro.codes import get_code
+from repro.codes.base import ArrayCode
+from repro.codes.code56 import diagonal_chain_cells
+from repro.codes.geometry import ChainKind
+from repro.compiled import execute_plan_compiled
+from repro.faults.events import DiskFailureEvent
+from repro.fleet import FleetVolume, SparePool, VolumeSpec
+from repro.migration import build_plan, prepare_source_array, verify_conversion
+from repro.migration.approaches import supported_conversions
+from repro.migration.engine import assemble_group
+from repro.migration.online import OnlineCode56Conversion
+from repro.migration.ops import OpKind
+from repro.raid import BlockArray, Raid5Array, Raid6Array
+from repro.raid.layouts import locate_block, parity_disk
+from repro.raid.raid5 import row_xor_raw
+
+PRIMES = (5, 7, 13)
+GROUPS = 3
+BS = 16
+
+
+# ------------------------------------------------------------------ oracles
+def online_verify_loop(conv: OnlineCode56Conversion) -> bool:
+    """The per-group audit ``OnlineCode56Conversion.verify`` replaced."""
+    stripe = conv.code.empty_stripe(conv.array.block_size)
+    for g in range(conv.groups):
+        for r in range(conv.rows):
+            for c in range(conv.p - 1):
+                stripe[r, c] = conv.array.raw(c, g * conv.rows + r)
+            stripe[r, conv.p - 1] = conv.array.raw(conv.m, g * conv.rows + r)
+        if not conv.code.verify(stripe):
+            return False
+    return True
+
+
+def raid6_verify_loop(raid6: Raid6Array) -> bool:
+    """The per-group scrub ``Raid6Array.verify`` replaced."""
+    return all(raid6.code.verify(raid6.assemble_stripe(g)) for g in range(raid6.groups))
+
+
+def raid5_verify_loop(raid5: Raid5Array) -> bool:
+    """The per-stripe scrub ``Raid5Array.verify`` replaced."""
+    return not any(
+        row_xor_raw(raid5.array, s, raid5.n).any() for s in range(raid5.stripes)
+    )
+
+
+def conversion_parity_loop(result) -> bool:
+    """Per-group parity check of a converted array (``assemble_group``)."""
+    plan = result.plan
+    return all(
+        plan.code.verify(assemble_group(plan, result.array, g)) for g in range(plan.groups)
+    )
+
+
+def reference_loop(vol: FleetVolume) -> np.ndarray:
+    """The per-LBA offline image ``FleetVolume.reference_snapshot`` replaced."""
+    spec = vol.spec
+    rows, m, bs = spec.rows, vol.m, spec.block_size
+    stripes = spec.groups * rows
+    final = vol.data.copy()
+    for lba, payload in vol.applied.items():
+        final[lba] = payload
+    expect = np.zeros((spec.p, stripes, bs), dtype=np.uint8)
+    for lba in range(spec.capacity_blocks):
+        stripe, disk = locate_block(vol.layout, lba, m)
+        expect[disk, stripe] = final[lba]
+    for stripe in range(stripes):
+        pd = parity_disk(vol.layout, stripe, m)
+        acc = np.zeros(bs, dtype=np.uint8)
+        for d in range(m):
+            if d != pd:
+                np.bitwise_xor(acc, expect[d, stripe], out=acc)
+        expect[pd, stripe] = acc
+    for group in range(spec.groups):
+        for row in range(rows):
+            acc = np.zeros(bs, dtype=np.uint8)
+            for r, c in diagonal_chain_cells(spec.p, row):
+                np.bitwise_xor(acc, expect[c, group * rows + r], out=acc)
+            expect[m, group * rows + row] = acc
+    return expect
+
+
+def divergent_loop(vol: FleetVolume) -> int:
+    """The snapshot comparison ``FleetVolume.divergent_blocks`` replaced."""
+    expect, got = reference_loop(vol), vol.array.snapshot()
+    return sum(
+        int(np.any(expect[d] != got[d], axis=-1).sum())
+        for d in range(vol.spec.p)
+        if d not in vol.array.failed_disks
+    )
+
+
+# -------------------------------------------------------------- planting
+def planted_cells(layout, groups: int) -> dict:
+    """``kind -> (group, cell)``: a data cell of group 0, the last-row
+    horizontal parity and a diagonal parity of the last group, and (on a
+    shortened code) a virtual cell stored on a physical column."""
+    virtual = layout.virtual_cells
+
+    def parity_of(kind):
+        return max(
+            ch.parity for ch in layout.chains if ch.kind is kind and ch.parity not in virtual
+        )
+
+    cells = {
+        "data": (0, layout.data_cells[0]),
+        "horizontal": (groups - 1, parity_of(ChainKind.HORIZONTAL)),
+        "diagonal": (groups - 1, parity_of(ChainKind.DIAGONAL)),
+    }
+    if layout.extra_virtual_cells:
+        cells["virtual"] = (groups - 1, max(layout.extra_virtual_cells))
+    return cells
+
+
+def assert_flip_caught(array: BlockArray, disk: int, block: int, *verifiers) -> None:
+    """Clean passes; one flipped byte fails every verifier; restoring passes."""
+    assert all(v() for v in verifiers)
+    array.raw(disk, block)[0] ^= 0x5A
+    assert not any(v() for v in verifiers)
+    array.raw(disk, block)[0] ^= 0x5A
+    assert all(v() for v in verifiers)
+
+
+# ---------------------------------------------------------- online verify
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("kind", ["data", "horizontal", "diagonal"])
+def test_online_verify_catches_planted_flip(p, kind):
+    plan = build_plan("code56", "direct", p, groups=GROUPS)
+    array, _ = prepare_source_array(plan, np.random.default_rng(p), block_size=BS)
+    conv = OnlineCode56Conversion(array, p, batch=GROUPS * (p - 1))
+    conv.run([])
+    group, (row, col) = planted_cells(conv.code.layout, GROUPS)[kind]
+    # columns 0..p-2 are disks 0..p-2, column p-1 the diagonal disk m
+    assert_flip_caught(
+        array, col, group * conv.rows + row, conv.verify, lambda: online_verify_loop(conv)
+    )
+
+
+def test_online_verify_is_a_view_not_a_copy():
+    plan = build_plan("code56", "direct", 5, groups=GROUPS)
+    array, _ = prepare_source_array(plan, np.random.default_rng(0), block_size=BS)
+    conv = OnlineCode56Conversion(array, 5, batch=4)
+    conv.run([])
+    seen = []
+    original = conv.code.verify
+
+    def spy(stripes):
+        seen.append(stripes)
+        return original(stripes)
+
+    conv.code.verify = spy
+    assert conv.verify()
+    (stripes,) = seen
+    assert stripes.shape == (GROUPS, 4, 5, BS)
+    assert np.shares_memory(stripes, array.bulk_view(slice(0, 5), slice(None)))
+
+
+def test_online_verify_refuses_failed_disks():
+    plan = build_plan("code56", "direct", 5, groups=GROUPS)
+    array, _ = prepare_source_array(plan, np.random.default_rng(0), block_size=BS)
+    conv = OnlineCode56Conversion(array, 5, batch=4)
+    conv.run([])
+    array.fail_disk(2)
+    with pytest.raises(RuntimeError, match="rebuild failed disks"):
+        conv.verify()
+
+
+# ---------------------------------------------------------- Raid6Array
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("rotation", [None, 1, 2])
+@pytest.mark.parametrize("virtual_cols", [(), (0,)], ids=["full", "shortened"])
+def test_raid6_verify_catches_planted_flips(p, rotation, virtual_cols):
+    code = get_code("code56", p, virtual_cols=virtual_cols)
+    # disks are numbered by column, so a virtual column leaves one unused
+    array = BlockArray(code.cols, GROUPS * code.rows, block_size=BS)
+    raid6 = Raid6Array(array, code, rotation_period=rotation)
+    rng = np.random.default_rng(p)
+    raid6.format_with(rng.integers(0, 256, size=(raid6.capacity_blocks, BS), dtype=np.uint8))
+    cells = planted_cells(code.layout, GROUPS)
+    assert ("virtual" in cells) == bool(virtual_cols)
+    for group, (row, col) in cells.values():
+        assert_flip_caught(
+            array, raid6.disk_of(group, col), raid6.block_of(group, row),
+            raid6.verify, lambda: raid6_verify_loop(raid6),
+        )
+
+
+@pytest.mark.parametrize("code_name", ["rdp", "evenodd", "xcode", "hdp"])
+def test_raid6_verify_agrees_with_loop_on_other_codes(code_name):
+    code = get_code(code_name, 7)
+    array = BlockArray(code.n_disks, GROUPS * code.rows, block_size=BS)
+    raid6 = Raid6Array(array, code, rotation_period=1)
+    rng = np.random.default_rng(7)
+    raid6.format_with(rng.integers(0, 256, size=(raid6.capacity_blocks, BS), dtype=np.uint8))
+    for group in range(GROUPS):
+        for col in code.layout.physical_cols:
+            assert_flip_caught(
+                array, raid6.disk_of(group, col), raid6.block_of(group, code.rows - 1),
+                raid6.verify, lambda: raid6_verify_loop(raid6),
+            )
+
+
+# ---------------------------------------------------------- Raid5Array
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("kind", ["data", "horizontal"])
+def test_raid5_verify_catches_planted_flip(p, kind):
+    # the source RAID-5 of a Code 5-6 conversion: m = p-1 disks of p
+    plan = build_plan("code56", "direct", p, groups=GROUPS)
+    array, _ = prepare_source_array(plan, np.random.default_rng(p), block_size=BS)
+    raid5 = Raid5Array(array, plan.source_layout, n_disks=plan.m)
+    array.raw(plan.m, 0)[...] = 0xFF  # the blank hot-added disk is outside the RAID-5
+    last = raid5.stripes - 1
+    disk, block = {
+        "data": raid5.locate(0)[::-1],
+        "horizontal": (raid5.parity_disk(last), last),
+    }[kind]
+    assert_flip_caught(array, disk, block, raid5.verify, lambda: raid5_verify_loop(raid5))
+
+
+# ---------------------------------------------------------- verify_conversion
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("shortened", [False, True])
+def test_verify_conversion_catches_planted_flips(p, shortened):
+    n_disks = p - 1 if shortened else None  # one virtual disk when shortened
+    plan = build_plan("code56", "direct", p, groups=GROUPS, n_disks=n_disks)
+    array, data = prepare_source_array(plan, np.random.default_rng(p), block_size=BS)
+    result = execute_plan_compiled(plan, array, data)
+    cells = planted_cells(plan.code.layout, GROUPS)
+    assert ("virtual" in cells) == shortened
+    for kind, (group, cell) in cells.items():
+        if kind == "virtual":
+            # a virtual cell has no physical block: it reads as zero
+            assert (group, cell) not in plan.cell_locations
+            continue
+        loc = plan.cell_locations[(group, cell)]
+        assert_flip_caught(
+            array, loc.disk, loc.block, lambda: verify_conversion(result),
+        )
+        if kind != "data":  # data flips are caught by the ground-truth check first
+            array.raw(loc.disk, loc.block)[0] ^= 0x5A
+            assert not conversion_parity_loop(result)
+            array.raw(loc.disk, loc.block)[0] ^= 0x5A
+    assert conversion_parity_loop(result)
+
+
+def test_verify_conversion_catches_a_bad_recovery_plan(monkeypatch):
+    """The column-only comparison still sees a repair that goes wrong."""
+    plan = build_plan("code56", "direct", 7, groups=GROUPS)
+    array, data = prepare_source_array(plan, np.random.default_rng(7), block_size=BS)
+    result = execute_plan_compiled(plan, array, data)
+    assert verify_conversion(result)
+    original = ArrayCode.plan_column_recovery
+
+    def drop_one_source(self, *cols):
+        recovery = original(self, *cols)
+        steps = list(recovery.steps)
+        i = next(i for i, s in enumerate(steps) if len(s.sources) >= 2)
+        steps[i] = replace(steps[i], sources=steps[i].sources[1:])
+        return replace(recovery, steps=tuple(steps))
+
+    monkeypatch.setattr(ArrayCode, "plan_column_recovery", drop_one_source)
+    assert not verify_conversion(result)
+
+
+def test_verify_conversion_trials_leave_stripes_intact():
+    """Each passing trial restores the columns the next trial reads."""
+    plan = build_plan("code56", "direct", 5, groups=GROUPS)
+    array, data = prepare_source_array(plan, np.random.default_rng(5), block_size=BS)
+    result = execute_plan_compiled(plan, array, data)
+    # far more trials than column pairs: every pair repeats, in both orders
+    assert verify_conversion(result, rng=np.random.default_rng(1), failure_trials=40)
+
+
+@pytest.mark.parametrize("groups", [1, 3])
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("code,approach", supported_conversions())
+def test_planned_io_counts_without_the_op_stream(code, approach, p, groups):
+    plan = build_plan(code, approach, p, groups=groups)
+    array, data = prepare_source_array(plan, np.random.default_rng(p), block_size=8)
+    result = execute_plan_compiled(plan, array, data)
+    assert verify_conversion(result, check_io_counters=True)
+    assert "ops" not in plan.__dict__  # the op stream was never built
+    assert plan.read_ios == sum(op.kind is OpKind.READ for op in plan.ops)
+    assert plan.write_ios == sum(op.kind is OpKind.WRITE for op in plan.ops)
+
+
+# ---------------------------------------------------------- fleet oracle
+def _volume(p: int, seed: int, **kwargs) -> FleetVolume:
+    return FleetVolume(VolumeSpec(volume_id=seed, p=p, groups=GROUPS, seed=seed, **kwargs))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_reference_snapshot_matches_loop_without_writes(p):
+    vol = _volume(p, seed=3)
+    assert not vol.applied
+    assert np.array_equal(vol.reference_snapshot(), reference_loop(vol))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_reference_snapshot_matches_loop_after_writes(p):
+    vol = _volume(p, seed=11, n_requests=40)
+    res = vol.run()
+    assert res["state"] == "complete" and vol.applied
+    assert np.array_equal(vol.reference_snapshot(), reference_loop(vol))
+    assert res["divergent_blocks"] == divergent_loop(vol) == 0
+
+
+@pytest.mark.parametrize("spares", [1, 0], ids=["rebuilt", "still-failed"])
+def test_reference_snapshot_matches_loop_after_disk_failure(spares):
+    vol = _volume(5, seed=5, failures=(DiskFailureEvent(time=12.0, disk=1),))
+    res = vol.run(SparePool(spares))
+    assert res["state"] == "complete"
+    assert bool(vol.array.failed_disks) == (spares == 0)
+    assert np.array_equal(vol.reference_snapshot(), reference_loop(vol))
+    assert res["divergent_blocks"] == divergent_loop(vol) == 0
+
+
+def test_divergent_blocks_counts_like_snapshot_loop():
+    vol = _volume(7, seed=2, failures=(DiskFailureEvent(time=12.0, disk=1),))
+    vol.run(SparePool(0))
+    assert vol.array.failed_disks == {1}
+    for disk, block in ((0, 0), (0, 1), (3, 5), (6, GROUPS * 6 - 1), (1, 2)):
+        vol.array.raw(disk, block)[-1] ^= 0x01
+    # the flip on failed disk 1 is stale by design and not counted
+    assert vol.divergent_blocks() == divergent_loop(vol) == 4
