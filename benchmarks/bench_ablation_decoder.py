@@ -1,38 +1,39 @@
-"""Ablation - Algorithm 1's chain decoding vs the generic GF(2) decoder.
+"""Ablation - the peeling planner vs plain GF(2) elimination, every code.
 
-DESIGN.md keeps two decoders: the generic solver (works on any layout,
-expresses each lost cell directly in surviving cells) and the paper's
-two-chain walk (sequential, reuses recovered cells).  This bench
-quantifies the design choice: the chain plans hit the optimal p-3 XORs
-per lost element, while the direct expressions cost more; planning time
-is also compared.
+The library has one recovery planner, ``build_recovery_plan``: it peels
+chains with a single unknown cell, reusing cells it already recovered,
+and falls back to elimination only where peeling stalls (EVENODD's
+adjuster).  For Code 5-6 its peel order is the paper's Algorithm 1.  The
+oracle, ``eliminate_recovery_plan``, writes every lost cell directly in
+surviving cells.  This bench quantifies the design choice over every
+double-column failure of every code: XORs per recovered element, and
+planning time.
 """
 
 import itertools
 
-from repro.codes import build_recovery_plan, code56_layout
+from repro.codes import CODE_NAMES, build_recovery_plan, eliminate_recovery_plan, get_layout
 from repro.core.chain_decoder import plan_double_column_recovery
 
 PRIMES = (5, 7, 11, 13)
 
 
+def _double_column_losses(layout):
+    for f1, f2 in itertools.combinations(layout.physical_cols, 2):
+        yield tuple((r, c) for c in (f1, f2) for r in range(layout.rows))
+
+
 def _xor_comparison():
     rows = []
-    for p in PRIMES:
-        lay = code56_layout(p)
-        chain_x, generic_x = 0, 0
-        pairs = 0
-        for f1, f2 in itertools.combinations(range(p), 2):
-            chain = plan_double_column_recovery(lay, f1, f2)
-            lost = tuple((r, c) for c in (f1, f2) for r in range(p - 1))
-            generic = build_recovery_plan(lay, lost)
-            chain_x += chain.total_xors
-            generic_x += generic.total_xors
-            pairs += 1
-        lost_cells = 2 * (p - 1)
-        rows.append(
-            (p, chain_x / pairs / lost_cells, generic_x / pairs / lost_cells)
-        )
+    for name in CODE_NAMES:
+        for p in PRIMES:
+            lay = get_layout(name, p)
+            peel_x = elim_x = cells = 0
+            for lost in _double_column_losses(lay):
+                peel_x += build_recovery_plan(lay, lost).total_xors
+                elim_x += eliminate_recovery_plan(lay, lost).total_xors
+                cells += len(lost)
+            rows.append((name, p, peel_x / cells, elim_x / cells, peel_x, elim_x))
     return rows
 
 
@@ -40,37 +41,46 @@ def bench_ablation_chain_vs_generic_xors(benchmark, show):
     rows = benchmark(_xor_comparison)
     lines = [
         "Ablation - XORs per recovered element, double-column failures",
-        f"{'p':>4} {'chain (Alg.1)':>14} {'generic GF(2)':>14} {'optimal p-3':>12}",
+        f"{'code':>8} {'p':>3} {'peel':>7} {'elimination':>12} {'ratio':>6} "
+        f"{'peel total':>11} {'elim total':>11}",
     ]
-    for p, chain, generic in rows:
-        lines.append(f"{p:>4} {chain:>14.2f} {generic:>14.2f} {p - 3:>12}")
+    for name, p, peel, elim, peel_x, elim_x in rows:
+        lines.append(
+            f"{name:>8} {p:>3} {peel:>7.2f} {elim:>12.2f} {elim / peel:>5.1f}x "
+            f"{peel_x:>11} {elim_x:>11}"
+        )
     show("\n".join(lines))
-    for p, chain, generic in rows:
-        assert chain == p - 3  # Algorithm 1 is XOR-optimal
-        assert generic >= chain  # the generic decoder never beats it
+    for name, p, peel, elim, peel_x, elim_x in rows:
+        assert peel_x < elim_x  # peeling always beats direct expressions
+        if name == "code56":
+            assert peel == p - 3  # Algorithm 1 is XOR-optimal
+            lay = get_layout(name, p)
+            chain_x = sum(
+                plan_double_column_recovery(lay, f1, f2).total_xors
+                for f1, f2 in itertools.combinations(range(p), 2)
+            )
+            assert chain_x == peel_x  # the Alg. 1 entry point is the planner
+    by = {(name, p): peel_x for name, p, _, _, peel_x, _ in rows}
+    assert by[("evenodd", 13)] <= 46_461
 
 
 def bench_ablation_chain_planning_speed(benchmark):
-    lay = code56_layout(13)
-    pairs = list(itertools.combinations(range(13), 2))
+    lay = get_layout("code56", 13)
+    losses = list(_double_column_losses(lay))
 
     def plan_all():
-        return [plan_double_column_recovery(lay, f1, f2) for f1, f2 in pairs]
+        return [build_recovery_plan(lay, lost) for lost in losses]
 
     plans = benchmark(plan_all)
-    assert len(plans) == len(pairs)
+    assert len(plans) == len(losses)
 
 
 def bench_ablation_generic_planning_speed(benchmark):
-    lay = code56_layout(13)
-    pairs = list(itertools.combinations(range(13), 2))
+    lay = get_layout("code56", 13)
+    losses = list(_double_column_losses(lay))
 
     def plan_all():
-        out = []
-        for f1, f2 in pairs:
-            lost = tuple((r, c) for c in (f1, f2) for r in range(12))
-            out.append(build_recovery_plan(lay, lost))
-        return out
+        return [eliminate_recovery_plan(lay, lost) for lost in losses]
 
     plans = benchmark(plan_all)
-    assert len(plans) == len(pairs)
+    assert len(plans) == len(losses)

@@ -3,7 +3,8 @@
 Walks the library's front door end to end:
 
 1. build a Code 5-6 stripe, kill two disks, recover (MDS property);
-2. use Algorithm 1's chain decoder and the hybrid single-disk recovery;
+2. plan Algorithm 1's two-chain recovery (the decoder's peel order) and
+   the hybrid single-disk recovery;
 3. convert a 4-disk RAID-5 into a 5-disk Code 5-6 RAID-6 and show the
    paper's headline accounting (B reads + B/3 writes).
 """
@@ -35,10 +36,11 @@ def main() -> None:
     assert np.array_equal(broken, stripe)
     print("double-disk failure (cols 1 & 3): fully recovered ✓")
 
-    # --------------------------------------- 2. the paper's special decoders
+    # ------------------ 2. Algorithm 1 (the decoder's peel order) and Fig. 6
     plan = plan_double_column_recovery(code.layout, 1, 2)
+    per_cell = plan.total_xors / len(plan.lost)
     print(f"Algorithm 1 plan for cols (1,2): {len(plan.steps)} chain steps, "
-          f"{plan.total_xors} XORs ({p - 3} per lost element — optimal)")
+          f"{plan.total_xors} XORs ({per_cell:g} per lost element = p-3 = {p - 3}, optimal)")
 
     hybrid = plan_hybrid_recovery(code.layout, 1)
     print(f"hybrid single-disk recovery of col 1: {hybrid.reads} reads vs "

@@ -13,6 +13,7 @@ from repro.codes.decoder import (
     UnrecoverableError,
     apply_recovery_plan,
     build_recovery_plan,
+    eliminate_recovery_plan,
 )
 from repro.codes.evenodd import evenodd_layout
 from repro.codes.geometry import Cell, CellKind, ChainKind, CodeLayout, ParityChain
@@ -39,6 +40,7 @@ __all__ = [
     "UnrecoverableError",
     "apply_recovery_plan",
     "build_recovery_plan",
+    "eliminate_recovery_plan",
     "MdsReport",
     "certify_mds",
     "check_double_erasures",

@@ -1,18 +1,28 @@
-"""Generic erasure decoder for any :class:`CodeLayout`.
+"""Erasure decoding for any :class:`CodeLayout`: one peeling planner.
 
-Works for *every* code in the library: the chain equations are assembled
-into a GF(2) linear system over the lost cells, eliminated once, and the
-row-transform is re-read as "lost cell = XOR of these surviving cells".
-The result is a :class:`RecoveryPlan` that the apply step replays over
-payload blocks with vectorised XOR.
+:func:`build_recovery_plan` is the planner every consumer uses.  It
+*peels*: while some parity chain has exactly one unknown cell, that cell
+is the XOR of the chain's other non-virtual cells, and recovering it may
+leave another chain with a single unknown.  Chains are taken first-in,
+first-out, seeded in layout order, so each step reuses cells recovered by
+earlier steps.  For Code 5-6 this order *is* the paper's Algorithm 1: the
+first two chains ready are the diagonals that miss one failed column
+(Theorem 1's starting points), and every lost cell costs ``p-3`` XORs.
 
-Code 5-6 additionally ships the paper's two-recovery-chain decoder
-(:mod:`repro.core.chain_decoder`), which produces cheaper sequential
-plans; this module is the correctness oracle it is tested against.
+Where peeling stalls (EVENODD's adjuster couples every diagonal), the
+planner runs GF(2) elimination over the residual unknowns, emits the one
+solved cell with the fewest sources, and goes back to peeling.  A pattern
+is unrecoverable exactly when that elimination is rank deficient.
+
+:func:`eliminate_recovery_plan` is plain elimination over the whole
+pattern: every lost cell written directly in surviving cells, reusing
+nothing.  It is the oracle the planner is tested against and the rank
+check :mod:`repro.codes.mds` certifies with.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -26,58 +36,121 @@ class UnrecoverableError(Exception):
     """The erasure pattern exceeds the code's correction capability."""
 
 
-def build_recovery_plan(layout: CodeLayout, lost_cells: tuple[Cell, ...]) -> RecoveryPlan:
-    """Plan the recovery of ``lost_cells`` (order-insensitive, deduplicated).
-
-    Raises :class:`UnrecoverableError` when the cells cannot be uniquely
-    determined from the surviving cells — e.g. three full columns of an
-    MDS RAID-6 code.
-    """
-    lost = tuple(dict.fromkeys(lost_cells))
+def _normalise(layout: CodeLayout, lost_cells: tuple[Cell, ...]) -> tuple[Cell, ...]:
+    """Deduplicate ``lost_cells`` in order and drop virtual (always-zero) cells."""
     virtual = layout.virtual_cells
-    lost = tuple(cell for cell in lost if cell not in virtual)
-    if not lost:
-        return RecoveryPlan(lost=(), steps=())
-    index = {cell: i for i, cell in enumerate(lost)}
+    return tuple(cell for cell in dict.fromkeys(lost_cells) if cell not in virtual)
 
+
+def _equations(layout: CodeLayout) -> list[tuple[Cell, ...]]:
+    """Each chain's non-virtual cells (parity and members), in layout order;
+    their XOR is zero."""
+    virtual = layout.virtual_cells
+    return [
+        tuple(cell for cell in (chain.parity, *chain.members) if cell not in virtual)
+        for chain in layout.chains
+    ]
+
+
+def _eliminate(
+    layout: CodeLayout, unknowns: tuple[Cell, ...], equations: list[tuple[Cell, ...]]
+) -> list[RecoveryStep]:
+    """Solve ``unknowns`` by GF(2) elimination over ``equations``.
+
+    Every cell that is not an unknown counts as known; equations without
+    an unknown are skipped.  Returns one step per unknown, in pivot order,
+    writing it in known cells only; raises :class:`UnrecoverableError`
+    when the unknowns are not uniquely determined.
+    """
+    index = {cell: i for i, cell in enumerate(unknowns)}
     rows: list[np.ndarray] = []
     sources: list[set[Cell]] = []
-    for chain in layout.chains:
-        coeffs = np.zeros(len(lost), dtype=np.uint8)
+    for terms in equations:
+        coeffs = np.zeros(len(unknowns), dtype=np.uint8)
         known: set[Cell] = set()
-        for cell in (chain.parity, *chain.members):
-            if cell in virtual:
-                continue  # virtual cells are identically zero
+        for cell in terms:
             i = index.get(cell)
             if i is None:
-                known.symmetric_difference_update({cell})
+                known.add(cell)
             else:
-                coeffs[i] ^= 1
+                coeffs[i] = 1
         if coeffs.any():
             rows.append(coeffs)
             sources.append(known)
     if not rows:
-        raise UnrecoverableError(f"no chain touches the lost cells {lost}")
+        raise UnrecoverableError(f"no chain touches the lost cells {unknowns}")
 
-    matrix = np.vstack(rows)
-    rref, transform, pivots = gf2_elimination(matrix)
-    if len(pivots) < len(lost):
+    _, transform, pivots = gf2_elimination(np.vstack(rows))
+    if len(pivots) < len(unknowns):
         raise UnrecoverableError(
-            f"{layout.name}: erasure pattern {lost} is not recoverable"
+            f"{layout.name}: erasure pattern {unknowns} is not recoverable"
         )
 
     steps: list[RecoveryStep] = []
     for out_row, col in enumerate(pivots):
-        # rref row must be a unit vector: exactly the unknown `col`.
-        if rref[out_row].sum() != 1:
-            raise UnrecoverableError(
-                f"{layout.name}: unknowns {lost} are entangled (non-MDS pattern)"
-            )
+        # full column rank: rref row `out_row` is the unit vector of `col`
         combined: set[Cell] = set()
-        for eq, used in enumerate(transform[out_row]):
-            if used:
-                combined.symmetric_difference_update(sources[eq])
-        steps.append(RecoveryStep(target=lost[col], sources=tuple(sorted(combined))))
+        for eq in np.nonzero(transform[out_row])[0]:
+            combined.symmetric_difference_update(sources[eq])
+        steps.append(RecoveryStep(target=unknowns[col], sources=tuple(sorted(combined))))
+    return steps
+
+
+def eliminate_recovery_plan(layout: CodeLayout, lost_cells: tuple[Cell, ...]) -> RecoveryPlan:
+    """Plain GF(2) elimination: each lost cell as the XOR of surviving cells.
+
+    The oracle :func:`build_recovery_plan` is checked against, and the
+    rank check behind :func:`repro.codes.mds.certify_mds`.
+    """
+    lost = _normalise(layout, lost_cells)
+    if not lost:
+        return RecoveryPlan(lost=(), steps=())
+    return RecoveryPlan(lost=lost, steps=tuple(_eliminate(layout, lost, _equations(layout))))
+
+
+def build_recovery_plan(layout: CodeLayout, lost_cells: tuple[Cell, ...]) -> RecoveryPlan:
+    """Plan the recovery of ``lost_cells`` (order-insensitive, deduplicated).
+
+    Peels single-unknown chains, falling back to elimination over the
+    residual unknowns only where peeling stalls (see the module
+    docstring).  Raises :class:`UnrecoverableError` when the cells cannot
+    be uniquely determined from the surviving cells — e.g. three full
+    columns of an MDS RAID-6 code.
+    """
+    lost = _normalise(layout, lost_cells)
+    if not lost:
+        return RecoveryPlan(lost=(), steps=())
+    equations = _equations(layout)
+    unknown = set(lost)
+    chains_of: dict[Cell, list[int]] = {cell: [] for cell in lost}
+    pending = [0] * len(equations)  # unknown cells left in each chain
+    for i, terms in enumerate(equations):
+        for cell in terms:
+            if cell in unknown:
+                chains_of[cell].append(i)
+                pending[i] += 1
+    ready = deque(i for i, n in enumerate(pending) if n == 1)
+    steps: list[RecoveryStep] = []
+
+    def solve(step: RecoveryStep) -> None:
+        steps.append(step)
+        unknown.discard(step.target)
+        for i in chains_of[step.target]:
+            pending[i] -= 1
+            if pending[i] == 1:
+                ready.append(i)
+
+    while unknown:
+        while ready:
+            terms = equations[ready.popleft()]
+            targets = [cell for cell in terms if cell in unknown]
+            if len(targets) != 1:
+                continue  # solved meanwhile through another chain
+            target = targets[0]
+            solve(RecoveryStep(target, tuple(sorted(c for c in terms if c != target))))
+        if unknown:
+            residual = tuple(cell for cell in lost if cell in unknown)
+            solve(min(_eliminate(layout, residual, equations), key=lambda s: len(s.sources)))
     return RecoveryPlan(lost=lost, steps=tuple(steps))
 
 

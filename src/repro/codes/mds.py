@@ -3,9 +3,10 @@
 A RAID-6 array code is MDS when (a) it stores exactly ``n - 2`` disks'
 worth of data on ``n`` disks and (b) any two whole-column erasures are
 recoverable.  ``certify_mds`` checks both by attempting to *plan* the
-recovery of every column pair — planning succeeds iff the GF(2) system is
-uniquely solvable, so no payload needs to be touched.  Tests additionally
-round-trip payloads through the plans for defence in depth.
+recovery of every column pair with plain GF(2) elimination — planning
+succeeds iff the system is uniquely solvable, so no payload needs to be
+touched.  Tests additionally round-trip payloads through the plans for
+defence in depth.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.codes.decoder import UnrecoverableError, build_recovery_plan
+from repro.codes.decoder import UnrecoverableError, eliminate_recovery_plan
 from repro.codes.geometry import CodeLayout
 
 __all__ = ["MdsReport", "certify_mds", "check_double_erasures"]
@@ -46,7 +47,7 @@ def check_erasures(layout: CodeLayout, tolerance: int = 2) -> list[tuple[int, ..
             if (r, c) not in layout.virtual_cells
         )
         try:
-            build_recovery_plan(layout, lost)
+            eliminate_recovery_plan(layout, lost)
         except UnrecoverableError:
             failures.append(combo)
     return failures

@@ -3,14 +3,16 @@
 Erasure decoding splits into two phases: a *planning* phase that depends
 only on the geometry and the erasure pattern (which cells are lost), and
 an *apply* phase that XORs payload blocks.  Planning is done once per
-pattern with GF(2) elimination and cached; applying is pure vectorised
-numpy.  This mirrors how production erasure-code libraries (jerasure,
-ISA-L) separate schedule generation from data movement.
+pattern by the peeling planner (:mod:`repro.codes.decoder`) and cached;
+applying is pure vectorised numpy.  This mirrors how production
+erasure-code libraries (jerasure, ISA-L) separate schedule generation
+from data movement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.codes.geometry import Cell
 
@@ -53,10 +55,12 @@ class RecoveryPlan:
     def total_xors(self) -> int:
         return sum(s.xor_count for s in self.steps)
 
-    @property
+    @cached_property
     def read_set(self) -> frozenset[Cell]:
         """Distinct *surviving* cells the plan reads (recovered intermediates
-        excluded) — the paper's single-disk-recovery read-I/O metric."""
+        excluded) — the paper's single-disk-recovery read-I/O metric.
+        Computed once per plan: rebuild and degraded reads consult it for
+        every stripe-group."""
         lost = set(self.lost)
         return frozenset(src for s in self.steps for src in s.sources if src not in lost)
 

@@ -1,6 +1,7 @@
 """The paper's contribution: Code 5-6 algorithms beyond raw geometry.
 
-* :mod:`repro.core.chain_decoder` — Algorithm 1 (two recovery chains)
+* :mod:`repro.core.chain_decoder` — Algorithm 1 (two recovery chains, the
+  peel order of :func:`repro.codes.build_recovery_plan`)
 * :mod:`repro.core.recovery` — hybrid single-disk recovery (Fig. 6)
 * :mod:`repro.core.conversion` — bidirectional migration (Algorithm 2)
 * :mod:`repro.core.virtual` — virtual disks for any array width

@@ -1,31 +1,34 @@
 """Algorithm 1 of the paper: Code 5-6 double-erasure reconstruction.
 
-The generic GF(2) decoder (:mod:`repro.codes.decoder`) recovers any
-pattern but expresses each lost cell directly in surviving cells, which
-costs extra XORs.  Algorithm 1 instead *walks two recovery chains*:
+Algorithm 1 recovers two failed columns by *walking two recovery
+chains*, and that walk is exactly the peel order of the library's one
+planner, :func:`repro.codes.decoder.build_recovery_plan`:
 
 * **Case I** — the diagonal parity column ``p-1`` is one of the failures:
-  rebuild the square column row-by-row through horizontal chains, then
-  recompute the diagonal column.
+  every horizontal chain has a single unknown, so the square column is
+  rebuilt row by row, then each diagonal parity from its diagonal.
 * **Case II** — two square columns ``f1 < f2 <= p-2`` fail: exactly two
   diagonal chains have a single lost member (the diagonals that *miss*
-  column ``f2`` and ``f1`` respectively), giving the starting points
-  ``C(f2-f1-1, f1)`` and ``C(p-1-(f2-f1), f2)``.  From each start the
-  walk alternates horizontal steps (recover the sibling cell in the other
-  failed column) and diagonal steps, terminating at the horizontal-parity
-  cells ``C(p-2-f2, f2)`` and ``C(p-2-f1, f1)``.
+  column ``f2`` and ``f1`` respectively), so they are peeled first,
+  giving the starting points ``C(f2-f1-1, f1)`` and
+  ``C(p-1-(f2-f1), f2)``.  Each recovered cell leaves its horizontal
+  chain with one unknown (its sibling in the other failed column), whose
+  recovery in turn opens the next diagonal, until the walks end at the
+  horizontal-parity cells ``C(p-2-f2, f2)`` and ``C(p-2-f1, f1)``.
 
-Every step uses one parity chain, so each lost element costs ``p-3``
-XORs — the optimal decoding complexity claimed in Section III-E.  The
-output is a standard :class:`RecoveryPlan`, validated against the generic
-decoder in the test suite.
+Every step uses one parity chain of ``p-2`` surviving or recovered
+cells, so each lost element costs ``p-3`` XORs — the optimal decoding
+complexity claimed in Section III-E.  This module keeps the paper's
+entry point as a validating wrapper over the planner, Theorem 1's
+starting points, and the per-chain source sets the hybrid single-disk
+recovery (:mod:`repro.core.recovery`, Fig. 6) is scored with.
 """
 
 from __future__ import annotations
 
-from repro.codes.code56 import horizontal_parity_cell
+from repro.codes.decoder import build_recovery_plan
 from repro.codes.geometry import Cell, CodeLayout
-from repro.codes.plans import RecoveryPlan, RecoveryStep
+from repro.codes.plans import RecoveryPlan
 
 __all__ = ["plan_double_column_recovery", "recovery_chain_starting_points"]
 
@@ -61,15 +64,8 @@ def _diagonal_sources(p: int, target: Cell) -> tuple[Cell, ...]:
     return ((parity_row, p - 1), *siblings)
 
 
-def _recompute_diagonal_sources(p: int, parity_row: int) -> tuple[Cell, ...]:
-    d = (parity_row - 1) % p
-    return tuple(
-        (r, j) for r in range(p - 1) for j in range(p - 1) if (r + j) % p == d
-    )
-
-
 def plan_double_column_recovery(layout: CodeLayout, f1: int, f2: int | None = None) -> RecoveryPlan:
-    """Build Algorithm 1's recovery plan for failed columns ``f1`` (and ``f2``).
+    """Algorithm 1's recovery plan for failed columns ``f1`` (and ``f2``).
 
     Handles single failures too (either a square column or the diagonal
     column), so callers can use one entry point for any disk-loss event.
@@ -78,70 +74,13 @@ def plan_double_column_recovery(layout: CodeLayout, f1: int, f2: int | None = No
         raise ValueError("the chain decoder is specific to Code 5-6")
     if layout.virtual_cols:
         raise ValueError(
-            "the chain walk assumes a full prime stripe; decode shortened "
-            "stripes with the generic decoder"
+            "Algorithm 1 assumes a full prime stripe; decode shortened "
+            "stripes with build_recovery_plan"
         )
     p = layout.p
-    if f2 is not None and f2 < f1:
-        f1, f2 = f2, f1
-    for f in (f1,) if f2 is None else (f1, f2):
+    cols = {f1} if f2 is None else {f1, f2}
+    for f in cols:
         if not 0 <= f <= p - 1:
             raise ValueError(f"column {f} outside stripe of {p} columns")
-    if f2 == f1:
-        f2 = None
-
-    steps: list[RecoveryStep] = []
-
-    def lost_cells(*cols: int) -> tuple[Cell, ...]:
-        return tuple((r, c) for c in cols for r in range(p - 1))
-
-    # ------------------------------------------------- single-column failure
-    if f2 is None:
-        if f1 == p - 1:
-            for i in range(p - 1):
-                steps.append(
-                    RecoveryStep(target=(i, p - 1), sources=_recompute_diagonal_sources(p, i))
-                )
-        else:
-            for i in range(p - 1):
-                steps.append(
-                    RecoveryStep(target=(i, f1), sources=_horizontal_sources(p, (i, f1)))
-                )
-        return RecoveryPlan(lost=lost_cells(f1), steps=tuple(steps))
-
-    # --------------------------------------------- Case I: diagonal col lost
-    if f2 == p - 1:
-        for i in range(p - 1):
-            steps.append(
-                RecoveryStep(target=(i, f1), sources=_horizontal_sources(p, (i, f1)))
-            )
-        for i in range(p - 1):
-            steps.append(
-                RecoveryStep(target=(i, p - 1), sources=_recompute_diagonal_sources(p, i))
-            )
-        return RecoveryPlan(lost=lost_cells(f1, p - 1), steps=tuple(steps))
-
-    # ------------------------------------- Case II: two square columns lost
-    start_a, start_b = recovery_chain_starting_points(p, f1, f2)
-
-    def walk(start: Cell, own_col: int, other_col: int) -> None:
-        """Walk one recovery chain from a diagonal-recoverable start."""
-        cur = start
-        steps.append(RecoveryStep(target=cur, sources=_diagonal_sources(p, cur)))
-        while True:
-            # Horizontal step: the sibling of `cur` in the other failed column.
-            sibling = (cur[0], other_col)
-            steps.append(
-                RecoveryStep(target=sibling, sources=_horizontal_sources(p, sibling))
-            )
-            if sibling == horizontal_parity_cell(p, sibling[0]):
-                return  # endpoint: the row parity itself, just recomputed
-            # Diagonal step: the next lost cell of `sibling`'s diagonal is in
-            # our own column at row (r + other - own) mod p.
-            nxt = ((sibling[0] + other_col - own_col) % p, own_col)
-            steps.append(RecoveryStep(target=nxt, sources=_diagonal_sources(p, nxt)))
-            cur = nxt
-
-    walk(start_a, own_col=f1, other_col=f2)
-    walk(start_b, own_col=f2, other_col=f1)
-    return RecoveryPlan(lost=lost_cells(f1, f2), steps=tuple(steps))
+    lost = tuple((r, c) for c in sorted(cols) for r in range(p - 1))
+    return build_recovery_plan(layout, lost)

@@ -31,7 +31,7 @@ def rebuild_trace(
 
     The plan must recover exactly that column (e.g. from
     :func:`repro.core.plan_generic_hybrid_recovery` or a column plan from
-    the generic decoder).  Disk = code column (identity mapping, the NLB
+    :func:`repro.codes.build_recovery_plan`).  Disk = code column (identity mapping, the NLB
     layout); the replacement disk receives the writes.
     """
     lost_cols = {c for _r, c in plan.lost}

@@ -1,17 +1,33 @@
-"""Algorithm 1 (two recovery chains) vs the generic decoder."""
+"""Algorithm 1 (two recovery chains) as the peel order of the planner.
+
+``plan_double_column_recovery`` is a validating wrapper over
+``build_recovery_plan``; these tests pin the paper's walk as properties
+of the plan it returns: Theorem 1's starting points are peeled first,
+every step extends a walk through one parity chain, and each lost cell
+costs exactly ``p-3`` XORs.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from repro.codes import apply_recovery_plan, code56_layout, get_code
+from repro.codes import (
+    apply_recovery_plan,
+    build_recovery_plan,
+    code56_layout,
+    eliminate_recovery_plan,
+    get_code,
+)
+from repro.codes.code56 import horizontal_parity_cell
 from repro.core.chain_decoder import (
+    _diagonal_sources,
+    _horizontal_sources,
     plan_double_column_recovery,
     recovery_chain_starting_points,
 )
 
-PRIMES = (5, 7, 11)
+PRIMES = (5, 7, 11, 13)
 
 
 class TestStartingPoints:
@@ -91,15 +107,29 @@ class TestChainDecoder:
         data = rng.integers(0, 256, size=(code.num_data, 16), dtype=np.uint8)
         stripe = code.make_stripe(data)
         for f1, f2 in itertools.combinations(range(p), 2):
+            lost = tuple((r, c) for c in (f1, f2) for r in range(p - 1))
             via_chain = stripe.copy()
             via_chain[:, f1, :] = 0
             via_chain[:, f2, :] = 0
             apply_recovery_plan(plan_double_column_recovery(lay, f1, f2), via_chain)
-            via_generic = stripe.copy()
-            via_generic[:, f1, :] = 0
-            via_generic[:, f2, :] = 0
-            apply_recovery_plan(code.plan_column_recovery(f1, f2), via_generic)
-            assert np.array_equal(via_chain, via_generic)
+            via_oracle = stripe.copy()
+            via_oracle[:, f1, :] = 0
+            via_oracle[:, f2, :] = 0
+            apply_recovery_plan(eliminate_recovery_plan(lay, lost), via_oracle)
+            assert np.array_equal(via_chain, via_oracle)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_is_the_planners_plan(self, p):
+        """The wrapper validates and delegates; ArrayCode gets the same plan."""
+        lay = code56_layout(p)
+        code = get_code("code56", p)
+        for cols in itertools.chain(
+            itertools.combinations(range(p), 1), itertools.combinations(range(p), 2)
+        ):
+            lost = tuple((r, c) for c in cols for r in range(p - 1))
+            plan = plan_double_column_recovery(lay, *cols)
+            assert plan == build_recovery_plan(lay, lost)
+            assert plan == code.plan_column_recovery(*cols)
 
     def test_rejects_other_codes(self):
         from repro.codes import rdp_layout
@@ -116,3 +146,41 @@ class TestChainDecoder:
         lay = code56_layout(5)
         with pytest.raises(ValueError):
             plan_double_column_recovery(lay, 0, 5)
+
+
+class TestAlgorithm1PeelOrder:
+    """Algorithm 1 is a property of the peel order, not a second planner."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_starting_points_are_peeled_first(self, p):
+        lay = code56_layout(p)
+        for f1, f2 in itertools.combinations(range(p - 1), 2):
+            plan = plan_double_column_recovery(lay, f1, f2)
+            first_two = {step.target for step in plan.steps[:2]}
+            assert first_two == set(recovery_chain_starting_points(p, f1, f2)), (p, f1, f2)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_every_step_extends_a_walk_by_one_chain(self, p):
+        """Each step reads one chain of Eq. 3 or Eq. 5.  Apart from the two
+        starts it reuses exactly one recovered cell, recovered through the
+        other chain family, and the walks end at the two horizontal-parity
+        cells of the failed columns."""
+        lay = code56_layout(p)
+        for f1, f2 in itertools.combinations(range(p - 1), 2):
+            plan = plan_double_column_recovery(lay, f1, f2)
+            family: dict = {}
+            for n, step in enumerate(plan.steps):
+                sources = set(step.sources)
+                if sources == set(_horizontal_sources(p, step.target)):
+                    family[step.target] = "horizontal"
+                else:
+                    assert sources == set(_diagonal_sources(p, step.target)), step
+                    family[step.target] = "diagonal"
+                reused = [src for src in step.sources if src in family]
+                if n < 2:
+                    assert reused == [] and family[step.target] == "diagonal"
+                else:
+                    assert len(reused) == 1, step
+                    assert family[reused[0]] != family[step.target], step
+            for f in (f1, f2):
+                assert family[horizontal_parity_cell(p, p - 2 - f)] == "horizontal"

@@ -46,6 +46,11 @@ class TestRecoveryPlanValidation:
         assert plan.read_set == frozenset({(0, 2)})
         assert plan.total_reads == 1
 
+    def test_read_set_is_computed_once(self):
+        plan = get_code("code56", 5).plan_column_recovery(1, 3)
+        assert plan.read_set is plan.read_set
+        assert plan.total_reads == len(plan.read_set)
+
 
 class TestGenericDecoder:
     @pytest.mark.parametrize("name", ["code56", "rdp", "evenodd", "xcode", "pcode", "hcode", "hdp"])
