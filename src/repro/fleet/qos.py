@@ -9,10 +9,12 @@ volume's tick-domain schedule.  Two mechanisms arbitrate:
   foreground path is never throttled.
 * :class:`CircuitBreaker` — a sliding window over foreground latencies
   (stall + service, the number :func:`repro.obs.record.
-  record_online_report` histograms).  When the windowed p50/p95/p99
-  breaches the tenant's :class:`QosTarget` the breaker trips: conversion
-  pauses, backing off on the shared :class:`repro.util.retry.Backoff`
-  curve (bounded exponential), and resumes from the journal watermark.
+  record_online_report` histograms).  When a windowed quantile that
+  the tenant's :class:`QosTarget` constrains (p50, p95 or p99; only the
+  constrained ones are computed) breaches its limit the breaker trips:
+  conversion pauses, backing off on the shared
+  :class:`repro.util.retry.Backoff` curve (bounded exponential), and
+  resumes from the journal watermark.
   Consecutive breaches escalate the backoff; a clean re-probe resets it.
 
 Both are pure tick-domain objects — deterministic, clockless, owned by
@@ -53,14 +55,24 @@ class QosTarget:
     p95_ticks: float | None = None
     p99_ticks: float | None = 60.0
 
-    def breached_by(self, p50: float, p95: float, p99: float) -> str | None:
-        """Name of the first breached quantile, or None."""
-        for name, value, limit in (
-            ("p50", p50, self.p50_ticks),
-            ("p95", p95, self.p95_ticks),
-            ("p99", p99, self.p99_ticks),
-        ):
-            if limit is not None and value > limit:
+    def breached_by(self, latencies) -> str | None:
+        """Name of the first quantile of ``latencies`` (p50, p95, p99
+        order) over its limit, or None.  Only constrained quantiles are
+        computed, in one ``np.percentile`` call."""
+        limits = [
+            (name, q, limit)
+            for name, q, limit in (
+                ("p50", 50.0, self.p50_ticks),
+                ("p95", 95.0, self.p95_ticks),
+                ("p99", 99.0, self.p99_ticks),
+            )
+            if limit is not None
+        ]
+        if not limits or not len(latencies):
+            return None
+        values = np.percentile(np.asarray(latencies), [q for _n, q, _l in limits])
+        for (name, _q, limit), value in zip(limits, values):
+            if value > limit:
                 return name
         return None
 
@@ -155,11 +167,6 @@ class CircuitBreaker:
         """When the current pause ends (None while closed)."""
         return self._open_until
 
-    def percentile(self, q: float) -> float:
-        if not self._lat:
-            return 0.0
-        return float(np.percentile(np.asarray(self._lat), q))
-
     # ------------------------------------------------------------- updates
     def observe(self, latency: float, tick: float) -> bool:
         """Record one foreground latency; returns True when this trips.
@@ -177,9 +184,7 @@ class CircuitBreaker:
             del self._lat[: len(self._lat) - self.window]
         if len(self._lat) < self.min_samples:
             return False
-        breach = self.target.breached_by(
-            self.percentile(50), self.percentile(95), self.percentile(99)
-        )
+        breach = self.target.breached_by(self._lat)
         if breach is None:
             if self._open_until is not None and tick >= self._open_until:
                 # clean sample after the pause: close fully, reset curve

@@ -5,7 +5,9 @@
 byte segment (each volume's :class:`~repro.raid.array.BlockArray` is a
 zero-copy view into it, the thread-pool analogue of an shm-backed
 store), admits at most ``clients`` of them concurrently through a
-worker pool, arbitrates hot spares through the shared
+worker pool — each worker provisions its volume (data, RAID-5 fill,
+converter) and drives it to a result, so at most ``clients`` volumes
+are alive at once — arbitrates hot spares through the shared
 :class:`~repro.fleet.spares.SparePool`, and merges the per-volume
 results into one JSON-ready fleet report with explicit pass/fail gates:
 
@@ -168,14 +170,19 @@ class FleetService:
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=cfg.clients) as pool:
             futures = [
-                pool.submit(FleetVolume(spec, buffer=segment[spec.volume_id]).run,
-                            self.spares)
+                pool.submit(self._run_volume, spec, segment[spec.volume_id])
                 for spec in specs
             ]
             results = [f.result() for f in futures]
         elapsed = time.perf_counter() - started
         results.sort(key=lambda r: r["volume_id"])
         return self._merge(results, elapsed)
+
+    def _run_volume(self, spec: VolumeSpec, buffer: np.ndarray) -> dict:
+        """Provision one volume and drive it to its result doc, on a worker:
+        a volume lives only while its worker runs it, so at most
+        ``clients`` volumes are alive at once."""
+        return FleetVolume(spec, buffer=buffer).run(self.spares)
 
     # ------------------------------------------------------------ reporting
     def _merge(self, results: list[dict], elapsed: float) -> dict:

@@ -14,7 +14,9 @@ step — the horizontal row XOR plus, when the diagonal parity of that
 stripe's row is journal-marked, its Code 5-6 chain XOR.  The fleet
 scheduler feeds it whatever ticks are left between request arrivals once
 conversion has drained, so silent corruption surfaces while the volume
-is still under management instead of at the next full audit.
+is still under management instead of at the next full audit.  Its
+:meth:`~ScrubCursor.sweep` does a whole pass of steps in one tensor
+pass: the final scrub before a volume reports complete.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import threading
 
 import numpy as np
 
+from repro.codes.code56 import diagonal_chain_index
 from repro.raid.raid5 import row_xor_raw
 
 __all__ = ["SparePool", "ScrubCursor"]
@@ -76,7 +79,9 @@ class ScrubCursor:
     Each :meth:`step` checks one stripe out-of-band (raw reads — scrub
     is the recovery plane's scan, not counted array traffic) and costs
     the caller ``m`` ticks of idle slack, the stripe-read budget a real
-    scrubber would spend.
+    scrubber would spend, plus one tick when it also checks the row's
+    diagonal parity.  :meth:`sweep` is ``stripes`` steps in one pass:
+    the fleet's final scrub before a volume reports complete.
     """
 
     def __init__(self, conv) -> None:
@@ -91,6 +96,22 @@ class ScrubCursor:
     def stripes(self) -> int:
         return self.conv.groups * self.conv.rows
 
+    def _checks(self) -> tuple[bool, bool]:
+        """Which parities a scrub may check now: (horizontal, diagonal).
+
+        Neither while a RAID-5 row member is failed (its raw bytes are
+        stale by design; rows are checked again once rebuilt); diagonals
+        only with a journal and a live diagonal disk.
+        """
+        conv = self.conv
+        failed = conv.array.failed_disks
+        horizontal = not any(d < conv.m for d in failed)
+        return horizontal, horizontal and conv.journal is not None and conv.m not in failed
+
+    def _record(self, stripe: int, kind: str) -> None:
+        self.errors_found += 1
+        self.errors.append((stripe, kind))
+
     def step(self) -> int:
         """Scrub the next stripe; returns the tick cost (0 if no stripes)."""
         total = self.stripes
@@ -101,29 +122,57 @@ class ScrubCursor:
         stripe = self._stripe
         self._stripe = (stripe + 1) % total
         self.stripes_scrubbed += 1
-        failed = array.failed_disks
+        horizontal, diagonal = self._checks()
         cost = m
-        # horizontal parity: XOR over the RAID-5 row must balance —
-        # skipped while a row member is failed (its raw bytes are stale
-        # by design; the row is checked again once rebuilt)
-        if not any(d < m for d in failed):
-            if row_xor_raw(array, stripe, m).any():
-                self.errors_found += 1
-                self.errors.append((stripe, "horizontal"))
+        # horizontal parity: XOR over the RAID-5 row must balance
+        if horizontal and row_xor_raw(array, stripe, m).any():
+            self._record(stripe, "horizontal")
         # diagonal parity of this stripe's row, once journal-marked
         group, row = divmod(stripe, conv.rows)
-        journal = conv.journal
-        if (
-            journal is not None
-            and journal.is_marked(group, row)
-            and m not in failed
-            and not any(d < m for d in failed)
-        ):
+        if diagonal and conv.journal.is_marked(group, row):
             cost += 1
             if not np.array_equal(conv.chain_xor_uncounted(group, row), array.raw(m, stripe)):
-                self.errors_found += 1
-                self.errors.append((stripe, "diagonal"))
+                self._record(stripe, "diagonal")
         return cost
+
+    def sweep(self) -> int:
+        """One full pass from the cursor: ``stripes`` calls to :meth:`step`.
+
+        Same tick cost, counters and error list (same order), computed
+        for the whole volume at once: one row XOR-reduce over the RAID-5
+        disks and one reduction of every diagonal chain of every group,
+        the latter checked only for journal-marked rows.  The cursor ends
+        where it started.
+        """
+        total = self.stripes
+        if total == 0:
+            return 0
+        conv = self.conv
+        m, rows = conv.m, conv.rows
+        horizontal, diagonal = self._checks()
+        view = conv.array.bulk_view(slice(0, m + 1), slice(0, total))
+        bad_h = np.zeros(total, dtype=bool)
+        bad_d = np.zeros(total, dtype=bool)
+        marked = 0
+        if horizontal:
+            bad_h = np.bitwise_xor.reduce(view[:m], axis=0).any(axis=-1)
+        if diagonal:
+            chain_rows, chain_cols = diagonal_chain_index(conv.p)
+            square = view[:m].reshape(m, conv.groups, rows, -1)
+            # (rows, p-2, groups, block) -> XOR of each chain, per group
+            chains = np.bitwise_xor.reduce(square[chain_cols, :, chain_rows], axis=1)
+            parity = view[m].reshape(conv.groups, rows, -1)
+            mask = conv.journal.marked()
+            bad_d = (np.any(chains.transpose(1, 0, 2) != parity, axis=-1) & mask).ravel()
+            marked = int(mask.sum())
+        for stripe in np.flatnonzero(np.roll(bad_h | bad_d, -self._stripe)):
+            stripe = (int(stripe) + self._stripe) % total
+            if bad_h[stripe]:
+                self._record(stripe, "horizontal")
+            if bad_d[stripe]:
+                self._record(stripe, "diagonal")
+        self.stripes_scrubbed += total
+        return m * total + marked
 
     def snapshot(self) -> dict:
         return {

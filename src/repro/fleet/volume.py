@@ -29,7 +29,14 @@ work between foreground arrivals:
    the journal watermark", the same transition the model checker proves
    safe (its ``P`` rule).
 3. **scrub**: idle-slack parity verification once conversion has
-   drained, plus one full pass before the volume reports complete.
+   drained (:meth:`ScrubCursor.step`), plus one full pass before the
+   volume reports complete (:meth:`ScrubCursor.sweep`, the whole volume
+   in one tensor pass).
+
+Provisioning is whole-array work too: the seeded data lands through one
+vectorized RAID-5 fill (:meth:`Raid5Array.format_with`).  The fleet
+service constructs each volume on the worker that drives it, so a
+volume holds memory only while it runs.
 
 Completion is audited two ways: the converter's own Code 5-6 stripe
 audit, and a byte-for-byte comparison against the analytically
@@ -37,18 +44,19 @@ constructed offline-conversion image of the final logical data (RAID-5
 rows + Code 5-6 diagonals over the truth model) — zero divergence means
 the online migration landed exactly where an offline conversion of the
 same writes would have.  Both audits are whole-array tensor operations:
-the reference image is built from cached placement and chain indices
-and compared with an uncounted view of the array, never a copy.
+the reference image is built from the cached
+:func:`~repro.raid.layouts.raid5_placement` table and
+:func:`~repro.codes.code56.diagonal_chain_index` and compared with an
+uncounted view of the array, never a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells
+from repro.codes.code56 import diagonal_chain_index
 from repro.faults.errors import ConversionCrash
 from repro.faults.events import DiskFailureEvent
 from repro.faults.plane import FaultPlane
@@ -57,41 +65,13 @@ from repro.fleet.health import VolumeHealth, VolumeState
 from repro.fleet.qos import CircuitBreaker, QosTarget, TokenBucket
 from repro.fleet.spares import ScrubCursor, SparePool
 from repro.raid.array import BlockArray
-from repro.raid.layouts import Raid5Layout, locate_block, parity_disk
+from repro.raid.layouts import Raid5Layout, raid5_placement
 from repro.raid.raid5 import Raid5Array, row_xor
 
 __all__ = ["VolumeSpec", "FleetVolume"]
 
 #: resume attempts per volume before declaring the crash schedule hostile
 _MAX_CRASH_RESUMES = 8
-
-
-@lru_cache(maxsize=16)
-def _raid5_placement(
-    layout: Raid5Layout, m: int, stripes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(stripe, disk)`` of every LBA and the parity disk of every stripe
-    of an ``m``-disk RAID-5, from :func:`locate_block` / :func:`parity_disk`."""
-    capacity = stripes * (m - 1)
-    place = np.array(
-        [locate_block(layout, lba, m) for lba in range(capacity)], dtype=np.intp
-    ).reshape(capacity, 2)
-    parity = np.array([parity_disk(layout, s, m) for s in range(stripes)], dtype=np.intp)
-    out = (place[:, 0], place[:, 1], parity)
-    for index in out:
-        index.flags.writeable = False  # shared by every volume of this shape
-    return out
-
-
-@lru_cache(maxsize=None)
-def _diagonal_chains(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)`` of each diagonal chain, one row per parity row:
-    two ``(p-1, p-2)`` index arrays from :func:`diagonal_chain_cells`."""
-    cells = np.array([diagonal_chain_cells(p, row) for row in range(p - 1)], dtype=np.intp)
-    chain_rows, chain_cols = cells[..., 0], cells[..., 1]
-    chain_rows.flags.writeable = False
-    chain_cols.flags.writeable = False
-    return chain_rows, chain_cols
 
 
 @dataclass(frozen=True)
@@ -147,7 +127,7 @@ class FleetVolume:
         else:
             self.array = BlockArray(p, stripes, block_size=bs)
         self.layout = Raid5Layout.LEFT_ASYMMETRIC
-        Raid5Array(self.array, self.layout, n_disks=self.m).format_with(self.data.copy())
+        Raid5Array(self.array, self.layout, n_disks=self.m).format_with(self.data)
         from repro.faults.journal import OnlineJournal
 
         self.journal = OnlineJournal(spec.groups, rows)
@@ -443,12 +423,11 @@ class FleetVolume:
 
     # ----------------------------------------------------------- completion
     def _final_scrub(self, clock: float) -> float:
-        """One full scrub pass before reporting complete."""
+        """One full scrub pass (:meth:`ScrubCursor.sweep`) before reporting
+        complete."""
         if self.health.terminal or self.array.failed_disks:
             return clock
-        for _ in range(self.scrub.stripes):
-            clock += self.scrub.step()
-        return clock
+        return clock + self.scrub.sweep()
 
     def reference_snapshot(self) -> np.ndarray:
         """The offline-conversion image of the final logical data.
@@ -458,7 +437,7 @@ class FleetVolume:
         the bytes an offline conversion of the post-write image
         produces (both parity families are determined by the data).
         Independent of the converter: data lands through the cached
-        ``locate_block`` index, each horizontal parity is one XOR-reduce
+        :func:`raid5_placement` table, each horizontal parity is one XOR-reduce
         over the ``m`` RAID-5 disks, and each diagonal chain is reduced
         for every group at once.
         """
@@ -469,13 +448,13 @@ class FleetVolume:
         if self.applied:
             lbas = np.fromiter(self.applied, dtype=np.intp, count=len(self.applied))
             final[lbas] = np.stack(list(self.applied.values()))
-        stripe_of, disk_of, parity_of = _raid5_placement(self.layout, m, stripes)
+        stripe_of, disk_of, parity_of = raid5_placement(self.layout, m, stripes)
         expect = np.zeros((spec.p, stripes, bs), dtype=np.uint8)
         expect[disk_of, stripe_of] = final
         # the parity slot of each row is still zero, so the row XOR over
         # all m disks is the horizontal parity
         expect[parity_of, np.arange(stripes)] = np.bitwise_xor.reduce(expect[:m], axis=0)
-        chain_rows, chain_cols = _diagonal_chains(spec.p)
+        chain_rows, chain_cols = diagonal_chain_index(spec.p)
         square = expect[:m].reshape(m, spec.groups, rows, bs)
         # (rows, p-2, groups, block): chain members of every group
         members = square[chain_cols, :, chain_rows]

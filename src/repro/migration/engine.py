@@ -32,7 +32,7 @@ import numpy as np
 from repro.migration.plan import ConversionPlan, GroupWork
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
-from repro.raid.raid5 import Raid5Array, row_xor_raw
+from repro.raid.raid5 import Raid5Array
 
 __all__ = ["ConversionResult", "prepare_source_array", "execute_plan", "verify_conversion"]
 
@@ -64,14 +64,15 @@ def prepare_source_array(
     """Build the pre-conversion world: a formatted RAID-5 plus blank disks.
 
     The array is sized for the converted layout (reserved capacity and
-    hot-added disks included); the RAID-5 occupies the source region.
+    hot-added disks included); the RAID-5 occupies the source region,
+    filled uncounted by :meth:`Raid5Array.format_with`, so every I/O
+    counter starts at zero.
     ``data`` supplies the logical payload explicitly (``(data_blocks,
     block_size)`` uint8 — e.g. a slice of a shared-memory pool in
     :mod:`repro.sweep`); by default it is drawn from ``rng``.
     """
     array = BlockArray(plan.n, plan.blocks_per_disk, block_size)
     source = Raid5Array(array, plan.source_layout, n_disks=plan.m)
-    stripes = plan.data_blocks // (plan.m - 1)
     if data is None:
         data = rng.integers(
             0, 256, size=(plan.data_blocks, block_size), dtype=np.uint8
@@ -82,15 +83,7 @@ def prepare_source_array(
             raise ValueError(
                 f"data must be ({plan.data_blocks}, {block_size}), got {data.shape}"
             )
-    # format only the source region: format_with targets the whole disk, so
-    # place blocks manually through the layout mapping.
-    for lba in range(plan.data_blocks):
-        stripe, disk = source.locate(lba)
-        array.raw(disk, stripe)[...] = data[lba]
-    for stripe in range(stripes):
-        pd = source.parity_disk(stripe)
-        array.raw(pd, stripe)[...] = row_xor_raw(array, stripe, plan.m, (pd,))
-    array.reset_counters()
+    source.format_with(data, stripes=plan.data_blocks // (plan.m - 1))
     return array, data
 
 

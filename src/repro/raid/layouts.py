@@ -16,8 +16,14 @@ rotations are implemented, matching the Linux md driver's definitions:
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 
-__all__ = ["Raid5Layout", "parity_disk", "data_disk", "locate_block", "cell_role"]
+import numpy as np
+
+__all__ = [
+    "Raid5Layout", "parity_disk", "data_disk", "locate_block", "cell_role",
+    "raid5_placement",
+]
 
 
 class Raid5Layout(enum.Enum):
@@ -79,3 +85,31 @@ def cell_role(layout: Raid5Layout, stripe: int, disk: int, n: int) -> int | None
     if layout.is_symmetric:
         return (disk - pd - 1) % n
     return disk if disk < pd else disk - 1
+
+
+@lru_cache(maxsize=64)
+def raid5_placement(
+    layout: Raid5Layout, n: int, stripes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whole-array placement table of the first ``stripes`` rows of an
+    ``n``-disk RAID-5: ``(stripe_of, disk_of, parity_of)``.
+
+    ``stripe_of[lba], disk_of[lba]`` is :func:`locate_block` of every
+    logical block ``0 .. stripes*(n-1)-1`` and ``parity_of[s]`` is
+    :func:`parity_disk` of every stripe, computed for all blocks at once.
+    The arrays are cached, shared by every caller and read-only.
+    """
+    if n < 2:
+        raise ValueError("RAID-5 needs >= 2 disks")
+    stripe = np.arange(stripes, dtype=np.intp)
+    parity_of = (n - 1) - stripe % n if layout.is_left else stripe % n
+    stripe_of, k = np.divmod(np.arange(stripes * (n - 1), dtype=np.intp), n - 1)
+    pd = parity_of[stripe_of]
+    if layout.is_symmetric:
+        disk_of = (pd + 1 + k) % n
+    else:
+        disk_of = k + (k >= pd)
+    out = (stripe_of, disk_of, parity_of)
+    for index in out:
+        index.flags.writeable = False
+    return out

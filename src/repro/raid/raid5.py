@@ -10,9 +10,9 @@ the XOR of the other members of its row.  :func:`row_xor` (counted) and
 :func:`row_xor_raw` (uncounted) are its only implementations; degraded
 reads, rebuilds, the conversion engines' reconstruct-on-read
 (:class:`repro.faults.degraded.ReconstructingReader`) and the fleet's
-rebuild staging all call them.  The scrub (:meth:`Raid5Array.verify`)
-checks the equation for every row at once: one kernel XOR-reduce over
-the disks' views.
+rebuild staging all call them.  The fill (:meth:`Raid5Array.format_with`)
+and the scrub (:meth:`Raid5Array.verify`) apply the equation to every row
+at once: one XOR-reduce over the disks' views.
 """
 
 from __future__ import annotations
@@ -23,7 +23,14 @@ import numpy as np
 
 from repro.kernels import resolve_kernel
 from repro.raid.array import BlockArray
-from repro.raid.layouts import Raid5Layout, cell_role, data_disk, locate_block, parity_disk
+from repro.raid.layouts import (
+    Raid5Layout,
+    cell_role,
+    data_disk,
+    locate_block,
+    parity_disk,
+    raid5_placement,
+)
 
 __all__ = ["Raid5Array", "row_xor", "row_xor_raw"]
 
@@ -45,7 +52,7 @@ def row_xor(array: BlockArray, block: int, width: int, skip: Container[int] = ()
 def row_xor_raw(
     array: BlockArray, block: int, width: int, skip: Container[int] = ()
 ) -> np.ndarray:
-    """Uncounted :func:`row_xor` over raw bytes (audits, scans, fills)."""
+    """Uncounted :func:`row_xor` over raw bytes (audits, scans)."""
     acc = np.zeros(array.block_size, dtype=np.uint8)
     for d in range(width):
         if d not in skip:
@@ -102,23 +109,33 @@ class Raid5Array:
         return locate_block(self.layout, lba, self.n)
 
     # ------------------------------------------------------------- bulk fill
-    def format_with(self, data: np.ndarray) -> None:
+    def format_with(self, data: np.ndarray, stripes: int | None = None) -> None:
         """Write logical data blocks 0..len-1 and compute all parities.
 
-        Uncounted (models the array's pre-existing state, not migration
-        traffic).
+        ``stripes`` limits the fill to the first ``stripes`` rows (the
+        source region of an array sized for a larger layout); by default
+        every row is filled.  ``data`` must hold exactly the logical
+        blocks of those rows.
+
+        One scatter through the cached :func:`raid5_placement` table, then
+        one XOR-reduce over the ``n`` disks writes every horizontal parity;
+        the parity slots are zeroed first, so prior contents never leak
+        into them.  Uncounted (models the array's pre-existing state, not
+        migration traffic).
         """
+        stripes = self.stripes if stripes is None else stripes
+        if not 0 <= stripes <= self.stripes:
+            raise ValueError(f"stripes {stripes} outside 0..{self.stripes}")
         data = np.asarray(data, dtype=np.uint8)
-        if data.shape != (self.capacity_blocks, self.array.block_size):
-            raise ValueError(
-                f"need ({self.capacity_blocks}, {self.array.block_size}) blocks"
-            )
-        for lba in range(self.capacity_blocks):
-            stripe, disk = self.locate(lba)
-            self.array.raw(disk, stripe)[...] = data[lba]
-        for stripe in range(self.stripes):
-            pd = self.parity_disk(stripe)
-            self.array.raw(pd, stripe)[...] = row_xor_raw(self.array, stripe, self.n, (pd,))
+        need = (stripes * (self.n - 1), self.array.block_size)
+        if data.shape != need:
+            raise ValueError(f"need {need} blocks")
+        stripe_of, disk_of, parity_of = raid5_placement(self.layout, self.n, stripes)
+        region = self.array.bulk_view(slice(0, self.n), slice(0, stripes))
+        rows = np.arange(stripes)
+        region[disk_of, stripe_of] = data
+        region[parity_of, rows] = 0
+        region[parity_of, rows] = np.bitwise_xor.reduce(region, axis=0)
 
     # ------------------------------------------------------------------- I/O
     def read(self, lba: int) -> np.ndarray:
