@@ -10,7 +10,7 @@ disks — land on separate rows of the timeline.
 Disabled cost is one attribute check plus a shared no-op context
 manager: instrumented code calls ``tracer.span(...)`` unconditionally
 and pays nothing measurable when tracing is off (see
-``benchmarks/bench_obs_overhead.py`` for the proof against the compiled
+``tests/test_perf_floors.py`` for the gate against the compiled
 engine).
 """
 

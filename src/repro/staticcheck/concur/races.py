@@ -30,8 +30,8 @@ Rules (all purely syntactic — nothing is imported or executed):
   later pushed through ``os.replace``/``os.rename``.  A concurrent
   reader of such a file can observe a torn write.
 * **SC-R003** — a worker-context function stores into a shared-memory
-  buffer (a value derived from ``SharedNDArray.attach`` /
-  ``attach_block_array`` / ``shared_block_array`` / their ``.ndarray``).
+  buffer (a value derived from ``SharedNDArray.attach`` / ``create`` /
+  ``from_array`` or its ``.ndarray``).
   The sweep's shm segments are single-writer (the parent) by design;
   worker-side stores race every other attacher.  The runtime sanitizer
   (:mod:`repro.staticcheck.concur.sanitizer`) covers the aliasing this
@@ -80,9 +80,7 @@ _SINGLETON_MUTATORS = frozenset(
     {"set_registry", "set_tracer", "set_program_cache_dir"}
 )
 #: constructors whose results alias a shared-memory segment (SC-R003)
-_SHM_SOURCES = frozenset(
-    {"attach", "from_array", "create", "attach_block_array", "shared_block_array"}
-)
+_SHM_SOURCES = frozenset({"attach", "from_array", "create"})
 #: functions whose results name a pid/temp-private path (SC-R002)
 _PRIVATE_PATH_CALLS = frozenset(
     {"getpid", "mkstemp", "mkdtemp", "NamedTemporaryFile", "TemporaryDirectory"}

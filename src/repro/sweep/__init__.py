@@ -22,12 +22,7 @@ from repro.sweep.runner import (
     run_sweep,
     run_task,
 )
-from repro.sweep.shm import (
-    SharedNDArray,
-    ShmHandle,
-    attach_block_array,
-    shared_block_array,
-)
+from repro.sweep.shm import SharedNDArray, ShmHandle
 from repro.sweep.spec import SweepSpec, SweepTask, Workload, derive_seed, paper_grid_pairs
 
 __all__ = [
@@ -44,6 +39,4 @@ __all__ = [
     "POOL_BLOCKS",
     "SharedNDArray",
     "ShmHandle",
-    "shared_block_array",
-    "attach_block_array",
 ]

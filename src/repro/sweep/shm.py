@@ -26,9 +26,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
-from repro.raid.array import BlockArray
-
-__all__ = ["ShmHandle", "SharedNDArray", "shared_block_array", "attach_block_array"]
+__all__ = ["ShmHandle", "SharedNDArray"]
 
 
 @dataclass(frozen=True)
@@ -138,21 +136,3 @@ class SharedNDArray:
         state = "owner" if self._owner else "attached"
         return f"<SharedNDArray {self._shm.name} {state} closed={self._closed}>"
 
-
-def shared_block_array(
-    n_disks: int, blocks_per_disk: int, block_size: int = 16
-) -> tuple[BlockArray, SharedNDArray]:
-    """A :class:`BlockArray` whose store lives in shared memory.
-
-    Returns ``(array, segment)``; the caller owns the segment (unlink it
-    when done).  Workers rebuild the same array with
-    :func:`attach_block_array` — zero bytes pickled.
-    """
-    segment = SharedNDArray.create((n_disks, blocks_per_disk, block_size), np.uint8)
-    return BlockArray.over(segment.ndarray), segment
-
-
-def attach_block_array(handle: ShmHandle | dict) -> tuple[BlockArray, SharedNDArray]:
-    """Worker-side view of a :func:`shared_block_array` (same bytes)."""
-    segment = SharedNDArray.attach(handle)
-    return BlockArray.over(segment.ndarray), segment

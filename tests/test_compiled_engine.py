@@ -55,11 +55,19 @@ def _both_engines(plan, block_size=8, seed=0):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("p", [5, 7])
+    # groups=None is one alignment cycle; p=13 runs two groups of 512 B blocks
+    @pytest.mark.parametrize("p,groups,block_size", [
+        pytest.param(5, None, 8, id="5"),
+        pytest.param(7, None, 8, id="7"),
+        pytest.param(13, 2, 512, id="13"),
+    ])
     @pytest.mark.parametrize("code,approach", CONVERSIONS)
-    def test_bytes_counters_and_audit(self, code, approach, p):
-        plan = _cycle_plan(code, approach, p)
-        audited, compiled, result = _both_engines(plan)
+    def test_bytes_counters_and_audit(self, code, approach, p, groups, block_size):
+        if groups is None:
+            plan = _cycle_plan(code, approach, p)
+        else:
+            plan = build_plan(code, approach, p, groups=groups)
+        audited, compiled, result = _both_engines(plan, block_size=block_size)
         assert np.array_equal(audited.snapshot(), compiled.snapshot())
         assert np.array_equal(audited.reads, compiled.reads)
         assert np.array_equal(audited.writes, compiled.writes)

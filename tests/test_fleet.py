@@ -255,14 +255,26 @@ class TestFleetService:
         assert report["divergent_blocks"] == 0
         assert report["errors"] == []
 
-    def test_injected_failures_complete_through_spares(self):
-        report = run_fleet(
-            volumes=8, clients=4, spares=2, fail_volumes=(2, 5), fail_disk=1,
-            requests_per_volume=10,
-        )
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(
+            dict(volumes=8, clients=4, spares=2, fail_volumes=(2, 5),
+                 requests_per_volume=10),
+            id="8-volumes",
+        ),
+        pytest.param(
+            dict(volumes=16, clients=8, spares=4, fail_volumes=(3, 7, 11),
+                 requests_per_volume=12, batch=4, seed=2026),
+            id="16-volumes",
+        ),
+    ])
+    def test_injected_failures_complete_through_spares(self, cfg):
+        # report["ok"] holds even when a failed-disk volume ends "failed",
+        # so completion and rebuilds are checked volume by volume
+        report = run_fleet(fail_disk=1, **cfg)
         assert report["ok"], report["gates"]
-        assert report["rebuilds_completed"] >= 2
-        for vid in (2, 5):
+        assert report["volumes_complete"] == cfg["volumes"], report["states"]
+        assert report["rebuilds_completed"] >= len(cfg["fail_volumes"])
+        for vid in cfg["fail_volumes"]:
             vol = report["volumes"][vid]
             assert vol["state"] == "complete"
             assert vol["rebuilds_completed"] >= 1

@@ -1,0 +1,235 @@
+"""Same-run speed floors: every ratio is timed against its baseline here.
+
+Each floor compares two paths timed in this process, interleaved, never
+against a number recorded by another run.  Byte and counter identity
+with the audited path is asserted inside the timing loops, so a fast but
+wrong path cannot pass a floor.
+
+* whole-array batched online conversion >= 3x the budget-1 run/mark loop
+  (p=13, 4 KiB blocks, 24 groups);
+* the compiled offline engine >= 10x the audited engine on every
+  (code, approach) pair (p=13, ~192 groups);
+* the Fig-19-scale ``simulate_closed`` (0.6M data blocks) under 1 s,
+  FCFS and NCQ-64;
+* the disabled tracer costs < 5% of a compiled run, both as the direct
+  null-span cost and against paired baseline runs whose ``span()`` is a
+  bare ``nullcontext``.
+"""
+
+from contextlib import nullcontext
+from time import perf_counter
+
+import numpy as np
+import pytest
+
+from repro.compiled import compile_plan, execute_plan_compiled
+from repro.faults.journal import OnlineJournal
+from repro.migration import (
+    build_plan,
+    execute_plan,
+    prepare_source_array,
+    supported_conversions,
+)
+from repro.migration.approaches import alignment_cycle
+from repro.migration.online import OnlineCode56Conversion
+from repro.obs.tracer import Tracer, get_tracer, set_tracer
+from repro.simdisk import get_preset, simulate_closed
+from repro.workloads import conversion_trace
+
+P = 13
+
+
+# ------------------------------------------------------------ online runs
+
+ONLINE_BLOCK = 4096
+ONLINE_GROUPS = 24
+#: best of several rounds: a fused run takes a few ms and is memory bound,
+#: so one slow round on a shared host would sink the ratio
+ONLINE_ROUNDS = 5
+MIN_ONLINE_SPEEDUP = 3.0
+
+
+def test_whole_array_online_run_beats_budget_one(record_property):
+    plan = build_plan("code56", "direct", P, groups=ONLINE_GROUPS)
+    array, _ = prepare_source_array(
+        plan, np.random.default_rng(0), block_size=ONLINE_BLOCK
+    )
+    snapshot = array.snapshot()
+
+    def one_round(batch: int) -> float:
+        array.restore(snapshot)
+        array.reset_counters()
+        journal = OnlineJournal(ONLINE_GROUPS, P - 1)
+        conv = OnlineCode56Conversion(array, P, journal=journal, batch=batch)
+        t0 = perf_counter()
+        conv.run([])
+        elapsed = perf_counter() - t0
+        assert conv.verify()
+        return elapsed
+
+    base_s = one_round(1)
+    oracle = array.snapshot()
+    oracle_reads, oracle_writes = array.reads.copy(), array.writes.copy()
+
+    fused_s = float("inf")
+    for _ in range(ONLINE_ROUNDS):
+        fused_s = min(fused_s, one_round(ONLINE_GROUPS * (P - 1)))
+        assert np.array_equal(array.snapshot(), oracle)
+        assert np.array_equal(array.reads, oracle_reads)
+        assert np.array_equal(array.writes, oracle_writes)
+        base_s = min(base_s, one_round(1))
+
+    speedup = base_s / fused_s
+    record_property("speedup", speedup)
+    assert speedup >= MIN_ONLINE_SPEEDUP, (
+        f"whole-array batched speedup {speedup:.2f}x < {MIN_ONLINE_SPEEDUP}x"
+    )
+
+
+# -------------------------------------------------------- offline engines
+
+ENGINE_BLOCK = 32
+ENGINE_GROUPS = 192
+COMPILED_REPEATS = 5
+MIN_COMPILED_SPEEDUP = 10.0
+
+
+def _cycle_groups(code: str, approach: str) -> int:
+    """The smallest whole number of alignment cycles >= ENGINE_GROUPS."""
+    cycle = alignment_cycle(code, P, build_plan(code, approach, P, groups=1).n)
+    return cycle * -(-ENGINE_GROUPS // cycle)
+
+
+@pytest.fixture(scope="module")
+def engine_configs():
+    """Per pair: (plan, array, data, source snapshot), cache-warm programs."""
+    configs = []
+    for code, approach in supported_conversions():
+        plan = build_plan(code, approach, P, groups=_cycle_groups(code, approach))
+        array, data = prepare_source_array(
+            plan, np.random.default_rng(0), block_size=ENGINE_BLOCK
+        )
+        compile_plan(plan)
+        configs.append((plan, array, data, array.snapshot()))
+    return configs
+
+
+def _time_compiled(plan, array, data, snapshot) -> float:
+    array.restore(snapshot)
+    array.reset_counters()
+    t0 = perf_counter()
+    execute_plan_compiled(plan, array, data, program=compile_plan(plan))
+    return perf_counter() - t0
+
+
+def test_compiled_engine_beats_audited_on_every_pair(engine_configs, record_property):
+    speedups = {}
+    for plan, array, data, snapshot in engine_configs:
+        label = f"{plan.code.name}/{plan.approach}"
+        array.restore(snapshot)
+        t0 = perf_counter()
+        audited = execute_plan(plan, array, data)
+        audited_s = perf_counter() - t0
+        expect = array.snapshot()
+        expect_reads, expect_writes = array.reads.copy(), array.writes.copy()
+
+        compiled_s = min(
+            _time_compiled(plan, array, data, snapshot) for _ in range(COMPILED_REPEATS)
+        )
+        assert np.array_equal(array.snapshot(), expect), label
+        assert np.array_equal(array.reads, expect_reads), label
+        assert np.array_equal(array.writes, expect_writes), label
+        assert array.total_reads + array.total_writes == audited.measured_total, label
+
+        speedups[label] = audited_s / compiled_s
+
+    worst = min(speedups, key=speedups.get)
+    record_property("worst_speedup", speedups[worst])
+    assert speedups[worst] >= MIN_COMPILED_SPEEDUP, (
+        f"{worst}: compiled speedup {speedups[worst]:.1f}x < {MIN_COMPILED_SPEEDUP}x"
+    )
+
+
+# ------------------------------------------------- Fig-19 trace simulation
+
+@pytest.mark.parametrize("window", [None, 64], ids=["fcfs", "ncq64"])
+def test_fig19_scale_simulation_under_one_second(window, record_property):
+    p = 5
+    plan = build_plan("code56", "direct", p, groups=alignment_cycle("code56", p, p))
+    trace = conversion_trace(
+        plan, total_data_blocks=600_000, block_size=4096, lb_rotation_period=16
+    )
+    model = get_preset("sata-7200")
+    best = float("inf")
+    for _ in range(3):
+        t0 = perf_counter()
+        simulate_closed(trace, model, reorder_window=window)
+        best = min(best, perf_counter() - t0)
+    record_property("seconds", best)
+    assert best < 1.0, f"simulate_closed took {best:.3f}s"
+
+
+# ------------------------------------------------- tracer overhead
+
+OBS_REPEATS = 9
+MAX_OVERHEAD_PCT = 5.0
+NULL_SPAN_CALLS = 200_000
+
+
+class _BareTracer(Tracer):
+    """The baseline: every ``span()`` is a bare ``nullcontext``."""
+
+    def span(self, *args, **kwargs):
+        return nullcontext()
+
+
+def _null_span_s() -> float:
+    """Seconds per disabled ``Tracer.span()`` call, best of five."""
+    tracer = Tracer(enabled=False)
+    best = float("inf")
+    for _ in range(5):
+        t0 = perf_counter()
+        for _ in range(NULL_SPAN_CALLS):
+            with tracer.span("x", cat="bench"):
+                pass
+        best = min(best, perf_counter() - t0)
+    return best / NULL_SPAN_CALLS
+
+
+def test_disabled_tracer_overhead_under_five_percent(engine_configs, record_property):
+    """Each disabled run is timed right beside a baseline run, in
+    alternating order, and the overhead is the median of those paired
+    ratios: on a shared host a few-ms run is bimodal, so the best of N
+    per leg lands in different modes and swings by several percent."""
+    bare, off, on = _BareTracer(), Tracer(enabled=False), Tracer(enabled=True)
+    ratios = []
+    fastest_off, max_spans = float("inf"), 0
+    prev = get_tracer()
+    try:
+        for config in engine_configs:
+            for i in range(OBS_REPEATS):
+                legs = {}
+                for tracer in ((bare, off) if i % 2 else (off, bare)):
+                    set_tracer(tracer)
+                    legs[tracer] = _time_compiled(*config)
+                ratios.append(legs[off] / legs[bare])
+                fastest_off = min(fastest_off, legs[off])
+                set_tracer(on)
+                on.clear()
+                _time_compiled(*config)
+                assert len(on) > 0, "enabled run recorded no spans"
+                max_spans = max(max_spans, len(on))
+    finally:
+        set_tracer(prev)
+
+    paired_pct = (float(np.median(ratios)) - 1) * 100
+    record_property("paired_pct", paired_pct)
+    assert paired_pct < MAX_OVERHEAD_PCT, (
+        f"disabled tracer costs {paired_pct:.1f}% over the nullcontext "
+        f"baseline (median of {len(ratios)} paired runs)"
+    )
+    null_pct = max_spans * _null_span_s() / fastest_off * 100
+    record_property("null_span_pct", null_pct)
+    assert null_pct < MAX_OVERHEAD_PCT, (
+        f"{max_spans} disabled spans cost {null_pct:.2f}% of the fastest run"
+    )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.raid.array import BlockArray
-from repro.sweep import SharedNDArray, ShmHandle, attach_block_array, shared_block_array
+from repro.sweep import SharedNDArray, ShmHandle
 
 SPAWN = mp.get_context("spawn")
 
@@ -26,7 +26,8 @@ def _child_fill(handle_dict, value):
 
 
 def _child_block_write(handle_dict):
-    array, seg = attach_block_array(handle_dict)
+    seg = SharedNDArray.attach(handle_dict)
+    array = BlockArray.over(seg.ndarray)
     array.write(1, 2, np.full(array.block_size, 0xAB, dtype=np.uint8))
     seg.close()
 
@@ -107,7 +108,8 @@ class TestCrossProcess:
             assert (seg.ndarray == 0x5A).all()
 
     def test_block_array_bytes_identical_across_processes(self):
-        array, seg = shared_block_array(3, 4, block_size=16)
+        seg = SharedNDArray.create((3, 4, 16), np.uint8)
+        array = BlockArray.over(seg.ndarray)
         try:
             assert _run_child(_child_block_write, seg.handle.to_dict()) == 0
             np.testing.assert_array_equal(
