@@ -2,7 +2,10 @@
 
 The audited engine executes stripe-groups one at a time in ``(phase,
 group)`` order; the compiled executor batches each phase into a handful
-of numpy gathers and scatters.  The two are byte-identical only if
+of numpy gathers and scatters.  Compilation walks only the plan's
+alignment cycle of group work and tiles the resulting index vectors
+over every group with numpy (:class:`~repro.migration.plan.Tiling`).
+The two are byte-identical only if
 reordering group work within a phase cannot change what any read
 observes or which write lands last, so compilation runs a *hazard
 analysis* before emitting a program:
@@ -17,11 +20,14 @@ analysis* before emitting a program:
 * reused-parity audit reads never target any location written in the
   phase.
 
-Every plan the library's planners produce satisfies these (groups own
+The analysis runs on the full tiled vectors, so a wrong shift that
+lands two tiles on one block is caught like any other conflict.  Every
+plan the library's planners produce satisfies these (groups own
 disjoint block rows; the only cross-group flow — HDP's overflow repack —
 is migration-then-encode, which batching preserves).  A hand-built plan
-that violates them raises :class:`UnsupportedPlanError` instead of
-silently diverging; callers fall back to the audited engine.
+(:meth:`~repro.migration.plan.ConversionPlan.untiled`) that violates
+them raises :class:`UnsupportedPlanError` instead of silently
+diverging; callers fall back to the audited engine.
 
 Programs are cached per ``(code, approach, p, m, n, groups,
 blocks_per_disk, extra)`` so benchmark sweeps that rebuild identical
@@ -263,10 +269,20 @@ def compile_plan(plan: ConversionPlan, use_cache: bool = True) -> CompiledPlan:
         _CACHE_STATS["disk_misses"] += 1
     _CACHE_STATS["compiled"] += 1
     by_phase: dict[int, list[GroupWork]] = defaultdict(list)
-    for gw in sorted(plan.group_works, key=lambda g: (g.phase, g.group)):
+    for gw in sorted(plan.cycle_works, key=lambda g: (g.phase, g.group)):
         by_phase[gw.phase].append(gw)
+    # the cycle's (group, cell) -> (disk, block), for the uncounted
+    # fills and the reused-parity audits
+    cells = plan.cycle_cells
+    cell_of = {
+        (g, (r, c)): (d, b)
+        for g, r, c, d, b in zip(
+            cells.group.tolist(), cells.row.tolist(), cells.col.tolist(),
+            cells.disk.tolist(), cells.block.tolist(),
+        )
+    }
     phases = tuple(
-        _compile_phase(plan, phase, gws) for phase, gws in sorted(by_phase.items())
+        _compile_phase(plan, phase, gws, cell_of) for phase, gws in sorted(by_phase.items())
     )
     program = CompiledPlan(
         key=key,
@@ -297,160 +313,205 @@ def _lowered(program: CompiledPlan) -> CompiledPlan:
     return program
 
 
-def _compile_phase(plan: ConversionPlan, phase: int, gws: list[GroupWork]) -> PhaseProgram:
+def _compile_phase(
+    plan: ConversionPlan,
+    phase: int,
+    gws: list[GroupWork],
+    cell_of: dict[tuple[int, tuple[int, int]], tuple[int, int]],
+) -> PhaseProgram:
+    """One phase: walk the cycle's group work once, then tile the vectors.
+
+    Every entry is first recorded at tile 0's addresses with its group;
+    :meth:`Tiling.expand` repeats it for every tile (and the partial
+    last cycle) in ascending group order, and the tiling's group and
+    block steps move it.  Slots are ranks among the tiled encoding
+    groups, so the result is what compiling every group one by one
+    would emit.
+    """
     layout = plan.code.layout
-    rows, cols = layout.rows, layout.cols
+    cols = layout.cols
+    cps = layout.rows * cols
     bpd = plan.blocks_per_disk
+    tiling = plan.tiling
 
-    def flat(loc) -> int:
-        return loc.disk * bpd + loc.block
-
-    # write-side hazard bookkeeping: location -> [(group, kind)]
-    writes: dict[int, list[tuple[int, int]]] = defaultdict(list)
-
-    mig_src: list[tuple[int, int]] = []  # (disk, block)
-    mig_dst: list[tuple[int, int]] = []
-    mig_src_group: list[int] = []
-    nulls: list[tuple[int, int]] = []
-    trims: list[tuple[int, int]] = []
-
-    encode_groups = [gw for gw in gws if gw.parity_writes]
-    slot_of = {gw.group: i for i, gw in enumerate(encode_groups)}
-
+    # cycle entries: (group, disk, block[, disk, block | template cell])
+    migs: list[tuple[int, ...]] = []
+    nulls: list[tuple[int, ...]] = []
+    trims: list[tuple[int, ...]] = []
+    reads: list[tuple[int, ...]] = []
+    fills: list[tuple[int, ...]] = []
+    parities: list[tuple[int, ...]] = []
+    checks: list[tuple[int, ...]] = []
+    encode_groups: list[int] = []
     for gw in gws:
+        g = gw.group
         for src, dst, _rp, _wp in gw.migrates.values():
-            mig_src.append((src.disk, src.block))
-            mig_dst.append((dst.disk, dst.block))
-            mig_src_group.append(gw.group)
-            writes[flat(dst)].append((gw.group, _MIGRATE))
+            migs.append((g, src.disk, src.block, dst.disk, dst.block))
         for loc in gw.null_writes.values():
-            nulls.append((loc.disk, loc.block))
-            writes[flat(loc)].append((gw.group, _NULL))
+            nulls.append((g, loc.disk, loc.block))
         for loc in gw.trims:
-            trims.append((loc.disk, loc.block))
-            writes[flat(loc)].append((gw.group, _TRIM))
-
-    reads: list[tuple[int, int, int]] = []  # (disk, block, cell)
-    fills: list[tuple[int, int, int]] = []
-    parities: list[tuple[int, int, int]] = []
-    checks: list[tuple[int, int, int]] = []
-    fill_group: list[int] = []
-    read_group: list[int] = []
-    check_locs: list[int] = []
-
-    for gw in encode_groups:
-        base = slot_of[gw.group] * rows * cols
-
-        def cell_idx(cell) -> int:
-            return base + cell[0] * cols + cell[1]
-
-        for cell, loc in gw.parity_writes.items():
-            parities.append((loc.disk, loc.block, cell_idx(cell)))
-            writes[flat(loc)].append((gw.group, _PARITY))
-        for cell, loc in gw.reads.items():
-            reads.append((loc.disk, loc.block, cell_idx(cell)))
-            read_group.append(gw.group)
+            trims.append((g, loc.disk, loc.block))
+        if not gw.parity_writes:
+            continue
+        encode_groups.append(g)
+        for (r, c), loc in gw.parity_writes.items():
+            parities.append((g, loc.disk, loc.block, r * cols + c))
+        for (r, c), loc in gw.reads.items():
+            reads.append((g, loc.disk, loc.block, r * cols + c))
         # cells the engine pulls uncounted (controller memory, step 5)
         touched = set(gw.parity_writes) | set(gw.null_writes) | gw.null_cells | set(gw.reads)
         for cell in layout.data_cells:
             if cell in touched or cell in gw.migrates:
                 continue
-            loc = plan.cell_locations.get((gw.group, cell))
-            if loc is not None:
-                fills.append((loc.disk, loc.block, cell_idx(cell)))
-                fill_group.append(gw.group)
+            at = cell_of.get((g, cell))
+            if at is not None:
+                fills.append((g, *at, cell[0] * cols + cell[1]))
         # reused parities the engine audits after encoding (step 7)
         for cell in layout.parity_cells:
             if cell in gw.parity_writes or cell in layout.virtual_cells:
                 continue
-            loc = plan.cell_locations.get((gw.group, cell))
-            if loc is None:
-                continue
-            checks.append((loc.disk, loc.block, cell_idx(cell)))
-            check_locs.append(flat(loc))
+            at = cell_of.get((g, cell))
+            if at is not None:
+                checks.append((g, *at, cell[0] * cols + cell[1]))
 
+    def tiled(entries: list[tuple[int, ...]], width: int, addresses: int) -> np.ndarray:
+        """Every tile's copy of ``entries``: group and addresses shifted."""
+        cycle = np.array(entries, dtype=np.intp).reshape(-1, width)
+        idx, k = tiling.expand(cycle[:, 0], plan.tail_mask(cycle[:, 0]))
+        out = cycle[idx]
+        out[:, 0] += k * tiling.group_step(out[:, 0])
+        for a in range(addresses):
+            disk, block = out[:, 1 + 2 * a], out[:, 2 + 2 * a]
+            block += k * tiling.block_step(disk, block)
+        return out
+
+    mig = tiled(migs, 5, 2)
+    null = tiled(nulls, 3, 1)
+    trim = tiled(trims, 3, 1)
+    read = tiled(reads, 4, 1)
+    fill = tiled(fills, 4, 1)
+    parity = tiled(parities, 4, 1)
+    check = tiled(checks, 4, 1)
+    slots = tiled([(g,) for g in encode_groups], 1, 0)[:, 0]
+    for table in (read, fill, parity, check):
+        table[:, 3] += np.searchsorted(slots, table[:, 0]) * cps
+
+    def flat(table: np.ndarray, at: int = 1) -> np.ndarray:
+        return table[:, at] * bpd + table[:, at + 1]
+
+    writes = [(flat(mig, 3), mig[:, 0], _MIGRATE), (flat(null), null[:, 0], _NULL),
+              (flat(trim), trim[:, 0], _TRIM), (flat(parity), parity[:, 0], _PARITY)]
     _check_hazards(
-        writes,
-        mig_src=[(d * bpd + b, g) for (d, b), g in zip(mig_src, mig_src_group)],
-        gathers=[(d * bpd + b, g) for (d, b, _c), g in zip(reads, read_group)]
-        + [(d * bpd + b, g) for (d, b, _c), g in zip(fills, fill_group)],
-        check_locs=check_locs,
+        np.concatenate([w[0] for w in writes]),
+        np.concatenate([w[1] for w in writes]),
+        np.concatenate([np.full(w[0].size, w[2], dtype=np.intp) for w in writes]),
+        mig_src=(flat(mig), mig[:, 0]),
+        gathers=(np.concatenate([flat(read), flat(fill)]),
+                 np.concatenate([read[:, 0], fill[:, 0]])),
+        check_locs=flat(check),
     )
-
-    def cols_of(pairs: list, idx: int) -> np.ndarray:
-        return np.array([p[idx] for p in pairs], dtype=np.intp)
 
     return PhaseProgram(
         phase=phase,
-        batch=len(encode_groups),
-        migrate_src_disk=cols_of(mig_src, 0),
-        migrate_src_block=cols_of(mig_src, 1),
-        migrate_dst_disk=cols_of(mig_dst, 0),
-        migrate_dst_block=cols_of(mig_dst, 1),
-        null_disk=cols_of(nulls, 0),
-        null_block=cols_of(nulls, 1),
-        trim_disk=cols_of(trims, 0),
-        trim_block=cols_of(trims, 1),
-        read_disk=cols_of(reads, 0),
-        read_block=cols_of(reads, 1),
-        read_cell=cols_of(reads, 2),
-        fill_disk=cols_of(fills, 0),
-        fill_block=cols_of(fills, 1),
-        fill_cell=cols_of(fills, 2),
-        parity_disk=cols_of(parities, 0),
-        parity_block=cols_of(parities, 1),
-        parity_cell=cols_of(parities, 2),
-        check_disk=cols_of(checks, 0),
-        check_block=cols_of(checks, 1),
-        check_cell=cols_of(checks, 2),
+        batch=slots.size,
+        migrate_src_disk=mig[:, 1].copy(),
+        migrate_src_block=mig[:, 2].copy(),
+        migrate_dst_disk=mig[:, 3].copy(),
+        migrate_dst_block=mig[:, 4].copy(),
+        null_disk=null[:, 1].copy(),
+        null_block=null[:, 2].copy(),
+        trim_disk=trim[:, 1].copy(),
+        trim_block=trim[:, 2].copy(),
+        read_disk=read[:, 1].copy(),
+        read_block=read[:, 2].copy(),
+        read_cell=read[:, 3].copy(),
+        fill_disk=fill[:, 1].copy(),
+        fill_block=fill[:, 2].copy(),
+        fill_cell=fill[:, 3].copy(),
+        parity_disk=parity[:, 1].copy(),
+        parity_block=parity[:, 2].copy(),
+        parity_cell=parity[:, 3].copy(),
+        check_disk=check[:, 1].copy(),
+        check_block=check[:, 2].copy(),
+        check_cell=check[:, 3].copy(),
     )
 
 
 def _check_hazards(
-    writes: dict[int, list[tuple[int, int]]],
-    mig_src: list[tuple[int, int]],
-    gathers: list[tuple[int, int]],
-    check_locs: list[int],
+    write_loc: np.ndarray,
+    write_group: np.ndarray,
+    write_kind: np.ndarray,
+    mig_src: tuple[np.ndarray, np.ndarray],
+    gathers: tuple[np.ndarray, np.ndarray],
+    check_locs: np.ndarray,
 ) -> None:
-    """Prove phase-level batching preserves the engine's group order."""
-    for loc, entries in writes.items():
-        if len(entries) == 1:
-            continue
-        groups = {g for g, _k in entries}
-        if len(groups) > 1:
+    """Prove phase-level batching preserves the engine's group order.
+
+    Runs on the phase's full (tiled) vectors: writes are sorted by
+    location, so a shift that lands two tiles on one block shows up as
+    a multiply-written location like any other conflict.
+    """
+    order = np.lexsort((write_kind, write_group, write_loc))
+    loc, group, kind = write_loc[order], write_group[order], write_kind[order]
+    same = loc[1:] == loc[:-1]
+    clash = np.flatnonzero(same & (group[1:] != group[:-1]))
+    if clash.size:
+        at = loc[clash[0]]
+        raise UnsupportedPlanError(
+            f"location {int(at)} written by multiple groups "
+            f"{sorted(set(group[loc == at].tolist()))} in one phase"
+        )
+    twice = np.flatnonzero(same & (kind[1:] == kind[:-1]))
+    if twice.size:
+        raise UnsupportedPlanError(
+            f"location {int(loc[twice[0]])} written twice by the same group and kind"
+        )
+    # one writing group per location now; which kinds it writes there
+    written, first, inverse = np.unique(loc, return_index=True, return_inverse=True)
+    writer = group[first]
+    kinds = np.zeros(written.size, dtype=np.intp)
+    np.bitwise_or.at(kinds, inverse, 1 << kind)
+
+    def lookup(locs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hit, writing group, kind bits) of each read location."""
+        pos = np.minimum(np.searchsorted(written, locs), max(written.size - 1, 0))
+        if not written.size:
+            return np.zeros(locs.size, dtype=bool), pos, pos
+        return written[pos] == locs, writer[pos], kinds[pos]
+
+    src, src_group = mig_src
+    hit, g_w, bits = lookup(src)
+    bad = np.flatnonzero(
+        hit & ((g_w < src_group) | ((g_w == src_group) & (bits & (1 << _MIGRATE) != 0)))
+    )
+    if bad.size:
+        i = bad[0]
+        raise UnsupportedPlanError(
+            f"migration source {int(src[i])} of group {int(src_group[i])} is overwritten "
+            f"earlier in the phase (group {int(g_w[i])})"
+        )
+    at, at_group = gathers
+    hit, g_w, bits = lookup(at)
+    after_parity = hit & (bits & (1 << _PARITY) != 0) & (g_w < at_group)
+    before_write = hit & (bits & ~(1 << _PARITY) != 0) & (g_w > at_group)
+    bad = np.flatnonzero(after_parity | before_write)
+    if bad.size:
+        i = bad[0]
+        if after_parity[i]:
             raise UnsupportedPlanError(
-                f"location {loc} written by multiple groups {sorted(groups)} in one phase"
+                f"stripe read at {int(at[i])} (group {int(at_group[i])}) follows a parity "
+                f"write by group {int(g_w[i])}; batching would reorder them"
             )
-        kinds = [k for _g, k in entries]
-        if len(kinds) != len(set(kinds)):
-            raise UnsupportedPlanError(
-                f"location {loc} written twice by the same group and kind"
-            )
-    for loc, g in mig_src:
-        for g_w, kind in writes.get(loc, ()):
-            if g_w < g or (g_w == g and kind == _MIGRATE):
-                raise UnsupportedPlanError(
-                    f"migration source {loc} of group {g} is overwritten "
-                    f"earlier in the phase (group {g_w})"
-                )
-    for loc, g in gathers:
-        for g_w, kind in writes.get(loc, ()):
-            if kind == _PARITY:
-                if g_w < g:
-                    raise UnsupportedPlanError(
-                        f"stripe read at {loc} (group {g}) follows a parity "
-                        f"write by group {g_w}; batching would reorder them"
-                    )
-            elif g_w > g:
-                raise UnsupportedPlanError(
-                    f"stripe read at {loc} (group {g}) precedes a write by "
-                    f"later group {g_w}; batching would reorder them"
-                )
-    for loc in check_locs:
-        if loc in writes:
-            raise UnsupportedPlanError(
-                f"reused-parity audit location {loc} is written in the same phase"
-            )
+        raise UnsupportedPlanError(
+            f"stripe read at {int(at[i])} (group {int(at_group[i])}) precedes a write by "
+            f"later group {int(g_w[i])}; batching would reorder them"
+        )
+    hit, _g, _bits = lookup(check_locs)
+    if hit.any():
+        raise UnsupportedPlanError(
+            f"reused-parity audit location {int(check_locs[np.argmax(hit)])} "
+            "is written in the same phase"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -570,15 +631,16 @@ def _lower_phase(
             RegionOp(chain_index=ci, parity=chain.parity, terms=tuple(terms), sparse=tuple(sparse))
         )
 
+    # template cell -> index of the chain computing it (-1: no chain)
+    chain_of = np.full(cps, -1, dtype=np.intp)
+    for (r, c), ci in ci_of.items():
+        chain_of[r * cols + c] = ci
+
     def scratch_rows(cell_v: np.ndarray) -> np.ndarray | None:
-        out = np.empty(cell_v.size, dtype=np.intp)
-        for i, cell in enumerate(cell_v):
-            tmpl = int(cell) % cps
-            ci = ci_of.get((tmpl // cols, tmpl % cols))
-            if ci is None:  # a parity/check cell with no chain: not lowerable
-                return None
-            out[i] = ci * batch + int(cell) // cps
-        return out
+        ci = chain_of[cell_v % cps]
+        if (ci < 0).any():  # a parity/check cell with no chain: not lowerable
+            return None
+        return ci * batch + cell_v // cps
 
     parity_src = scratch_rows(ph.parity_cell)
     check_src = scratch_rows(ph.check_cell)

@@ -2,8 +2,8 @@
 
 The audited path assembles and repairs one stripe-group at a time;
 rebuild and verification workloads touch *every* group, so this module
-compiles the ``(group, cell) -> (disk, block)`` map of a conversion plan
-into one gather index (and the ``lba -> (disk, block)`` map into a
+turns the plan's tiled ``(group, cell) -> (disk, block)`` table into
+one gather index (and its ``lba -> (disk, block)`` table into a
 second), both cached per plan identity, and runs
 :func:`apply_recovery_plan` across the whole ``(groups, rows, cols,
 block)`` batch in a single pass — the recovery-side counterpart of the
@@ -37,16 +37,8 @@ def _gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray, np.nd
     if cached is not None:
         return cached
     rows, cols = plan.code.rows, plan.code.cols
-    cells, disks, blocks = [], [], []
-    for (group, (r, c)), loc in plan.cell_locations.items():
-        cells.append((group * rows + r) * cols + c)
-        disks.append(loc.disk)
-        blocks.append(loc.block)
-    out = (
-        np.array(cells, dtype=np.intp),
-        np.array(disks, dtype=np.intp),
-        np.array(blocks, dtype=np.intp),
-    )
+    cells = plan.cells
+    out = ((cells.group * rows + cells.row) * cols + cells.col, cells.disk, cells.block)
     _GATHER_CACHE[key] = out
     return out
 
@@ -54,9 +46,10 @@ def _gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray, np.nd
 def data_gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray]:
     """``(disks, blocks)`` of every source logical block, in LBA order.
 
-    ``plan.data_locations`` resolved through ``plan.cell_locations`` and
-    cached per plan identity like the stripe gather, so verification
-    compares ``gather_raw(disks, blocks)`` with the ground truth as is.
+    Read from the plan's tiled data table (the cycle's LBAs shifted to
+    every tile) and cached per plan identity like the stripe gather, so
+    verification compares ``gather_raw(disks, blocks)`` with the ground
+    truth as is.
     """
     from repro.compiled.compiler import plan_cache_key
 
@@ -64,17 +57,9 @@ def data_gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray]:
     cached = _DATA_CACHE.get(key)
     if cached is not None:
         return cached
-    locations = plan.data_locations
-    if sorted(locations) != list(range(len(locations))):
-        raise ValueError("plan.data_locations must map LBAs 0..n-1")
-    disks = np.empty(len(locations), dtype=np.intp)
-    blocks = np.empty(len(locations), dtype=np.intp)
-    for lba, (group, cell) in locations.items():
-        loc = plan.cell_locations[(group, cell)]
-        disks[lba] = loc.disk
-        blocks[lba] = loc.block
-    _DATA_CACHE[key] = (disks, blocks)
-    return disks, blocks
+    data = plan.data
+    _DATA_CACHE[key] = (data.disk, data.block)
+    return data.disk, data.block
 
 
 def assemble_all_groups(plan: ConversionPlan, array: BlockArray) -> np.ndarray:

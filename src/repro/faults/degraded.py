@@ -43,7 +43,9 @@ def plan_is_zero_movement(plan) -> bool:
     guarantee the RAID-5 row invariant holds throughout — the predicate
     for degraded-mode conversion.
     """
-    for gw in plan.group_works:
+    # every group's work is a cycle work shifted along its disks, so the
+    # cycle decides both conditions
+    for gw in plan.cycle_works:
         if gw.migrates or gw.null_writes or gw.trims:
             return False
         for loc in gw.parity_writes.values():

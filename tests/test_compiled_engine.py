@@ -7,6 +7,8 @@ write counters, and a passing full audit — for every supported
 rejected at compile time, never silently diverged from.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,10 @@ class TestProgramCache:
 
 
 class TestHazardRejection:
+    # The conflicts are planted in a one-tile plan (``untiled``): its
+    # group works are its cycle, so editing them edits what compiles.
     def test_cross_group_write_conflict(self):
-        plan = build_plan("code56", "direct", 5, groups=2)
+        plan = build_plan("code56", "direct", 5, groups=2).untiled()
         works = sorted(plan.group_works, key=lambda g: (g.phase, g.group))
         donor, victim = works[0], works[1]
         cell, loc = next(iter(donor.parity_writes.items()))
@@ -122,8 +126,19 @@ class TestHazardRejection:
         with pytest.raises(UnsupportedPlanError, match="multiple groups"):
             compile_plan(plan, use_cache=False)
 
-    def test_audited_parity_overwritten(self):
+    def test_cross_tile_collision(self):
+        # a tiling whose steps do not move the source rows lands every
+        # tile on tile 0's blocks; the hazard check sees the tiled vectors
         plan = build_plan("code56", "direct", 5, groups=2)
+        assert plan.tiling.tiles == 2
+        frozen = dataclasses.replace(
+            plan, tiling=dataclasses.replace(plan.tiling, disk_step=(0,) * plan.n)
+        )
+        with pytest.raises(UnsupportedPlanError, match="multiple groups"):
+            compile_plan(frozen, use_cache=False)
+
+    def test_audited_parity_overwritten(self):
+        plan = build_plan("code56", "direct", 5, groups=2).untiled()
         works = sorted(plan.group_works, key=lambda g: (g.phase, g.group))
         gw = works[0]
         # redirect a parity write onto a reused (audited) RAID-5 parity
