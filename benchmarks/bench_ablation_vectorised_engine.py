@@ -70,7 +70,6 @@ def bench_engine_compiled(benchmark):
 def bench_vectorised_at_scale(benchmark, show):
     """The fused run lowering at a million-block scale (pure conversion math)."""
     p, groups, bs = 7, 5000, 512  # 5000 groups * 30 data blocks = 150k blocks
-    from repro.kernels import resolve_kernel
     from repro.migration.batch import execute_run_fused
     from repro.raid import BlockArray
 
@@ -79,11 +78,10 @@ def bench_vectorised_at_scale(benchmark, show):
     rng = np.random.default_rng(1)
     region[...] = rng.integers(0, 256, size=region.shape, dtype=np.uint8)
     run_all = tuple((g, r) for g in range(groups) for r in range(p - 1))
-    kernel = resolve_kernel(None)
 
     def run():
         array.reset_counters()
-        execute_run_fused(array, p, run_all, kernel)
+        execute_run_fused(array, p, run_all)
         return len(run_all)
 
     written = benchmark(run)

@@ -10,6 +10,8 @@ chain, not per stripe.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 import numpy.typing as npt
 
@@ -128,16 +130,41 @@ class ArrayCode:
     def verify(self, stripe: Stripe) -> bool:
         """True when every parity chain holds and virtual cells are zero."""
         self._check_shape(stripe)
+
+        def cell(rc: Cell) -> Stripe:
+            return stripe[..., rc[0], rc[1], :]
+
+        return self.verify_cells(cell, stripe.shape[:-3] + stripe.shape[-1:])
+
+    def verify_cells(
+        self, cell: Callable[[Cell], Stripe | None], shape: tuple[int, ...]
+    ) -> bool:
+        """:meth:`verify` over a cell lookup instead of a stripe tensor.
+
+        ``cell((r, c))`` returns that cell's payload, shaped ``shape``
+        (e.g. ``(groups, block)``: one block per stripe), or ``None`` for
+        a cell that reads as zero.  Every chain is XORed into one reused
+        accumulator, so a lookup returning views of a store checks the
+        store in place.
+        """
         virtual = self.layout.virtual_cells
-        for r, c in virtual:
-            if stripe[..., r, c, :].any():
+        for rc in virtual:
+            value = cell(rc)
+            if value is not None and value.any():
                 return False
+        acc: Stripe = np.empty(shape, dtype=np.uint8)
         for chain in self.layout.chains:
-            acc = stripe[..., chain.parity[0], chain.parity[1], :].copy()
-            for cell in chain.members:
-                if cell in virtual:
+            parity = cell(chain.parity)
+            if parity is None:
+                acc[...] = 0
+            else:
+                np.copyto(acc, parity)
+            for member in chain.members:
+                if member in virtual:
                     continue
-                np.bitwise_xor(acc, stripe[..., cell[0], cell[1], :], out=acc)
+                value = cell(member)
+                if value is not None:
+                    np.bitwise_xor(acc, value, out=acc)
             if acc.any():
                 return False
         return True

@@ -23,6 +23,7 @@ check :mod:`repro.codes.mds` certifies with.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -160,22 +161,36 @@ def apply_recovery_plan(plan: RecoveryPlan, stripe: np.ndarray) -> np.ndarray:
     ``stripe`` has shape ``(rows, cols, block)`` or ``(batch, rows, cols,
     block)``; lost cells are overwritten with their recovered content.
     """
-    batched = stripe.ndim == 4
+
+    def cell(rc: Cell) -> np.ndarray:
+        return stripe[..., rc[0], rc[1], :]
+
+    run_recovery_steps(plan, cell, cell)
+    return stripe
+
+
+def run_recovery_steps(
+    plan: RecoveryPlan,
+    source: Callable[[Cell], np.ndarray | None],
+    target: Callable[[Cell], np.ndarray],
+) -> None:
+    """Execute ``plan``'s steps through cell lookups.
+
+    Each step XORs ``source(cell)`` of its sources into ``target(cell)``
+    of its target; a source looked up as ``None`` reads as zero.  A
+    stripe is one lookup for both sides (:func:`apply_recovery_plan`); a
+    verifier can read surviving cells in place and write the lost ones
+    to scratch instead.
+    """
     for step in plan.steps:
-        if not step.sources:
-            target = stripe[..., step.target[0], step.target[1], :] if batched else stripe[step.target]
-            target[...] = 0
+        out = target(step.target)
+        views = [v for v in map(source, step.sources) if v is not None]
+        if not views:
+            out[...] = 0
             continue
-        if batched:
-            views = [stripe[:, r, c, :] for (r, c) in step.sources]
-            out = stripe[:, step.target[0], step.target[1], :]
-        else:
-            views = [stripe[r, c] for (r, c) in step.sources]
-            out = stripe[step.target]
         np.copyto(out, views[0])
         for v in views[1:]:
             np.bitwise_xor(out, v, out=out)
-    return stripe
 
 
 class PlanCache:

@@ -5,8 +5,11 @@ approach the planners support — into flat gather/scatter index vectors
 plus fused parity region ops; ``execute_plan_compiled`` replays the
 program against a healthy :class:`BlockArray` through the counted bulk-I/O API,
 producing the byte-identical array and per-disk counters of the audited
-engine at a fraction of the wall time.  ``assemble_all_groups`` /
-``batch_recover_columns`` apply the same idea to recovery.  See
+engine at a fraction of the wall time.  On the read side,
+``recovery.audit_table`` classifies every converted stripe cell as a
+run over groups, so verification reads the array in place through
+zero-copy views; ``assemble_all_groups`` / ``batch_recover_columns``
+are the whole-array tensor forms of the same reads.  See
 ``docs/architecture.md`` ("Compiled execution layer").
 """
 

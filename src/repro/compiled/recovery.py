@@ -1,65 +1,177 @@
-"""Batched stripe assembly and recovery over whole arrays.
+"""Whole-array recovery-side passes over a converted array, read in place.
 
-The audited path assembles and repairs one stripe-group at a time;
-rebuild and verification workloads touch *every* group, so this module
-turns the plan's tiled ``(group, cell) -> (disk, block)`` table into
-one gather index (and its ``lba -> (disk, block)`` table into a
-second), both cached per plan identity, and runs
-:func:`apply_recovery_plan` across the whole ``(groups, rows, cols,
-block)`` batch in a single pass — the recovery-side counterpart of the
-compiled conversion executor.  The repair writes only the failed
-columns, so a verifier can save those columns, repair in place and
-compare them alone instead of copying the whole tensor.
+Read per ``(row, col)`` template, the plan's tiled ``(group, cell) ->
+(disk, block)`` table is one flat store address per group, and the
+lowering pass's operand classifier (:func:`~repro.compiled.compiler.
+_classify_member`) turns that vector into a ``stride``, ``const``,
+``gather`` or ``sparse`` run (every cell of every supported pair is a
+``stride`` run at p=13 and 48 groups).  :func:`audit_table` does this
+once per plan identity for every cell template, and for every data
+template classifies the run of source LBAs it holds the same way.
+:meth:`AuditTable.lookup` then reads any cell of every group as a
+zero-copy ``(groups, block)`` view of the store (gather and sparse runs
+copy only what they address), so
+:func:`~repro.migration.engine.verify_conversion` checks data, parity
+chains and recovery trials without building a stripe tensor:
+:func:`recover_lost_cells` runs a recovery plan into a scratch holding
+only the lost cells.
+
+:func:`assemble_all_groups` and :func:`batch_recover_columns` are the
+tensor forms of the same reads: every stripe-group gathered into one
+``(groups, rows, cols, block)`` tensor, and a double-erasure repair of
+it in one :func:`apply_recovery_plan` pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.codes.decoder import apply_recovery_plan
+from repro.codes.decoder import apply_recovery_plan, run_recovery_steps
+from repro.codes.geometry import Cell
 from repro.codes.plans import RecoveryPlan
+from repro.compiled.compiler import _classify_member, plan_cache_key
+from repro.compiled.program import RegionTerm, SparseTerm
 from repro.migration.plan import ConversionPlan
 from repro.raid.array import BlockArray
 
-__all__ = ["assemble_all_groups", "batch_recover_columns", "data_gather_indices"]
+__all__ = [
+    "AuditTable",
+    "assemble_all_groups",
+    "audit_table",
+    "batch_recover_columns",
+    "recover_lost_cells",
+]
 
-#: cache of gather indices per plan identity (see compiler.plan_cache_key)
-_GATHER_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-#: cache of data-location indices per plan identity
-_DATA_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+#: one classified per-group address vector, as ``_classify_member`` returns it
+Run = tuple[RegionTerm | None, SparseTerm | None]
 
+#: a cell -> ``(groups, block)`` payload lookup; ``None`` reads as zero
+CellLookup = Callable[[Cell], "np.ndarray | None"]
 
-def _gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    from repro.compiled.compiler import plan_cache_key
-
-    key = plan_cache_key(plan)
-    cached = _GATHER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    rows, cols = plan.code.rows, plan.code.cols
-    cells = plan.cells
-    out = ((cells.group * rows + cells.row) * cols + cells.col, cells.disk, cells.block)
-    _GATHER_CACHE[key] = out
-    return out
+#: cache of audit tables per plan identity (see compiler.plan_cache_key)
+_AUDIT_CACHE: dict[tuple, AuditTable] = {}
 
 
-def data_gather_indices(plan: ConversionPlan) -> tuple[np.ndarray, np.ndarray]:
-    """``(disks, blocks)`` of every source logical block, in LBA order.
+def read_run(run: Run, rows: np.ndarray, n: int) -> np.ndarray | None:
+    """The ``(n, block)`` rows of ``rows`` that ``run`` addresses.
 
-    Read from the plan's tiled data table (the cycle's LBAs shifted to
-    every tile) and cached per plan identity like the stripe gather, so
-    verification compares ``gather_raw(disks, blocks)`` with the ground
-    truth as is.
+    ``stride`` and ``const`` runs are views; ``gather`` and ``sparse``
+    runs copy what they address (a sparse run's other slots are zero).
+    ``None`` when the run addresses nothing.
     """
-    from repro.compiled.compiler import plan_cache_key
+    term, sparse = run
+    if sparse is not None:
+        out = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
+        out[sparse.rows] = rows[sparse.indices]
+        return out
+    if term is None:
+        return None
+    if term.kind == "stride":
+        return rows[term.start :: term.step][:n]
+    if term.kind == "const":
+        return np.broadcast_to(rows[term.start], (n, rows.shape[1]))
+    return rows[term.indices]
 
+
+@dataclass(frozen=True)
+class AuditTable:
+    """Every cell template of a plan, classified over its groups.
+
+    ``stores[cell]`` is the run of flat store addresses (``disk * bpd +
+    block``) that ``cell`` occupies, one per group; ``lbas[cell]`` is,
+    for a data template, the run of source LBAs it holds in the groups
+    that hold one.  Templates no group stores are absent: they read as
+    zero.
+    """
+
+    groups: int
+    data_blocks: int
+    stores: dict[Cell, Run]
+    lbas: dict[Cell, Run]
+
+    def lookup(self, array: BlockArray) -> CellLookup:
+        """``cell -> (groups, block)`` reads of ``array``'s store, in place."""
+        store = array.bulk_view(slice(None), slice(None)).reshape(-1, array.block_size)
+
+        def stored(cell: Cell) -> np.ndarray | None:
+            run = self.stores.get(cell)
+            return None if run is None else read_run(run, store, self.groups)
+
+        return stored
+
+    def data_intact(self, stored: CellLookup, data: np.ndarray) -> bool:
+        """Every data template's stored run equals its ground-truth run."""
+        if data.shape[0] != self.data_blocks:
+            return False
+        for cell, (term, sparse) in self.lbas.items():
+            got = stored(cell)
+            if sparse is None:
+                ok = np.array_equal(got, read_run((term, None), data, self.groups))
+            else:
+                ok = np.array_equal(got[sparse.rows], data[sparse.indices])
+            if not ok:
+                return False
+        return True
+
+
+def audit_table(plan: ConversionPlan) -> AuditTable:
+    """The plan's :class:`AuditTable`, built from its tiled tables and cached.
+
+    Raises ``ValueError`` if the data table places an LBA anywhere but
+    at its cell's store address, or two LBAs on one cell: the data check
+    reads the data through the cell runs.
+    """
     key = plan_cache_key(plan)
-    cached = _DATA_CACHE.get(key)
+    cached = _AUDIT_CACHE.get(key)
     if cached is not None:
         return cached
-    data = plan.data
-    _DATA_CACHE[key] = (data.disk, data.block)
-    return data.disk, data.block
+    cols, groups, bpd = plan.code.cols, plan.groups, plan.blocks_per_disk
+    cells, data = plan.cells, plan.data
+    addr = np.full((plan.code.rows * cols, groups), -1, dtype=np.int64)
+    addr[cells.row * cols + cells.col, cells.group] = cells.disk * bpd + cells.block
+    lba = np.full_like(addr, -1)
+    template = data.row * cols + data.col
+    lba[template, data.group] = np.arange(len(data))
+    if np.count_nonzero(lba >= 0) != len(data) or not np.array_equal(
+        addr[template, data.group], data.disk * bpd + data.block
+    ):
+        raise ValueError("the plan's data table disagrees with its cell table")
+
+    def classify(table: np.ndarray) -> dict[Cell, Run]:
+        runs = {}
+        for t, vector in enumerate(table):
+            run = _classify_member(vector)
+            if run[0] is not None or run[1] is not None:
+                runs[divmod(t, cols)] = run
+        return runs
+
+    table = AuditTable(groups, len(data), classify(addr), classify(lba))
+    _AUDIT_CACHE[key] = table
+    return table
+
+
+def recover_lost_cells(
+    recovery: RecoveryPlan, stored: CellLookup, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Rebuild ``recovery.lost`` into scratch, reading survivors via ``stored``.
+
+    Returns ``(len(lost),) + shape``, row ``i`` the recovered
+    ``recovery.lost[i]``.  Steps read lost cells from the scratch (zero
+    until an earlier step recovers them) and every other cell through
+    ``stored``, whose payloads are never written.
+    """
+    row = {cell: i for i, cell in enumerate(recovery.lost)}
+    scratch = np.zeros((len(row),) + shape, dtype=np.uint8)
+
+    def source(cell: Cell) -> np.ndarray | None:
+        i = row.get(cell)
+        return stored(cell) if i is None else scratch[i]
+
+    run_recovery_steps(recovery, source, lambda cell: scratch[row[cell]])
+    return scratch
 
 
 def assemble_all_groups(plan: ConversionPlan, array: BlockArray) -> np.ndarray:
@@ -69,11 +181,13 @@ def assemble_all_groups(plan: ConversionPlan, array: BlockArray) -> np.ndarray:
     location (virtual disks) are zero.  Batched equivalent of calling
     :func:`repro.migration.engine.assemble_group` per group.
     """
-    cells, disks, blocks = _gather_indices(plan)
+    table = audit_table(plan)
+    stored = table.lookup(array)
     stripes = np.zeros(
         (plan.groups, plan.code.rows, plan.code.cols, array.block_size), dtype=np.uint8
     )
-    stripes.reshape(-1, array.block_size)[cells] = array.gather_raw(disks, blocks)
+    for r, c in table.stores:
+        stripes[:, r, c, :] = stored((r, c))
     return stripes
 
 

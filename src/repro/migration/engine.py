@@ -10,11 +10,15 @@ then verification re-reads the converted array and checks that
 * random double-disk failures are recoverable (the array really is a
   RAID-6 now).
 
-Each check covers the whole array in a few tensor operations, with no
-per-group loop: one cached gather for the data blocks, one batched
-:meth:`ArrayCode.verify` over the ``(groups, rows, cols, block)``
-tensor, and per failure trial one repair of just the two failed columns
-of every group (:mod:`repro.compiled.recovery`), compared column-wise.
+Each check reads the array in place, with no per-group loop and no
+stripe tensor: the plan's cached audit table
+(:func:`repro.compiled.recovery.audit_table`) gives every stripe cell as
+a zero-copy ``(groups, block)`` view of the store.  Data cells are
+compared with their runs of the ground truth, each parity chain is
+XORed into one reused accumulator (:meth:`ArrayCode.verify_cells`), and
+each failure trial rebuilds the two failed columns of every group into
+a scratch of just the lost cells and compares it with the stored cells.
+Verification never writes the array.
 
 I/O counters on the :class:`BlockArray` are compared against the plan's
 planned reads and writes (counted from the group-work sizes, as the op
@@ -25,10 +29,13 @@ performed, and nothing was performed that is not counted.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.codes.geometry import Cell
+from repro.codes.plans import RecoveryPlan
 from repro.migration.plan import ConversionPlan, GroupWork
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
@@ -190,6 +197,20 @@ def assemble_group(plan: ConversionPlan, array: BlockArray, group: int) -> np.nd
     return stripe
 
 
+def _recovers(
+    recovery: RecoveryPlan, stored: Callable[[Cell], np.ndarray | None], shape: tuple[int, ...]
+) -> bool:
+    """One failure trial: every lost cell, rebuilt into scratch from the
+    surviving cells in place, equals what the array stores there."""
+    from repro.compiled.recovery import recover_lost_cells
+
+    rebuilt = recover_lost_cells(recovery, stored, shape)
+    return all(
+        not got.any() if want is None else np.array_equal(got, want)
+        for got, want in zip(rebuilt, map(stored, recovery.lost))
+    )
+
+
 def verify_conversion(
     result: ConversionResult,
     rng: np.random.Generator | None = None,
@@ -199,42 +220,40 @@ def verify_conversion(
     """Full post-conversion audit (see module docstring).
 
     Audit semantics are unchanged from the per-group original, but every
-    check is batched: one cached gather compares all logical blocks, one
-    batched :meth:`ArrayCode.verify` covers every stripe-group, and each
-    double-failure trial zeroes and recovers the two failed columns of
-    every group in a single :func:`apply_recovery_plan` pass over the
-    ``(groups, rows, cols, block)`` tensor, comparing only those columns.
-    The planned I/O totals are counted from the group-work sizes, so the
-    plan's op stream is never materialised.
+    check covers all groups at once through the plan's audit table, a
+    ``cell -> (groups, block)`` lookup of views into the store: each
+    data template is compared with its run of ``data``, each parity
+    chain is XORed into one reused accumulator, and each double-failure
+    trial runs the recovery plan into a ``(lost cells, groups, block)``
+    scratch, reading survivors in place, and compares each recovered row
+    with the stored cell.  The array is only read.  The planned I/O
+    totals are counted from the group-work sizes, so the plan's op
+    stream is never materialised.
     """
     # imported here: repro.compiled imports this module for ConversionResult
-    from repro.compiled.recovery import (
-        assemble_all_groups,
-        batch_recover_columns,
-        data_gather_indices,
-    )
+    from repro.compiled.recovery import audit_table
 
     tracer = get_tracer()
     plan, array, data = result.plan, result.array, result.data
     code = plan.code
+    shape = (plan.groups, array.block_size)
     with tracer.span(
         "verify", cat="engine", code=plan.code.name, approach=plan.approach,
         groups=plan.groups, trials=failure_trials,
     ):
-        # 1. every logical block intact (one gather against the ground truth)
+        table = audit_table(plan)
+        stored = table.lookup(array)
+        # 1. every logical block intact (each data run against the ground truth)
         with tracer.span("verify.data", cat="engine"):
-            disks, blocks = data_gather_indices(plan)
-            if not np.array_equal(array.gather_raw(disks, blocks), data):
+            if not table.data_intact(stored, data):
                 return False
-        # 2. every stripe-group parity-consistent (one batched verify)
+        # 2. every stripe-group parity-consistent (one accumulator per chain walk)
         with tracer.span("verify.parity", cat="engine"):
-            stripes = assemble_all_groups(plan, array)
-            if not code.verify(stripes):
+            if not code.verify_cells(stored, shape):
                 return False
         # 3. double-failure recoverability on real payloads, all groups per
-        #    trial.  Recovery writes only the plan's lost cells, so it is
-        #    enough to keep the two failed columns, repair them in place and
-        #    compare just those: a passing trial leaves ``stripes`` intact.
+        #    trial.  The lost cells are rebuilt into scratch from the
+        #    surviving cells in place, then compared with what is stored.
         if rng is None:
             rng = np.random.default_rng(0)
         cols = code.layout.physical_cols
@@ -243,9 +262,7 @@ def verify_conversion(
                 f1, f2 = rng.choice(len(cols), size=2, replace=False)
                 failed = [cols[int(f1)], cols[int(f2)]]
                 recovery = code.plan_column_recovery(*failed)
-                kept = stripes[:, :, failed, :]
-                batch_recover_columns(recovery, stripes, *failed)
-                if not np.array_equal(stripes[:, :, failed, :], kept):
+                if not _recovers(recovery, stored, shape):
                     return False
         # 4. measured I/O == planned I/O.  Crash-resumed and degraded runs
         #    legitimately spend extra I/O (rollback re-execution, row

@@ -7,6 +7,7 @@ kept here as oracles: on every clean and every corrupted array, the
 batched verifier and its loop must agree.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +17,11 @@ from repro.codes import get_code
 from repro.codes.base import ArrayCode
 from repro.codes.code56 import diagonal_chain_cells
 from repro.codes.geometry import ChainKind
-from repro.compiled import execute_plan_compiled
+from repro.compiled import execute_plan_compiled, recovery
 from repro.faults.events import DiskFailureEvent
 from repro.fleet import FleetVolume, SparePool, VolumeSpec
 from repro.migration import build_plan, prepare_source_array, verify_conversion
-from repro.migration.approaches import supported_conversions
+from repro.migration.approaches import alignment_cycle, supported_conversions
 from repro.migration.engine import assemble_group
 from repro.migration.online import OnlineCode56Conversion
 from repro.migration.ops import OpKind
@@ -233,6 +234,35 @@ def test_raid5_verify_catches_planted_flip(p, kind):
 
 
 # ---------------------------------------------------------- verify_conversion
+def conversion_flip_sites(plan) -> dict[str, list[tuple[int, int]]]:
+    """``name -> [(disk, block)]``: the blocks to corrupt in a converted array.
+
+    The first and last stored cell of each kind (data, and the parity of
+    each chain kind) in the first group, the last base group and the last
+    group, plus the first and last cell of every region the plan's
+    :class:`Tiling` moves by its own step: reserved capacity (X-Code's
+    and P-Code's reserve rows, HDP's overflow groups), the overflow
+    groups themselves, and each hot-added disk (Code 5-6's diagonal disk).
+    """
+    cells, tiling, layout = plan.cells, plan.tiling, plan.code.layout
+    kind_of = {cell: "data" for cell in layout.data_cells}
+    kind_of.update({chain.parity: chain.kind.name.lower() for chain in layout.chains})
+    kind = np.array([kind_of[(r, c)] for r, c in zip(cells.row, cells.col)])
+    regions = {
+        f"{k}@group{g}": (kind == k) & (cells.group == g)
+        for k in sorted(set(kind_of.values()))
+        for g in sorted({0, tiling.base_groups - 1, plan.groups - 1})
+    }
+    regions["reserve"] = cells.block >= tiling.reserve_from
+    regions["overflow"] = cells.group >= tiling.base_groups
+    regions.update({f"disk{d}": cells.disk == d for d in plan.new_disks})
+    return {
+        name: [(int(cells.disk[i]), int(cells.block[i])) for i in hits[[0, -1]]]
+        for name, hits in ((name, np.flatnonzero(mask)) for name, mask in regions.items())
+        if hits.size
+    }
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("shortened", [False, True])
 def test_verify_conversion_catches_planted_flips(p, shortened):
@@ -249,13 +279,35 @@ def test_verify_conversion_catches_planted_flips(p, shortened):
             continue
         loc = plan.cell_locations[(group, cell)]
         assert_flip_caught(
-            array, loc.disk, loc.block, lambda: verify_conversion(result),
+            array, loc.disk, loc.block,
+            lambda: verify_conversion(result), lambda: conversion_parity_loop(result),
         )
-        if kind != "data":  # data flips are caught by the ground-truth check first
-            array.raw(loc.disk, loc.block)[0] ^= 0x5A
-            assert not conversion_parity_loop(result)
-            array.raw(loc.disk, loc.block)[0] ^= 0x5A
-    assert conversion_parity_loop(result)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("code,approach", supported_conversions())
+def test_verify_conversion_catches_planted_flips_on_every_pair(code, approach, p):
+    """Every pair, tiled with a partial last cycle where the cycle allows
+    one: a flip in any cell kind or tiled region fails both the in-place
+    audit and the per-group oracle, so no region can be read at a wrong
+    stride unnoticed."""
+    cycle = alignment_cycle(code, p)
+    plan = build_plan(code, approach, p, groups=2 * cycle + 1)
+    assert plan.tiling.tail == (1 if cycle > 1 else 0)
+    array, data = prepare_source_array(plan, np.random.default_rng(p), block_size=BS)
+    result = execute_plan_compiled(plan, array, data)
+    sites = conversion_flip_sites(plan)
+    assert ("reserve" in sites) == bool(plan.tiling.reserve_step)
+    assert ("overflow" in sites) == bool(plan.tiling.overflow_step)
+    assert verify_conversion(result) and conversion_parity_loop(result)
+    for name, blocks in sites.items():
+        for disk, block in blocks:
+            array.raw(disk, block)[0] ^= 0x5A
+            assert not verify_conversion(result), (name, disk, block)
+            assert not conversion_parity_loop(result), (name, disk, block)
+            array.raw(disk, block)[0] ^= 0x5A
+            assert verify_conversion(result), (name, disk, block)
+            assert conversion_parity_loop(result), (name, disk, block)
 
 
 def test_verify_conversion_catches_a_bad_recovery_plan(monkeypatch):
@@ -264,6 +316,22 @@ def test_verify_conversion_catches_a_bad_recovery_plan(monkeypatch):
     array, data = prepare_source_array(plan, np.random.default_rng(7), block_size=BS)
     result = execute_plan_compiled(plan, array, data)
     assert verify_conversion(result)
+    _bad_recovery_plans(monkeypatch)
+    assert not verify_conversion(result)
+
+
+def test_verify_conversion_trials_leave_stripes_intact():
+    """Far more trials than column pairs all pass: no trial disturbs what
+    a later one reads."""
+    plan = build_plan("code56", "direct", 5, groups=GROUPS)
+    array, data = prepare_source_array(plan, np.random.default_rng(5), block_size=BS)
+    result = execute_plan_compiled(plan, array, data)
+    # far more trials than column pairs: every pair repeats, in both orders
+    assert verify_conversion(result, rng=np.random.default_rng(1), failure_trials=40)
+
+
+def _bad_recovery_plans(monkeypatch) -> None:
+    """Make every column recovery plan drop one source of one step."""
     original = ArrayCode.plan_column_recovery
 
     def drop_one_source(self, *cols):
@@ -274,16 +342,42 @@ def test_verify_conversion_catches_a_bad_recovery_plan(monkeypatch):
         return replace(recovery, steps=tuple(steps))
 
     monkeypatch.setattr(ArrayCode, "plan_column_recovery", drop_one_source)
-    assert not verify_conversion(result)
 
 
-def test_verify_conversion_trials_leave_stripes_intact():
-    """Each passing trial restores the columns the next trial reads."""
-    plan = build_plan("code56", "direct", 5, groups=GROUPS)
-    array, data = prepare_source_array(plan, np.random.default_rng(5), block_size=BS)
+@pytest.mark.parametrize("outcome", ["pass", "bad-data", "bad-trial"])
+def test_verify_conversion_only_reads_the_array(outcome, monkeypatch):
+    """Passing or failing, the audit leaves every byte and counter as it was."""
+    plan = build_plan("code56", "direct", 7, groups=GROUPS)
+    array, data = prepare_source_array(plan, np.random.default_rng(7), block_size=BS)
     result = execute_plan_compiled(plan, array, data)
-    # far more trials than column pairs: every pair repeats, in both orders
-    assert verify_conversion(result, rng=np.random.default_rng(1), failure_trials=40)
+    if outcome == "bad-data":
+        loc = plan.cell_locations[planted_cells(plan.code.layout, GROUPS)["data"]]
+        array.raw(loc.disk, loc.block)[0] ^= 0x5A
+    if outcome == "bad-trial":
+        _bad_recovery_plans(monkeypatch)
+    before = array.snapshot(), array.reads.copy(), array.writes.copy()
+    assert verify_conversion(result) == (outcome == "pass")
+    after = array.snapshot(), array.reads, array.writes
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+@pytest.mark.parametrize("code,approach", supported_conversions())
+def test_verify_conversion_peak_memory_is_under_half_the_array(code, approach):
+    """The audit reads the store in place: at the offline benchmark's size
+    its traced allocations peak below half the array's bytes (a stripe
+    tensor alone would be one whole array)."""
+    plan = build_plan(code, approach, 13, groups=48)
+    array, data = prepare_source_array(plan, np.random.default_rng(0), block_size=4096)
+    result = execute_plan_compiled(plan, array, data)
+    recovery._AUDIT_CACHE.clear()  # the table's build counts too
+    tracemalloc.start()
+    try:
+        assert verify_conversion(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    array_bytes = array.n_disks * array.blocks_per_disk * array.block_size
+    assert peak <= 0.5 * array_bytes, peak / array_bytes
 
 
 @pytest.mark.parametrize("groups", [1, 3])

@@ -201,13 +201,11 @@ class TestTiling:
             assert getattr(one, name) == getattr(plan, name)
 
     def test_views_are_not_built_on_the_compiled_path(self):
-        """build, compile and the verifier's gather indices read the cycle only."""
+        """build, compile and the verifier's audit table read the cycle only."""
         plan = build_plan("evenodd", "via-raid4", 13, groups=48)
         compile_plan(plan, use_cache=False)
-        recovery._GATHER_CACHE.clear()
-        recovery._DATA_CACHE.clear()
-        recovery._gather_indices(plan)
-        recovery.data_gather_indices(plan)
+        recovery._AUDIT_CACHE.clear()
+        recovery.audit_table(plan)
         for view in ("group_works", "cell_locations", "data_locations", "ops"):
             assert view not in plan.__dict__, view
 
@@ -222,34 +220,48 @@ def test_per_disk_ios_equals_op_stream_count(code, approach, phase):
     assert np.array_equal(plan.per_disk_ios(phase), _op_stream_per_disk(plan.ops, plan.n)[phase])
 
 
-# ----------------------------------------------------- batched gather indices
+# ------------------------------------------------------- audit table
 
-def _dict_walk_gather(oracle):
-    """The gather indices as walking the address dicts entry by entry gives them."""
-    rows, cols = oracle.code.rows, oracle.code.cols
-    cells, disks, blocks = [], [], []
-    for (group, (r, c)), loc in oracle.cell_locations.items():
-        cells.append((group * rows + r) * cols + c)
-        disks.append(loc.disk)
-        blocks.append(loc.block)
-    data = [oracle.cell_locations[oracle.data_locations[lba]] for lba in range(oracle.data_blocks)]
-    return (
-        np.array(cells, dtype=np.intp),
-        np.array(disks, dtype=np.intp),
-        np.array(blocks, dtype=np.intp),
-        np.array([loc.disk for loc in data], dtype=np.intp),
-        np.array([loc.block for loc in data], dtype=np.intp),
-    )
+def _run_addresses(run, n: int) -> np.ndarray:
+    """A classified run expanded back to one address per group (-1: none)."""
+    term, sparse = run
+    out = np.full(n, -1, dtype=np.intp)
+    if sparse is not None:
+        out[sparse.rows] = sparse.indices
+    elif term.kind == "stride":
+        out[:] = term.start + term.step * np.arange(n)
+    elif term.kind == "const":
+        out[:] = term.start
+    else:
+        out[:] = term.indices
+    return out
+
+
+def _dict_walk_table(oracle):
+    """Per-template store addresses and LBAs, as walking the address dicts
+    entry by entry gives them."""
+    groups, bpd = oracle.groups, oracle.blocks_per_disk
+    stores, lbas = {}, {}
+    for (group, cell), loc in oracle.cell_locations.items():
+        stores.setdefault(cell, np.full(groups, -1, dtype=np.intp))[group] = (
+            loc.disk * bpd + loc.block
+        )
+    for lba in range(oracle.data_blocks):
+        group, cell = oracle.data_locations[lba]
+        lbas.setdefault(cell, np.full(groups, -1, dtype=np.intp))[group] = lba
+    return stores, lbas
 
 
 def _assert_same_gather(plan, oracle) -> None:
-    """The verifier's gather indices, built from the cycle, equal the walk
-    over the oracle's dicts (computed afresh, not from the cache)."""
-    recovery._GATHER_CACHE.clear()
-    recovery._DATA_CACHE.clear()
-    got = recovery._gather_indices(plan) + recovery.data_gather_indices(plan)
-    for x, y in zip(got, _dict_walk_gather(oracle)):
-        assert x.dtype == y.dtype and np.array_equal(x, y)
+    """The verifier's audit table, built from the cycle, addresses every
+    cell and LBA as the walk over the oracle's dicts does (computed
+    afresh, not from the cache)."""
+    recovery._AUDIT_CACHE.clear()
+    table = recovery.audit_table(plan)
+    for got, want in zip((table.stores, table.lbas), _dict_walk_table(oracle)):
+        assert got.keys() == want.keys()
+        for cell, run in got.items():
+            assert np.array_equal(_run_addresses(run, plan.groups), want[cell]), cell
 
 
 # ------------------------------------------------ lowering's scratch rows
