@@ -17,6 +17,7 @@ import numpy.typing as npt
 
 from repro.codes.decoder import PlanCache, apply_recovery_plan
 from repro.codes.geometry import Cell, CodeLayout
+from repro.codes.mds import codeword_basis
 from repro.codes.plans import RecoveryPlan
 
 #: payload arrays are always uint8 blocks
@@ -35,6 +36,7 @@ class ArrayCode:
     def __init__(self, layout: CodeLayout):
         self.layout = layout
         self._plans = PlanCache(layout)
+        self._basis: Stripe | None = None
 
     # ------------------------------------------------------------ properties
     @property
@@ -170,6 +172,15 @@ class ArrayCode:
         return True
 
     # --------------------------------------------------------------- decode
+    def codeword_basis(self) -> Stripe:
+        """The code's read-only identity stripe, built once per code
+        (:func:`repro.codes.mds.codeword_basis`)."""
+        if self._basis is None:
+            basis = codeword_basis(self.layout)
+            basis.flags.writeable = False
+            self._basis = basis
+        return self._basis
+
     def plan_column_recovery(self, *cols: int) -> RecoveryPlan:
         """Recovery plan for whole-column (disk) failures."""
         return self._plans.plan_for_columns(*cols)

@@ -7,6 +7,12 @@ recovery of every column pair with plain GF(2) elimination — planning
 succeeds iff the system is uniquely solvable, so no payload needs to be
 touched.  Tests additionally round-trip payloads through the plans for
 defence in depth.
+
+:func:`codeword_basis` packs a basis of the code's codewords into one
+*identity stripe*, and :func:`recovers_codewords` replays a recovery
+plan over it.  Recovery is linear over GF(2), so a plan that rebuilds
+the lost cells of every basis vector rebuilds them for every codeword:
+one replay over a few bytes per cell proves the plan for all payloads.
 """
 
 from __future__ import annotations
@@ -14,10 +20,26 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.codes.decoder import UnrecoverableError, eliminate_recovery_plan
-from repro.codes.geometry import CodeLayout
+import numpy as np
+import numpy.typing as npt
 
-__all__ = ["MdsReport", "certify_mds", "check_double_erasures"]
+from repro.codes.decoder import (
+    UnrecoverableError,
+    _equations,
+    eliminate_recovery_plan,
+    run_recovery_steps,
+)
+from repro.codes.geometry import CodeLayout
+from repro.codes.plans import RecoveryPlan
+from repro.util.gf2 import gf2_elimination
+
+__all__ = [
+    "MdsReport",
+    "certify_mds",
+    "check_double_erasures",
+    "codeword_basis",
+    "recovers_codewords",
+]
 
 
 @dataclass(frozen=True)
@@ -78,3 +100,53 @@ def certify_mds(layout: CodeLayout, tolerance: int = 2) -> MdsReport:
         storage_optimal=layout.num_data == capacity,
         failed_pairs=failed,
     )
+
+
+def codeword_basis(layout: CodeLayout) -> npt.NDArray[np.uint8]:
+    """The code's identity stripe: a basis of its codewords, bit-packed.
+
+    The codewords are the null space over GF(2) of the chain equations
+    (each chain's non-virtual cells XOR to zero), with virtual cells
+    forced to zero.  Returns ``(rows, cols, ceil(d / 8))`` uint8 for a
+    space of dimension ``d``: bit ``i`` (little-endian within each byte)
+    of cell ``c``'s block is ``c``'s coordinate in basis vector ``i``,
+    and virtual cells are zero.  Parity cells come first among the
+    unknowns, so where the data determine the parities (every registered
+    code) the free coordinates are the data cells, and basis vector
+    ``i`` is the codeword whose only nonzero data cell is
+    ``layout.data_cells[i]``.
+    """
+    virtual = layout.virtual_cells
+    cells = sorted(layout.parity_cells - virtual) + list(layout.data_cells)
+    index = {cell: j for j, cell in enumerate(cells)}
+    checks = np.zeros((len(layout.chains), len(cells)), dtype=np.uint8)
+    for row, terms in enumerate(_equations(layout)):
+        checks[row, [index[cell] for cell in terms]] = 1
+    rref, _, pivots = gf2_elimination(checks)
+    free = np.setdiff1d(np.arange(len(cells)), pivots)
+    basis = np.zeros((len(free), len(cells)), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = rref[: len(pivots)][:, free].T
+    rows, cols = np.array(cells).T
+    stripe = np.zeros((layout.rows, layout.cols, (len(free) + 7) // 8), dtype=np.uint8)
+    stripe[rows, cols] = np.packbits(basis, axis=0, bitorder="little").T
+    return stripe
+
+
+def recovers_codewords(plan: RecoveryPlan, identity: npt.NDArray[np.uint8]) -> bool:
+    """True when ``plan`` rebuilds its lost cells in every codeword.
+
+    Runs the plan once over ``identity`` (a :func:`codeword_basis`):
+    survivors are read from it in place, each lost cell is rebuilt into
+    its own scratch row, and every row must equal the lost cell's packed
+    block.  A plan right on a basis is right on the whole space.
+    """
+    row = {cell: i for i, cell in enumerate(plan.lost)}
+    scratch = np.zeros((len(row), identity.shape[-1]), dtype=np.uint8)
+
+    def source(cell):
+        i = row.get(cell)
+        return identity[cell] if i is None else scratch[i]
+
+    run_recovery_steps(plan, source, lambda cell: scratch[row[cell]])
+    return all(np.array_equal(scratch[i], identity[cell]) for cell, i in row.items())

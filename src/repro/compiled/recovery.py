@@ -11,10 +11,9 @@ template classifies the run of source LBAs it holds the same way.
 :meth:`AuditTable.lookup` then reads any cell of every group as a
 zero-copy ``(groups, block)`` view of the store (gather and sparse runs
 copy only what they address), so
-:func:`~repro.migration.engine.verify_conversion` checks data, parity
-chains and recovery trials without building a stripe tensor:
-:func:`recover_lost_cells` runs a recovery plan into a scratch holding
-only the lost cells.
+:func:`~repro.migration.engine.verify_conversion` checks data and parity
+chains without building a stripe tensor.  Its recovery trials read no
+payload at all (:func:`repro.codes.mds.recovers_codewords`).
 
 :func:`assemble_all_groups` and :func:`batch_recover_columns` are the
 tensor forms of the same reads: every stripe-group gathered into one
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codes.decoder import apply_recovery_plan, run_recovery_steps
+from repro.codes.decoder import apply_recovery_plan
 from repro.codes.geometry import Cell
 from repro.codes.plans import RecoveryPlan
 from repro.compiled.compiler import _classify_member, plan_cache_key
@@ -42,7 +41,6 @@ __all__ = [
     "assemble_all_groups",
     "audit_table",
     "batch_recover_columns",
-    "recover_lost_cells",
 ]
 
 #: one classified per-group address vector, as ``_classify_member`` returns it
@@ -151,27 +149,6 @@ def audit_table(plan: ConversionPlan) -> AuditTable:
     table = AuditTable(groups, len(data), classify(addr), classify(lba))
     _AUDIT_CACHE[key] = table
     return table
-
-
-def recover_lost_cells(
-    recovery: RecoveryPlan, stored: CellLookup, shape: tuple[int, ...]
-) -> np.ndarray:
-    """Rebuild ``recovery.lost`` into scratch, reading survivors via ``stored``.
-
-    Returns ``(len(lost),) + shape``, row ``i`` the recovered
-    ``recovery.lost[i]``.  Steps read lost cells from the scratch (zero
-    until an earlier step recovers them) and every other cell through
-    ``stored``, whose payloads are never written.
-    """
-    row = {cell: i for i, cell in enumerate(recovery.lost)}
-    scratch = np.zeros((len(row),) + shape, dtype=np.uint8)
-
-    def source(cell: Cell) -> np.ndarray | None:
-        i = row.get(cell)
-        return stored(cell) if i is None else scratch[i]
-
-    run_recovery_steps(recovery, source, lambda cell: scratch[row[cell]])
-    return scratch
 
 
 def assemble_all_groups(plan: ConversionPlan, array: BlockArray) -> np.ndarray:

@@ -10,15 +10,18 @@ then verification re-reads the converted array and checks that
 * random double-disk failures are recoverable (the array really is a
   RAID-6 now).
 
-Each check reads the array in place, with no per-group loop and no
-stripe tensor: the plan's cached audit table
+The first two checks read the array in place, with no per-group loop
+and no stripe tensor: the plan's cached audit table
 (:func:`repro.compiled.recovery.audit_table`) gives every stripe cell as
 a zero-copy ``(groups, block)`` view of the store.  Data cells are
-compared with their runs of the ground truth, each parity chain is
-XORed into one reused accumulator (:meth:`ArrayCode.verify_cells`), and
-each failure trial rebuilds the two failed columns of every group into
-a scratch of just the lost cells and compares it with the stored cells.
-Verification never writes the array.
+compared with their runs of the ground truth, and each parity chain is
+XORed into one reused accumulator (:meth:`ArrayCode.verify_cells`).
+Once both pass, every group is a codeword, so the failure trials do not
+touch the array at all: each trial's recovery plan is replayed over the
+code's identity stripe (:meth:`ArrayCode.codeword_basis`, a bit-packed
+basis of every codeword), which proves it for every payload at once
+(:func:`repro.codes.mds.recovers_codewords`).  Verification never
+writes the array.
 
 I/O counters on the :class:`BlockArray` are compared against the plan's
 planned reads and writes (counted from the group-work sizes, as the op
@@ -29,13 +32,11 @@ performed, and nothing was performed that is not counted.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.codes.geometry import Cell
-from repro.codes.plans import RecoveryPlan
+from repro.codes.mds import recovers_codewords
 from repro.migration.plan import ConversionPlan, GroupWork
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
@@ -197,20 +198,6 @@ def assemble_group(plan: ConversionPlan, array: BlockArray, group: int) -> np.nd
     return stripe
 
 
-def _recovers(
-    recovery: RecoveryPlan, stored: Callable[[Cell], np.ndarray | None], shape: tuple[int, ...]
-) -> bool:
-    """One failure trial: every lost cell, rebuilt into scratch from the
-    surviving cells in place, equals what the array stores there."""
-    from repro.compiled.recovery import recover_lost_cells
-
-    rebuilt = recover_lost_cells(recovery, stored, shape)
-    return all(
-        not got.any() if want is None else np.array_equal(got, want)
-        for got, want in zip(rebuilt, map(stored, recovery.lost))
-    )
-
-
 def verify_conversion(
     result: ConversionResult,
     rng: np.random.Generator | None = None,
@@ -219,15 +206,16 @@ def verify_conversion(
 ) -> bool:
     """Full post-conversion audit (see module docstring).
 
-    Audit semantics are unchanged from the per-group original, but every
-    check covers all groups at once through the plan's audit table, a
-    ``cell -> (groups, block)`` lookup of views into the store: each
-    data template is compared with its run of ``data``, each parity
-    chain is XORed into one reused accumulator, and each double-failure
-    trial runs the recovery plan into a ``(lost cells, groups, block)``
-    scratch, reading survivors in place, and compares each recovered row
-    with the stored cell.  The array is only read.  The planned I/O
-    totals are counted from the group-work sizes, so the plan's op
+    Checks data and parity over all groups at once through the plan's
+    audit table, a ``cell -> (groups, block)`` lookup of views into the
+    store: each data template is compared with its run of ``data``, and
+    each parity chain is XORed into one reused accumulator.  Each
+    double-failure trial then replays its recovery plan over the code's
+    identity stripe instead of the store: the parity check has shown
+    every group to be a codeword, and a plan that rebuilds the lost
+    cells of a basis of the codewords rebuilds them in every group, for
+    this payload and any other.  The array is only read.  The planned
+    I/O totals are counted from the group-work sizes, so the plan's op
     stream is never materialised.
     """
     # imported here: repro.compiled imports this module for ConversionResult
@@ -251,18 +239,20 @@ def verify_conversion(
         with tracer.span("verify.parity", cat="engine"):
             if not code.verify_cells(stored, shape):
                 return False
-        # 3. double-failure recoverability on real payloads, all groups per
-        #    trial.  The lost cells are rebuilt into scratch from the
-        #    surviving cells in place, then compared with what is stored.
+        # 3. double-failure recoverability, proved rather than replayed.
+        #    Check 2 put every group in the code's codeword space, so
+        #    each trial's plan runs once over the identity stripe (a basis
+        #    of that space, a few bytes per cell): right there, it is right
+        #    for every group and every payload.
         if rng is None:
             rng = np.random.default_rng(0)
         cols = code.layout.physical_cols
         with tracer.span("verify.recovery", cat="engine", trials=failure_trials):
+            identity = code.codeword_basis()
             for _ in range(failure_trials):
                 f1, f2 = rng.choice(len(cols), size=2, replace=False)
                 failed = [cols[int(f1)], cols[int(f2)]]
-                recovery = code.plan_column_recovery(*failed)
-                if not _recovers(recovery, stored, shape):
+                if not recovers_codewords(code.plan_column_recovery(*failed), identity):
                     return False
         # 4. measured I/O == planned I/O.  Crash-resumed and degraded runs
         #    legitimately spend extra I/O (rollback re-execution, row

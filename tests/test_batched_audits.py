@@ -4,7 +4,10 @@ The online converter, ``Raid6Array``, ``Raid5Array``, ``verify_conversion``
 and the fleet's offline-image oracle each check a whole array with a few
 tensor operations.  The per-group (and per-LBA) loops they replaced are
 kept here as oracles: on every clean and every corrupted array, the
-batched verifier and its loop must agree.
+batched verifier and its loop must agree.  ``verify_conversion`` proves
+its recovery plans over the code's codeword space; the payload replay it
+replaced is kept here too, and the proof must reject everything the
+replay rejects, and more.
 """
 
 import tracemalloc
@@ -16,6 +19,7 @@ import pytest
 from repro.codes import get_code
 from repro.codes.base import ArrayCode
 from repro.codes.code56 import diagonal_chain_cells
+from repro.codes.decoder import run_recovery_steps
 from repro.codes.geometry import ChainKind
 from repro.compiled import execute_plan_compiled, recovery
 from repro.faults.events import DiskFailureEvent
@@ -66,6 +70,33 @@ def conversion_parity_loop(result) -> bool:
     return all(
         plan.code.verify(assemble_group(plan, result.array, g)) for g in range(plan.groups)
     )
+
+
+def payload_replay(result, rng=None, failure_trials: int = 3) -> bool:
+    """The failure trials ``verify_conversion`` ran before it proved its
+    plans: each plan replayed over the stored payload of every group,
+    the lost cells rebuilt into scratch and compared with the store.
+    Draws the same column pairs from ``rng`` as the audit does."""
+    plan, array = result.plan, result.array
+    code = plan.code
+    stored = recovery.audit_table(plan).lookup(array)
+    rng = np.random.default_rng(0) if rng is None else rng
+    cols = code.layout.physical_cols
+    for _ in range(failure_trials):
+        f1, f2 = rng.choice(len(cols), size=2, replace=False)
+        trial = code.plan_column_recovery(cols[int(f1)], cols[int(f2)])
+        row = {cell: i for i, cell in enumerate(trial.lost)}
+        scratch = np.zeros((len(row), plan.groups, array.block_size), dtype=np.uint8)
+
+        def source(cell):
+            i = row.get(cell)
+            return stored(cell) if i is None else scratch[i]
+
+        run_recovery_steps(trial, source, lambda cell: scratch[row[cell]])
+        for got, want in zip(scratch, map(stored, trial.lost)):
+            if not (not got.any() if want is None else np.array_equal(got, want)):
+                return False
+    return True
 
 
 def reference_loop(vol: FleetVolume) -> np.ndarray:
@@ -315,8 +346,42 @@ def test_verify_conversion_catches_a_bad_recovery_plan(monkeypatch):
     plan = build_plan("code56", "direct", 7, groups=GROUPS)
     array, data = prepare_source_array(plan, np.random.default_rng(7), block_size=BS)
     result = execute_plan_compiled(plan, array, data)
-    assert verify_conversion(result)
+    assert verify_conversion(result) and payload_replay(result)
     _bad_recovery_plans(monkeypatch)
+    assert not verify_conversion(result)
+    assert not payload_replay(result)
+
+
+def test_recovery_proof_rejects_a_plan_the_payload_replay_accepts(monkeypatch):
+    """A plan that also XORs in a data cell holding zero in every group
+    rebuilds this array's payload, so the replay passes it; on any
+    codeword with that cell nonzero it is wrong, so the proof fails it."""
+    plan = build_plan("code56", "direct", 7, groups=GROUPS)
+    template = plan.code.layout.data_cells[0]
+    lbas = np.flatnonzero((plan.data.row == template[0]) & (plan.data.col == template[1]))
+    assert len(lbas) == GROUPS  # the template holds an LBA in every group
+    data = np.random.default_rng(7).integers(0, 256, (plan.data_blocks, BS), dtype=np.uint8)
+    data[lbas] = 0
+    array, data = prepare_source_array(plan, None, block_size=BS, data=data)
+    result = execute_plan_compiled(plan, array, data)
+    assert verify_conversion(result) and payload_replay(result)
+
+    original = ArrayCode.plan_column_recovery
+    spared = []
+
+    def also_xor_the_zero_cell(self, *cols):
+        trial = original(self, *cols)
+        if template in trial.lost:
+            return trial
+        spared.append(cols)
+        steps = list(trial.steps)
+        i = next(i for i, s in enumerate(steps) if template not in s.sources)
+        steps[i] = replace(steps[i], sources=steps[i].sources + (template,))
+        return replace(trial, steps=tuple(steps))
+
+    monkeypatch.setattr(ArrayCode, "plan_column_recovery", also_xor_the_zero_cell)
+    assert payload_replay(result)
+    assert spared  # at least one trial ran the altered plan
     assert not verify_conversion(result)
 
 
@@ -328,6 +393,7 @@ def test_verify_conversion_trials_leave_stripes_intact():
     result = execute_plan_compiled(plan, array, data)
     # far more trials than column pairs: every pair repeats, in both orders
     assert verify_conversion(result, rng=np.random.default_rng(1), failure_trials=40)
+    assert payload_replay(result, rng=np.random.default_rng(1), failure_trials=40)
 
 
 def _bad_recovery_plans(monkeypatch) -> None:

@@ -1,8 +1,13 @@
 """BlockArray: storage, failure injection, I/O accounting."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.raid import BlockArray, DiskFailure
 
 
@@ -171,6 +176,14 @@ class TestTopology:
         assert not arr.read(4, 0).any()
         assert arr.reads[4] == 1
 
+    def test_add_disk_keeps_contents(self, arr, rng):
+        payload = rng.integers(0, 256, 16, dtype=np.uint8)
+        arr.write(3, 7, payload)
+        arr.add_disk()
+        assert np.array_equal(arr.raw(3, 7), payload)
+        arr.write(4, 7, payload)
+        assert np.array_equal(arr.snapshot()[4, 7], payload)
+
     def test_remove_disk(self, arr):
         arr.add_disk()
         arr.remove_disk()
@@ -192,3 +205,39 @@ class TestTopology:
             BlockArray(0, 4, 8)
         with pytest.raises(ValueError):
             BlockArray(4, 0, 8)
+
+
+#: builds, touches and frees six offline-sized arrays (13 disks x 624
+#: blocks x 4 KiB, 33 MB each); prints the resident-memory growth in MB
+_CHURN = """
+from repro.raid import BlockArray
+
+def rss_mb():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024
+
+start = rss_mb()
+for _ in range(6):
+    array = BlockArray(13, 624, 4096)
+    array.bulk_view(slice(None), slice(None)).fill(0x5A)
+    del array
+print(rss_mb() - start)
+"""
+
+
+class TestOwnedStore:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_freed_arrays_give_their_pages_back(self):
+        """A freed store is unmapped: whatever the heap allocator keeps
+        after earlier arrays, resident memory returns to where it was."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHURN],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 5.0, proc.stdout

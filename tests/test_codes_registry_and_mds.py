@@ -1,5 +1,8 @@
-"""Registry factory and MDS certifier."""
+"""Registry factory, MDS certifier and codeword basis."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.codes import (
@@ -12,6 +15,8 @@ from repro.codes import (
     get_layout,
 )
 from repro.codes.geometry import ChainKind, CodeLayout, ParityChain
+from repro.codes.mds import codeword_basis, recovers_codewords
+from repro.util.gf2 import gf2_rank
 
 
 class TestRegistry:
@@ -85,3 +90,56 @@ class TestCertifier:
         lay = CodeLayout(name="raid5ish", p=p, rows=p - 1, cols=p, chains=chains)
         report = certify_mds(lay)
         assert (0, 1) in report.failed_pairs
+
+
+def _basis_vectors(identity: np.ndarray, dim: int) -> np.ndarray:
+    """Unpack an identity stripe into ``(dim, rows, cols, 1)`` 0/1 stripes."""
+    bits = np.unpackbits(identity, axis=-1, bitorder="little")
+    assert not bits[..., dim:].any()  # packbits pads with zero bits only
+    return np.moveaxis(bits[..., :dim], -1, 0)[..., None]
+
+
+class TestCodewordBasis:
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    @pytest.mark.parametrize("name", sorted(CODE_CATALOG))
+    def test_basis_spans_the_codewords(self, name, p):
+        """One basis vector per data cell, each a codeword, all independent,
+        and vector ``i`` the codeword whose only nonzero data cell is
+        ``data_cells[i]``."""
+        code = get_code(name, p)
+        layout = code.layout
+        identity = code.codeword_basis()
+        dim = len(layout.data_cells)
+        assert identity.shape == (code.rows, code.cols, (dim + 7) // 8)
+        vectors = _basis_vectors(identity, dim)
+        assert code.verify(vectors)  # every basis vector is a codeword
+        assert gf2_rank(vectors.reshape(dim, -1)) == dim
+        rows, cols = np.array(layout.data_cells).T
+        assert np.array_equal(vectors[:, rows, cols, 0], np.eye(dim, dtype=np.uint8))
+        assert np.array_equal(vectors, code.make_stripe(np.eye(dim, dtype=np.uint8)[..., None]))
+
+    def test_basis_is_built_once_per_code(self):
+        code = get_code("code56", 7)
+        identity = code.codeword_basis()
+        assert code.codeword_basis() is identity
+        assert not identity.flags.writeable
+        assert get_code("code56", 7).codeword_basis() is not identity
+        assert np.array_equal(codeword_basis(code.layout), identity)
+
+    def test_shortened_basis_zeroes_virtual_cells(self):
+        code = get_code("code56", 7, virtual_cols=(0,))
+        identity = code.codeword_basis()
+        assert len(code.layout.data_cells) < len(get_code("code56", 7).layout.data_cells)
+        for r, c in code.layout.virtual_cells:
+            assert not identity[r, c].any()
+        assert code.verify(_basis_vectors(identity, len(code.layout.data_cells)))
+
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("name", sorted(CODE_CATALOG))
+    def test_proof_accepts_every_column_pair(self, name, p):
+        """No false rejections: the planner's plan for every column pair
+        is proved over the identity stripe."""
+        code = get_code(name, p)
+        identity = code.codeword_basis()
+        for pair in itertools.combinations(code.layout.physical_cols, 2):
+            assert recovers_codewords(code.plan_column_recovery(*pair), identity), pair
