@@ -10,7 +10,7 @@ chain, not per stripe.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 import numpy.typing as npt
@@ -145,31 +145,41 @@ class ArrayCode:
 
         ``cell((r, c))`` returns that cell's payload, shaped ``shape``
         (e.g. ``(groups, block)``: one block per stripe), or ``None`` for
-        a cell that reads as zero.  Every chain is XORed into one reused
-        accumulator, so a lookup returning views of a store checks the
-        store in place.
+        a cell that reads as zero.  Virtual cells must read as zero and
+        every :meth:`syndromes` residue must be zero, so a lookup
+        returning views of a store checks the store in place.
         """
-        virtual = self.layout.virtual_cells
-        for rc in virtual:
+        for rc in self.layout.virtual_cells:
             value = cell(rc)
             if value is not None and value.any():
                 return False
+        return not any(residue.any() for _, residue in self.syndromes(cell, shape))
+
+    def syndromes(
+        self,
+        cell: Callable[[Cell], Stripe | None],
+        shape: tuple[int, ...],
+        chains: Iterable[int] | None = None,
+    ) -> Iterator[tuple[int, Stripe]]:
+        """Yield ``(chain index, residue)`` for each of ``chains`` (default:
+        all, in order) over the lookup :meth:`verify_cells` takes: the XOR
+        of every term the lookup returns (virtual cells too), zero where
+        the chain holds and the delta where one term is wrong.  Residues
+        share one accumulator, valid until the next is drawn."""
+        layout = self.layout
         acc: Stripe = np.empty(shape, dtype=np.uint8)
-        for chain in self.layout.chains:
+        for idx in range(len(layout.chains)) if chains is None else chains:
+            chain = layout.chains[idx]
             parity = cell(chain.parity)
             if parity is None:
                 acc[...] = 0
             else:
                 np.copyto(acc, parity)
             for member in chain.members:
-                if member in virtual:
-                    continue
                 value = cell(member)
                 if value is not None:
                     np.bitwise_xor(acc, value, out=acc)
-            if acc.any():
-                return False
-        return True
+            yield idx, acc
 
     # --------------------------------------------------------------- decode
     def codeword_basis(self) -> Stripe:

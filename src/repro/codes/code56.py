@@ -79,8 +79,8 @@ def diagonal_chain_index(p: int) -> tuple[np.ndarray, np.ndarray]:
     :func:`diagonal_chain_cells` of parity row ``i``.
 
     Indexing a ``(cols, ..., rows, ...)`` square with them gathers the
-    members of every chain in one step, so whole-array audits reduce
-    every diagonal of every group together.
+    members of every chain in one step, so the fleet's offline image
+    computes every diagonal of every group together.
     """
     cells = np.array([diagonal_chain_cells(p, row) for row in range(p - 1)], dtype=np.intp)
     chain_rows, chain_cols = cells[..., 0], cells[..., 1]

@@ -9,14 +9,17 @@ path updates that parity on every write) and returns to migrating.
 Pool-exhausted volumes stay degraded and keep converting through
 reconstruct-on-read.
 
-:class:`ScrubCursor` is the idle-slack parity verifier: one stripe per
-step — the horizontal row XOR plus, when the diagonal parity of that
-stripe's row is journal-marked, its Code 5-6 chain XOR.  The fleet
+:class:`ScrubCursor` is the idle-slack parity verifier.  It owns no
+chain arithmetic: every check is one :meth:`ArrayCode.syndromes` call
+over a zero-copy ``(disk, group, row)`` view of the store, masked by the
+journal.  A :meth:`~ScrubCursor.step` checks one stripe — that row's
+horizontal chain plus, when the diagonal parity of that row is
+journal-marked, its diagonal chain — over one group.  The fleet
 scheduler feeds it whatever ticks are left between request arrivals once
 conversion has drained, so silent corruption surfaces while the volume
-is still under management instead of at the next full audit.  Its
-:meth:`~ScrubCursor.sweep` does a whole pass of steps in one tensor
-pass: the final scrub before a volume reports complete.
+is still under management instead of at the next full audit.
+:meth:`~ScrubCursor.sweep` is the same call over every group and chain:
+a whole pass of steps, the final scrub before a volume reports complete.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import threading
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_index
-from repro.raid.raid5 import row_xor_raw
-
 __all__ = ["SparePool", "ScrubCursor"]
+
+#: what a Code 5-6 chain checks, by ``chain index // rows``
+_KINDS = ("horizontal", "diagonal")
 
 
 class SparePool:
@@ -112,37 +115,45 @@ class ScrubCursor:
         self.errors_found += 1
         self.errors.append((stripe, kind))
 
+    def _syndromes(self, groups: slice, chains):
+        """:meth:`ArrayCode.syndromes` over a zero-copy ``(disk, group,
+        row)`` view of ``groups`` (column ``c`` is disk ``c``)."""
+        conv = self.conv
+        view = conv.array.bulk_view(slice(0, conv.p), slice(0, self.stripes))
+        square = view.reshape(conv.p, conv.groups, conv.rows, -1)[:, groups]
+        shape = (square.shape[1], square.shape[3])
+        return conv.code.syndromes(lambda rc: square[rc[1], :, rc[0]], shape, chains)
+
     def step(self) -> int:
         """Scrub the next stripe; returns the tick cost (0 if no stripes)."""
         total = self.stripes
         if total == 0:
             return 0
         conv = self.conv
-        array, m = conv.array, conv.m
         stripe = self._stripe
         self._stripe = (stripe + 1) % total
         self.stripes_scrubbed += 1
         horizontal, diagonal = self._checks()
-        cost = m
-        # horizontal parity: XOR over the RAID-5 row must balance
-        if horizontal and row_xor_raw(array, stripe, m).any():
-            self._record(stripe, "horizontal")
-        # diagonal parity of this stripe's row, once journal-marked
+        cost = conv.m
+        # this stripe's row chain, then its diagonal once journal-marked
         group, row = divmod(stripe, conv.rows)
+        chains = [row] if horizontal else []
         if diagonal and conv.journal.is_marked(group, row):
             cost += 1
-            if not np.array_equal(conv.chain_xor_uncounted(group, row), array.raw(m, stripe)):
-                self._record(stripe, "diagonal")
+            chains.append(conv.rows + row)
+        for idx, residue in self._syndromes(slice(group, group + 1), chains):
+            if residue.any():
+                self._record(stripe, _KINDS[idx // conv.rows])
         return cost
 
     def sweep(self) -> int:
         """One full pass from the cursor: ``stripes`` calls to :meth:`step`.
 
         Same tick cost, counters and error list (same order), computed
-        for the whole volume at once: one row XOR-reduce over the RAID-5
-        disks and one reduction of every diagonal chain of every group,
-        the latter checked only for journal-marked rows.  The cursor ends
-        where it started.
+        for the whole volume at once: one :meth:`ArrayCode.syndromes`
+        call over every group, the row chains and (journal permitting)
+        the diagonal chains, the latter counted only for journal-marked
+        rows.  The cursor ends where it started.
         """
         total = self.stripes
         if total == 0:
@@ -150,29 +161,21 @@ class ScrubCursor:
         conv = self.conv
         m, rows = conv.m, conv.rows
         horizontal, diagonal = self._checks()
-        view = conv.array.bulk_view(slice(0, m + 1), slice(0, total))
-        bad_h = np.zeros(total, dtype=bool)
-        bad_d = np.zeros(total, dtype=bool)
-        marked = 0
-        if horizontal:
-            bad_h = np.bitwise_xor.reduce(view[:m], axis=0).any(axis=-1)
+        bad = np.zeros((2, conv.groups, rows), dtype=bool)  # [_KINDS, group, row]
+        chains = [*range(rows)] if horizontal else []
         if diagonal:
-            chain_rows, chain_cols = diagonal_chain_index(conv.p)
-            square = view[:m].reshape(m, conv.groups, rows, -1)
-            # (rows, p-2, groups, block) -> XOR of each chain, per group
-            chains = np.bitwise_xor.reduce(square[chain_cols, :, chain_rows], axis=1)
-            parity = view[m].reshape(conv.groups, rows, -1)
-            mask = conv.journal.marked()
-            bad_d = (np.any(chains.transpose(1, 0, 2) != parity, axis=-1) & mask).ravel()
-            marked = int(mask.sum())
-        for stripe in np.flatnonzero(np.roll(bad_h | bad_d, -self._stripe)):
+            chains += range(rows, 2 * rows)
+        for idx, residue in self._syndromes(slice(None), chains):
+            bad[idx // rows, :, idx % rows] = residue.any(axis=-1)
+        mask = conv.journal.marked() if diagonal else np.zeros((conv.groups, rows), dtype=bool)
+        bad[1] &= mask
+        bad = bad.reshape(2, total)
+        for stripe in np.flatnonzero(np.roll(bad.any(axis=0), -self._stripe)):
             stripe = (int(stripe) + self._stripe) % total
-            if bad_h[stripe]:
-                self._record(stripe, "horizontal")
-            if bad_d[stripe]:
-                self._record(stripe, "diagonal")
+            for kind in np.flatnonzero(bad[:, stripe]):
+                self._record(stripe, _KINDS[kind])
         self.stripes_scrubbed += total
-        return m * total + marked
+        return m * total + int(mask.sum())
 
     def snapshot(self) -> dict:
         return {

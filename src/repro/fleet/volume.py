@@ -31,7 +31,7 @@ work between foreground arrivals:
 3. **scrub**: idle-slack parity verification once conversion has
    drained (:meth:`ScrubCursor.step`), plus one full pass before the
    volume reports complete (:meth:`ScrubCursor.sweep`, the whole volume
-   in one tensor pass).
+   in one :meth:`ArrayCode.syndromes` call).
 
 Provisioning is whole-array work too: the seeded data lands through one
 vectorized RAID-5 fill (:meth:`Raid5Array.format_with`).  The fleet

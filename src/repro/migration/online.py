@@ -215,7 +215,10 @@ class OnlineCode56Conversion:
             for row in range(self.rows):
                 if not journal.is_marked(group, row):
                     continue
-                expect = self.chain_xor_uncounted(group, row)
+                # chain blocks on a failed disk are row-reconstructed
+                expect = np.zeros(self.array.block_size, dtype=np.uint8)
+                for r, c in self._diag_chain(row):
+                    np.bitwise_xor(expect, self._reader.peek(c, group * self.rows + r), out=expect)
                 block = group * self.rows + row
                 if np.array_equal(self.array.raw(self.m, block), expect):
                     self._generated[group, row] = True
@@ -226,14 +229,6 @@ class OnlineCode56Conversion:
             plane = self.array.fault_plane
             if plane is not None:
                 plane.counters["stale_checkpoints"] += stale
-
-    def chain_xor_uncounted(self, group: int, parity_row: int) -> np.ndarray:
-        """Recompute one diagonal parity from raw bytes (resume and scrub
-        scans); chain blocks on a failed disk are row-reconstructed."""
-        acc = np.zeros(self.array.block_size, dtype=np.uint8)
-        for r, c in self._diag_chain(parity_row):
-            np.bitwise_xor(acc, self._reader.peek(c, group * self.rows + r), out=acc)
-        return acc
 
     # ----------------------------------------------------------- geometry
     @property
@@ -632,10 +627,7 @@ class OnlineCode56Conversion:
         ``Raid6Array.rebuild_disks``); a degraded array's failed columns
         hold stale bytes that only the erasure code can interpret.
         """
-        if self.array.failed_disks:
-            raise RuntimeError(
-                f"rebuild failed disks {sorted(self.array.failed_disks)} before verifying"
-            )
+        self.array.require_healthy("verifying")
         view = self.array.bulk_view(slice(0, self.p), slice(0, self.groups * self.rows))
         stripes = view.reshape(
             self.p, self.groups, self.rows, self.array.block_size

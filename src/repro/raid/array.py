@@ -424,6 +424,11 @@ class BlockArray:
             raise IndexError(f"disk {disk} outside array")
         self._failed.add(disk)
 
+    def require_healthy(self, action: str) -> None:
+        """Refuse an audit while a disk is failed: its raw bytes are stale."""
+        if self._failed:
+            raise RuntimeError(f"rebuild failed disks {sorted(self._failed)} before {action}")
+
     def replace_disk(self, disk: int) -> None:
         """Swap in a blank disk (clears failure state and contents)."""
         if not 0 <= disk < self.n_disks:

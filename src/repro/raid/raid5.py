@@ -7,12 +7,13 @@ granularity (Table II) — a "stripe" of a RAID-5 is a row.
 The row equation — the XOR of every member of a row is zero — is the one
 reconstruction rule of the whole package: a lost or unreadable block is
 the XOR of the other members of its row.  :func:`row_xor` (counted) and
-:func:`row_xor_raw` (uncounted) are its only implementations; degraded
+:func:`row_xor_raw` (uncounted) rebuild one block from its row; degraded
 reads, rebuilds, the conversion engines' reconstruct-on-read
 (:class:`repro.faults.degraded.ReconstructingReader`) and the fleet's
-rebuild staging all call them.  The fill (:meth:`Raid5Array.format_with`)
-and the scrub (:meth:`Raid5Array.verify`) apply the equation to every row
-at once: one XOR-reduce over the disks' views.
+rebuild staging all call them.  Checking the equation is one
+XOR-reduce over the disks' views, :meth:`Raid5Array.row_residues`, read
+by both the audit (:meth:`Raid5Array.verify`) and the scrub; the fill
+(:meth:`Raid5Array.format_with`) applies it to every row the same way.
 """
 
 from __future__ import annotations
@@ -183,13 +184,17 @@ class Raid5Array:
             self.array.write(disk, stripe, row_xor(self.array, stripe, self.n, (disk,)))
 
     # ----------------------------------------------------------------- audit
-    def verify(self) -> bool:
-        """Uncounted parity scrub over every stripe: one XOR-reduce of the
-        ``n`` disks' views through the kernel; every row must XOR to zero."""
+    def row_residues(self) -> np.ndarray:
+        """Uncounted ``(stripes, block)`` XOR-reduce of the ``n`` disks'
+        views: zero where a row's parity holds (:meth:`verify`, scrub)."""
         disks = self.array.bulk_view(slice(0, self.n), slice(None))
         residue = np.empty(disks.shape[1:], dtype=np.uint8)
         resolve_kernel().region_xor_reduce(residue, list(disks))
-        return not residue.any()
+        return residue
+
+    def verify(self) -> bool:
+        """Uncounted parity scrub: every row residue must be zero."""
+        return not self.row_residues().any()
 
     def parity_map(self) -> list[tuple[int, int]]:
         """(stripe, parity disk) for every stripe — used by the planner."""

@@ -10,6 +10,8 @@ few stripe-groups, Section V-B).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.codes.base import ArrayCode
@@ -103,18 +105,6 @@ class Raid6Array:
             disk = self.disk_of(group, col)
             for row in range(self.rows):
                 self.array.raw(disk, self.block_of(group, row))[...] = stripe[row, col]
-
-    def assemble_stripe(self, group: int, counted: bool = False) -> np.ndarray:
-        """Gather a group's stripe (virtual columns zero-filled)."""
-        stripe = self.code.empty_stripe(self.array.block_size)
-        for col in self._physical_cols:
-            disk = self.disk_of(group, col)
-            for row in range(self.rows):
-                block = self.block_of(group, row)
-                stripe[row, col] = (
-                    self.array.read(disk, block) if counted else self.array.raw(disk, block)
-                )
-        return stripe
 
     # ------------------------------------------------------------------- I/O
     def read(self, lba: int) -> np.ndarray:
@@ -233,23 +223,28 @@ class Raid6Array:
                     self.array.write(disk, self.block_of(group, row), stripe[row, col])
 
     # ----------------------------------------------------------------- audit
-    def verify(self) -> bool:
-        """Uncounted parity scrub of every stripe-group.
+    def cells(self) -> Callable[[Cell], np.ndarray | None]:
+        """Uncounted lookup for :meth:`ArrayCode.syndromes`: ``(r, c)`` ->
+        that cell's ``(groups, block)`` raw bytes, group ``g``'s read from
+        ``disk_of(g, c)`` (``None`` on a virtual column).  A stride view
+        of the store unrotated, a gather of one block per group rotated."""
+        groups = np.arange(self.groups)
+        store = self.array.bulk_view(slice(None), slice(0, self.groups * self.rows))
+        store = store.reshape(self.array.n_disks, self.groups, self.rows, -1)
+        disks = {c: [self.disk_of(g, c) for g in groups] for c in self._physical_cols}
 
-        One gather of the whole array into a ``(groups, rows, cols,
-        block)`` tensor — column ``c`` of group ``g`` read from
-        ``disk_of(g, c)``, virtual columns zero — and one batched
-        :meth:`ArrayCode.verify` over it.
-        """
-        groups, rows, bs = self.groups, self.rows, self.array.block_size
-        cols = self._physical_cols
-        disks = np.array(
-            [[self.disk_of(g, c) for c in cols] for g in range(groups)], dtype=np.intp
-        ).reshape(groups, 1, len(cols))
-        blocks = np.arange(groups * rows, dtype=np.intp).reshape(groups, rows, 1)
-        disks, blocks = np.broadcast_arrays(disks, blocks)
-        stripes = np.zeros((groups, rows, self.code.cols, bs), dtype=np.uint8)
-        stripes[:, :, list(cols)] = self.array.gather_raw(disks, blocks).reshape(
-            groups, rows, len(cols), bs
-        )
-        return self.code.verify(stripes)
+        def cell(rc: Cell) -> np.ndarray | None:
+            r, c = rc
+            if c not in disks:
+                return None
+            if self.rotation_period is None:
+                return store[c, :, r]
+            return store[disks[c], groups, r]
+
+        return cell
+
+    def verify(self) -> bool:
+        """Uncounted parity check of every group: :meth:`ArrayCode.verify_cells`
+        over :meth:`cells`; ``RuntimeError`` while a disk is failed."""
+        self.array.require_healthy("verifying")
+        return self.code.verify_cells(self.cells(), (self.groups, self.array.block_size))

@@ -2,16 +2,19 @@
 
 The paper's motivation leans on Undetected Disk Errors and Latent
 Sector Errors (Table I's ASER rows): RAID arrays scrub periodically to
-catch them.  This module implements scrubbing over both array types:
+catch them.  Each scrub is one whole-array residue pass, with Python
+work only where a residue is nonzero:
 
-* **RAID-5** can only *detect* an inconsistent stripe (one parity
-  equation — no way to tell which block rotted);
-* a code-based **RAID-6** has two independent chains through every data
-  cell, so a single corrupt block is *locatable*: the set of violated
-  chains uniquely identifies it (and all violated syndromes must carry
-  the same XOR delta).  Located blocks are repaired in place by erasure
-  decoding — exactly why migrating an aging RAID-5 to RAID-6 also
-  protects against silent corruption, not just whole-disk loss.
+* **RAID-5** reads :meth:`Raid5Array.row_residues`, as its ``verify``
+  does, and can only *detect* an inconsistent stripe;
+* a code-based **RAID-6** reads :meth:`ArrayCode.syndromes` over
+  :meth:`Raid6Array.cells`.  Two independent chains run through every
+  data cell, so a single corrupt block is *locatable*: the violated
+  chains are its chain signature and all carry the same XOR delta,
+  which is XORed back into the block to repair it — why migrating an
+  aging RAID-5 to RAID-6 also protects against silent corruption.  A
+  degraded array is refused (``RuntimeError``): a failed disk's stale
+  bytes would be "located" and repaired on a disk that is gone.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codes.decoder import apply_recovery_plan
 from repro.codes.geometry import Cell
-from repro.raid.raid5 import Raid5Array, row_xor_raw
+from repro.raid.raid5 import Raid5Array
 from repro.raid.raid6 import Raid6Array
 
 __all__ = ["Raid5ScrubReport", "Raid6ScrubReport", "scrub_raid5", "scrub_raid6"]
@@ -57,37 +59,17 @@ class Raid6ScrubReport:
 
 def scrub_raid5(raid5: Raid5Array) -> Raid5ScrubReport:
     """Verify every stripe's parity equation (uncounted maintenance I/O)."""
-    report = Raid5ScrubReport()
-    for stripe in range(raid5.stripes):
-        report.stripes_checked += 1
-        if row_xor_raw(raid5.array, stripe, raid5.n).any():
-            report.inconsistent_stripes.append(stripe)
-    return report
-
-
-def _violated_chains(code, stripe: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
-    """Indices and syndromes of unsatisfied chains in one stripe."""
-    violated: list[int] = []
-    syndromes: list[np.ndarray] = []
-    virtual = code.layout.virtual_cells
-    for idx, chain in enumerate(code.layout.chains):
-        acc = stripe[chain.parity[0], chain.parity[1]].copy()
-        for cell in chain.members:
-            if cell not in virtual:
-                np.bitwise_xor(acc, stripe[cell[0], cell[1]], out=acc)
-        if acc.any():
-            violated.append(idx)
-            syndromes.append(acc)
-    return violated, syndromes
+    bad = raid5.row_residues().any(axis=-1)
+    return Raid5ScrubReport(raid5.stripes, np.flatnonzero(bad).tolist())
 
 
 def _chain_signature(code) -> dict[Cell, frozenset[int]]:
-    """Cell -> indices of the chains whose equation contains it."""
+    """Non-virtual cell -> indices of the chains whose equation contains it."""
     sig: dict[Cell, set[int]] = {}
     for idx, chain in enumerate(code.layout.chains):
         for cell in (chain.parity, *chain.members):
             sig.setdefault(cell, set()).add(idx)
-    return {cell: frozenset(s) for cell, s in sig.items()}
+    return {c: frozenset(s) for c, s in sig.items() if c not in code.layout.virtual_cells}
 
 
 def scrub_raid6(raid6: Raid6Array, repair: bool = True) -> Raid6ScrubReport:
@@ -97,36 +79,30 @@ def scrub_raid6(raid6: Raid6Array, repair: bool = True) -> Raid6ScrubReport:
     Localisation succeeds when exactly one cell's chain signature matches
     the violated set *and* every violated syndrome carries the same
     delta; multi-block corruption within a group is reported as
-    unlocatable (a rebuild-level event).
+    unlocatable (a rebuild-level event).  Raises ``RuntimeError`` while a
+    disk is failed.
     """
-    report = Raid6ScrubReport()
+    raid6.array.require_healthy("scrubbing")
     code = raid6.code
+    violated: dict[int, list[int]] = {}
+    deltas: dict[int, list[np.ndarray]] = {}
+    for idx, residue in code.syndromes(raid6.cells(), (raid6.groups, raid6.array.block_size)):
+        for group in np.flatnonzero(residue.any(axis=-1)).tolist():
+            violated.setdefault(group, []).append(idx)
+            deltas.setdefault(group, []).append(residue[group].copy())
+    report = Raid6ScrubReport(raid6.groups, sorted(violated))
     signatures = _chain_signature(code)
-    for group in range(raid6.groups):
-        report.groups_checked += 1
-        stripe = raid6.assemble_stripe(group)
-        violated, syndromes = _violated_chains(code, stripe)
-        if not violated:
-            continue
-        report.inconsistent_groups.append(group)
-        violated_set = frozenset(violated)
-        same_delta = all(np.array_equal(s, syndromes[0]) for s in syndromes)
-        candidates = [
-            cell
-            for cell, sig in signatures.items()
-            if sig == violated_set and cell not in code.layout.virtual_cells
-        ]
-        if not same_delta or len(candidates) != 1:
+    for group in report.inconsistent_groups:
+        violated_set, delta = frozenset(violated[group]), deltas[group][0]
+        candidates = [cell for cell, sig in signatures.items() if sig == violated_set]
+        if len(candidates) != 1 or any(not np.array_equal(d, delta) for d in deltas[group]):
             report.unlocatable_groups.append(group)
             continue
-        cell = candidates[0]
-        report.located.append((group, cell))
+        (row, col), = candidates
+        report.located.append((group, (row, col)))
         if repair:
-            plan = code.plan_cell_recovery((cell,))
-            apply_recovery_plan(plan, stripe)
-            disk = raid6.disk_of(group, cell[1])
-            raid6.array.raw(disk, raid6.block_of(group, cell[0]))[...] = stripe[
-                cell[0], cell[1]
-            ]
-            report.repaired.append((group, cell))
+            # only this cell is wrong: every chain through it is off by delta
+            block = raid6.array.raw(raid6.disk_of(group, col), raid6.block_of(group, row))
+            np.bitwise_xor(block, delta, out=block)
+            report.repaired.append((group, (row, col)))
     return report

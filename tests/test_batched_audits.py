@@ -1,13 +1,15 @@
 """Whole-array audits: every batched verifier catches planted corruption.
 
-The online converter, ``Raid6Array``, ``Raid5Array``, ``verify_conversion``
-and the fleet's offline-image oracle each check a whole array with a few
-tensor operations.  The per-group (and per-LBA) loops they replaced are
-kept here as oracles: on every clean and every corrupted array, the
-batched verifier and its loop must agree.  ``verify_conversion`` proves
-its recovery plans over the code's codeword space; the payload replay it
-replaced is kept here too, and the proof must reject everything the
-replay rejects, and more.
+The online converter, ``Raid6Array``, ``Raid5Array``, ``verify_conversion``,
+both scrubs and the fleet's offline-image oracle each check a whole array
+with a few tensor operations; the chain checks all go through
+``ArrayCode.syndromes``, whose residues are tested here directly.  The
+per-group (and per-LBA) loops they replaced are kept here as oracles: on
+every clean and every corrupted array, the batched verifier and its loop
+must agree (a scrub in every report field and every repaired byte).
+``verify_conversion`` proves its recovery plans over the code's codeword
+space; the payload replay it replaced is kept here too, and the proof
+must reject everything the replay rejects, and more.
 """
 
 import tracemalloc
@@ -16,10 +18,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.codes import get_code
+from repro.codes import CODE_CATALOG, get_code
 from repro.codes.base import ArrayCode
 from repro.codes.code56 import diagonal_chain_cells
-from repro.codes.decoder import run_recovery_steps
+from repro.codes.decoder import apply_recovery_plan, run_recovery_steps
 from repro.codes.geometry import ChainKind
 from repro.compiled import execute_plan_compiled, recovery
 from repro.faults.events import DiskFailureEvent
@@ -32,6 +34,7 @@ from repro.migration.ops import OpKind
 from repro.raid import BlockArray, Raid5Array, Raid6Array
 from repro.raid.layouts import locate_block, parity_disk
 from repro.raid.raid5 import row_xor_raw
+from repro.raid.scrub import Raid6ScrubReport, scrub_raid5, scrub_raid6
 
 PRIMES = (5, 7, 13)
 GROUPS = 3
@@ -52,16 +55,76 @@ def online_verify_loop(conv: OnlineCode56Conversion) -> bool:
     return True
 
 
+def assemble_stripe(raid6: Raid6Array, group: int) -> np.ndarray:
+    """Gather one group's stripe, raw (virtual columns zero-filled): the
+    ``Raid6Array.assemble_stripe`` the loops below were written against."""
+    stripe = raid6.code.empty_stripe(raid6.array.block_size)
+    for col in raid6.code.layout.physical_cols:
+        for row in range(raid6.rows):
+            stripe[row, col] = raid6.array.raw(raid6.disk_of(group, col), raid6.block_of(group, row))
+    return stripe
+
+
 def raid6_verify_loop(raid6: Raid6Array) -> bool:
     """The per-group scrub ``Raid6Array.verify`` replaced."""
-    return all(raid6.code.verify(raid6.assemble_stripe(g)) for g in range(raid6.groups))
+    return all(raid6.code.verify(assemble_stripe(raid6, g)) for g in range(raid6.groups))
+
+
+def scrub_raid6_loop(raid6: Raid6Array, repair: bool = True) -> Raid6ScrubReport:
+    """The per-group scrub ``scrub_raid6`` replaced: each group assembled
+    into a stripe, its chains XORed one at a time, and a located cell
+    rebuilt by replaying its recovery plan over the stripe."""
+    report = Raid6ScrubReport()
+    code = raid6.code
+    virtual = code.layout.virtual_cells
+    signatures: dict = {}
+    for idx, chain in enumerate(code.layout.chains):
+        for cell in (chain.parity, *chain.members):
+            signatures.setdefault(cell, set()).add(idx)
+    for group in range(raid6.groups):
+        report.groups_checked += 1
+        stripe = assemble_stripe(raid6, group)
+        violated, syndromes = [], []
+        for idx, chain in enumerate(code.layout.chains):
+            acc = stripe[chain.parity[0], chain.parity[1]].copy()
+            for cell in chain.members:
+                if cell not in virtual:
+                    np.bitwise_xor(acc, stripe[cell[0], cell[1]], out=acc)
+            if acc.any():
+                violated.append(idx)
+                syndromes.append(acc)
+        if not violated:
+            continue
+        report.inconsistent_groups.append(group)
+        same_delta = all(np.array_equal(s, syndromes[0]) for s in syndromes)
+        candidates = [
+            cell
+            for cell, sig in signatures.items()
+            if sig == set(violated) and cell not in virtual
+        ]
+        if not same_delta or len(candidates) != 1:
+            report.unlocatable_groups.append(group)
+            continue
+        cell = candidates[0]
+        report.located.append((group, cell))
+        if repair:
+            apply_recovery_plan(code.plan_cell_recovery((cell,)), stripe)
+            disk = raid6.disk_of(group, cell[1])
+            raid6.array.raw(disk, raid6.block_of(group, cell[0]))[...] = stripe[
+                cell[0], cell[1]
+            ]
+            report.repaired.append((group, cell))
+    return report
+
+
+def raid5_scrub_loop(raid5: Raid5Array) -> list[int]:
+    """The per-stripe scrub ``Raid5Array.row_residues`` replaced, behind
+    both ``Raid5Array.verify`` and ``scrub_raid5``."""
+    return [s for s in range(raid5.stripes) if row_xor_raw(raid5.array, s, raid5.n).any()]
 
 
 def raid5_verify_loop(raid5: Raid5Array) -> bool:
-    """The per-stripe scrub ``Raid5Array.verify`` replaced."""
-    return not any(
-        row_xor_raw(raid5.array, s, raid5.n).any() for s in range(raid5.stripes)
-    )
+    return not raid5_scrub_loop(raid5)
 
 
 def conversion_parity_loop(result) -> bool:
@@ -247,6 +310,159 @@ def test_raid6_verify_agrees_with_loop_on_other_codes(code_name):
             )
 
 
+def test_raid6_cells_are_views_unrotated_and_gathers_rotated():
+    code = get_code("code56", 5)
+    array = BlockArray(code.n_disks, GROUPS * code.rows, block_size=BS)
+    store = array.bulk_view(slice(None), slice(None))
+    store[...] = np.random.default_rng(0).integers(0, 256, size=store.shape, dtype=np.uint8)
+    flat = Raid6Array(array, code).cells()((1, 2))
+    assert flat.shape == (GROUPS, BS) and np.shares_memory(flat, store)
+    raid6 = Raid6Array(array, code, rotation_period=1)
+    rotated = raid6.cells()((1, 2))
+    assert not np.shares_memory(rotated, store)
+    for g in range(GROUPS):
+        assert np.array_equal(rotated[g], array.raw(raid6.disk_of(g, 2), raid6.block_of(g, 1)))
+
+
+# ---------------------------------------------------------- syndromes
+SCRUB_CODES = [(name, ()) for name in CODE_CATALOG] + [("code56", (0,))]
+SCRUB_IDS = [name + ("-shortened" if virtual else "") for name, virtual in SCRUB_CODES]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name,virtual_cols", SCRUB_CODES, ids=SCRUB_IDS)
+def test_syndromes_name_exactly_the_flipped_cells_chains(name, virtual_cols, p):
+    """One cell of one group flipped by a random nonzero delta: the
+    violated chains are that cell's chain signature, in that group only,
+    each residue is the delta, and ``verify_cells`` fails exactly when a
+    residue is nonzero.  Virtual cells included: every one lies on a
+    chain, so garbage stored in one shows in the residues too."""
+    code = get_code(name, p, virtual_cols=virtual_cols)
+    layout = code.layout
+    rng = np.random.default_rng(p)
+    groups, shape = 4, (4, BS)
+    stripes = code.make_stripe(
+        rng.integers(0, 256, size=(groups, code.num_data, BS), dtype=np.uint8)
+    )
+
+    def cell(rc):
+        return stripes[:, rc[0], rc[1]]
+
+    def violated():
+        """chain index -> (groups holding a nonzero residue, residues)."""
+        return {
+            idx: (np.flatnonzero(residue.any(axis=-1)).tolist(), residue.copy())
+            for idx, residue in code.syndromes(cell, shape)
+            if residue.any()
+        }
+
+    assert violated() == {} and code.verify_cells(cell, shape)
+    real = [rc for rc in (*layout.data_cells, *sorted(layout.parity_cells))
+            if rc not in layout.virtual_cells]
+    for rc in real + sorted(layout.virtual_cells):
+        group = int(rng.integers(groups))
+        delta = rng.integers(0, 256, size=BS, dtype=np.uint8)
+        delta[int(rng.integers(BS))] |= 0x01
+        stripes[group, rc[0], rc[1]] ^= delta
+        signature = {
+            idx for idx, ch in enumerate(layout.chains) if rc == ch.parity or rc in ch.members
+        }
+        seen = violated()
+        assert set(seen) == signature, rc
+        for bad_groups, residue in seen.values():
+            assert bad_groups == [group]
+            assert np.array_equal(residue[group], delta)
+        assert seen and not code.verify_cells(cell, shape)
+        # ``chains=`` walks just the chains asked for, in the order asked
+        pick = sorted(signature)[::-1]
+        assert [idx for idx, _ in code.syndromes(cell, shape, chains=pick)] == pick
+        stripes[group, rc[0], rc[1]] ^= delta
+    assert violated() == {} and code.verify_cells(cell, shape)
+
+
+# ---------------------------------------------------------- scrub_raid6
+SCRUB_GROUPS = 5
+SCRUB_CASES = ["data", "parity", "two-in-one-group", "several-groups"]
+
+
+def _scrub_flips(code, case: str, rng) -> list:
+    """``[(group, cell)]`` to corrupt for one scrub case."""
+    layout = code.layout
+    parity = sorted(layout.parity_cells - layout.virtual_cells)
+    real = list(layout.data_cells) + parity
+
+    def pick(cells):
+        return cells[int(rng.integers(len(cells)))]
+
+    if case == "data":
+        return [(1, pick(layout.data_cells))]
+    if case == "parity":
+        return [(SCRUB_GROUPS - 1, pick(parity))]
+    if case == "two-in-one-group":
+        a, b = rng.choice(len(real), size=2, replace=False)
+        return [(2, real[int(a)]), (2, real[int(b)])]
+    return [(g, pick(real)) for g in (0, 2, SCRUB_GROUPS - 1)]
+
+
+def _scrub_pair(code, rotation, flips, seed) -> tuple[Raid6Array, Raid6Array]:
+    """Two identical formatted, corrupted arrays."""
+    pair = []
+    for _ in range(2):
+        rng = np.random.default_rng(seed)
+        array = BlockArray(code.cols, SCRUB_GROUPS * code.rows, block_size=BS)
+        raid6 = Raid6Array(array, code, rotation_period=rotation)
+        raid6.format_with(
+            rng.integers(0, 256, size=(raid6.capacity_blocks, BS), dtype=np.uint8)
+        )
+        for group, (r, c) in flips:
+            block = array.raw(raid6.disk_of(group, c), raid6.block_of(group, r))
+            block[int(rng.integers(BS))] ^= int(rng.integers(1, 256))
+        pair.append(raid6)
+    return pair[0], pair[1]
+
+
+@pytest.mark.parametrize("case", SCRUB_CASES)
+@pytest.mark.parametrize("rotation", [None, 1, 3])
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("name,virtual_cols", SCRUB_CODES, ids=SCRUB_IDS)
+def test_scrub_raid6_matches_loop(name, virtual_cols, p, rotation, case):
+    """Every report field and every stored byte equal the per-group
+    loop's, with repair on and off."""
+    code = get_code(name, p, virtual_cols=virtual_cols)
+    seed = 1000 * SCRUB_CODES.index((name, virtual_cols)) + 100 * (rotation or 0)
+    seed += 10 * SCRUB_CASES.index(case) + p
+    flips = _scrub_flips(code, case, np.random.default_rng(seed))
+    for repair in (True, False):
+        got, want = _scrub_pair(code, rotation, flips, seed)
+        report = scrub_raid6(got, repair=repair)
+        assert report == scrub_raid6_loop(want, repair=repair)
+        assert np.array_equal(got.array.snapshot(), want.array.snapshot())
+        assert report.groups_checked == SCRUB_GROUPS
+        if case in ("data", "parity"):
+            assert report.located == flips
+            assert report.repaired == (flips if repair else [])
+            assert got.verify() == repair
+
+
+def test_scrub_raid6_reports_garbage_in_a_virtual_cell():
+    """A shortened code stores nothing in a virtual cell; bytes found
+    there make the groups inconsistent and unlocatable, as ``verify``
+    fails, and nothing is repaired.  (The loop skipped virtual members
+    and called such an array clean.)"""
+    code = get_code("code56", 5, virtual_cols=(0,))
+    group, (r, c) = planted_cells(code.layout, SCRUB_GROUPS)["virtual"]
+    raid6, old = _scrub_pair(code, None, [], 0)
+    for array in (raid6.array, old.array):
+        array.raw(raid6.disk_of(group, c), raid6.block_of(group, r))[0] ^= 0x5A
+    before = raid6.array.snapshot()
+    assert not raid6.verify()
+    assert scrub_raid6_loop(old).clean
+    report = scrub_raid6(raid6)
+    assert report.inconsistent_groups == report.unlocatable_groups == [group]
+    assert not report.located and not report.repaired
+    assert np.array_equal(raid6.array.snapshot(), before)
+
+
 # ---------------------------------------------------------- Raid5Array
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("kind", ["data", "horizontal"])
@@ -262,6 +478,20 @@ def test_raid5_verify_catches_planted_flip(p, kind):
         "horizontal": (raid5.parity_disk(last), last),
     }[kind]
     assert_flip_caught(array, disk, block, raid5.verify, lambda: raid5_verify_loop(raid5))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_scrub_raid5_matches_loop(p):
+    plan = build_plan("code56", "direct", p, groups=GROUPS)
+    array, _ = prepare_source_array(plan, np.random.default_rng(p), block_size=BS)
+    raid5 = Raid5Array(array, plan.source_layout, n_disks=plan.m)
+    rng = np.random.default_rng(p)
+    for _ in range(3):
+        disk, block = int(rng.integers(plan.m)), int(rng.integers(raid5.stripes))
+        array.raw(disk, block)[int(rng.integers(BS))] ^= int(rng.integers(1, 256))
+    report = scrub_raid5(raid5)
+    assert report.stripes_checked == raid5.stripes
+    assert report.inconsistent_stripes == raid5_scrub_loop(raid5) != []
 
 
 # ---------------------------------------------------------- verify_conversion

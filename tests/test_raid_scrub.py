@@ -155,3 +155,22 @@ class TestScrubAfterMigration:
         report = scrub_raid6(r6)
         assert report.located == [(1, pcell)]
         assert r6.verify()
+
+
+class TestDegradedScrub:
+    """A failed disk's raw bytes are stale by design: with disk 4 (the
+    diagonal disk at p=5) failed, a write skips the diagonal update, and
+    a scrub would "locate" the stale parity and write into the dead disk."""
+
+    def test_scrub_and_verify_refuse_a_failed_disk(self, rng):
+        r6, _ = make_raid6(rng)
+        r6.array.fail_disk(4)
+        r6.write(0, rng.integers(0, 256, 8, dtype=np.uint8))
+        before = r6.array.snapshot()
+        with pytest.raises(RuntimeError, match=r"rebuild failed disks \[4\]"):
+            scrub_raid6(r6)
+        with pytest.raises(RuntimeError, match=r"rebuild failed disks \[4\]"):
+            r6.verify()
+        assert np.array_equal(r6.array.snapshot(), before)
+        r6.rebuild_disks(4)
+        assert scrub_raid6(r6).clean and r6.verify()
