@@ -1,13 +1,12 @@
 """The migration fleet service: admission, spares, and the merged report.
 
 :class:`FleetService` turns a :class:`FleetConfig` into a fleet of
-:class:`~repro.fleet.volume.FleetVolume` tasks backed by one shared
-byte segment (each volume's :class:`~repro.raid.array.BlockArray` is a
-zero-copy view into it, the thread-pool analogue of an shm-backed
-store), admits at most ``clients`` of them concurrently through a
-worker pool — each worker provisions its volume (data, RAID-5 fill,
-converter) and drives it to a result, so at most ``clients`` volumes
-are alive at once — arbitrates hot spares through the shared
+:class:`~repro.fleet.volume.FleetVolume` tasks, admits at most
+``clients`` of them concurrently through a worker pool — each worker
+provisions its volume (data, RAID-5 fill, converter, and a
+:class:`~repro.raid.array.BlockArray` that owns its pages) and drives it
+to a result, so at most ``clients`` volumes hold memory at once —
+arbitrates hot spares through the shared
 :class:`~repro.fleet.spares.SparePool`, and merges the per-volume
 results into one JSON-ready fleet report with explicit pass/fail gates:
 
@@ -161,28 +160,20 @@ class FleetService:
     def run(self) -> dict:
         cfg = self.config
         specs = self.build_specs()
-        stripes = cfg.groups * (cfg.p - 1)
-        # one shared segment for the whole fleet; every volume's array is
-        # a zero-copy view (what an shm-backed deployment hands workers)
-        segment = np.zeros(
-            (cfg.volumes, cfg.p, stripes, cfg.block_size), dtype=np.uint8
-        )
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=cfg.clients) as pool:
-            futures = [
-                pool.submit(self._run_volume, spec, segment[spec.volume_id])
-                for spec in specs
-            ]
+            futures = [pool.submit(self._run_volume, spec) for spec in specs]
             results = [f.result() for f in futures]
         elapsed = time.perf_counter() - started
         results.sort(key=lambda r: r["volume_id"])
         return self._merge(results, elapsed)
 
-    def _run_volume(self, spec: VolumeSpec, buffer: np.ndarray) -> dict:
+    def _run_volume(self, spec: VolumeSpec) -> dict:
         """Provision one volume and drive it to its result doc, on a worker:
         a volume lives only while its worker runs it, so at most
-        ``clients`` volumes are alive at once."""
-        return FleetVolume(spec, buffer=buffer).run(self.spares)
+        ``clients`` volumes are alive at once and each one's pages go
+        back to the system when it finishes."""
+        return FleetVolume(spec).run(self.spares)
 
     # ------------------------------------------------------------ reporting
     def _merge(self, results: list[dict], elapsed: float) -> dict:

@@ -1,7 +1,7 @@
 """One fleet volume: array + converter + health + QoS, as a tick-domain task.
 
 A :class:`FleetVolume` owns everything about one migrating volume — the
-(possibly externally backed) :class:`~repro.raid.array.BlockArray`, the
+:class:`~repro.raid.array.BlockArray` and its pages, the
 :class:`~repro.migration.online.OnlineCode56Conversion`, its
 :class:`~repro.faults.journal.OnlineJournal` watermark, the fault plane,
 the health state machine and the QoS arbitration — and replays a seeded
@@ -107,7 +107,7 @@ class VolumeSpec:
 class FleetVolume:
     """One volume's full migration lifecycle under live traffic."""
 
-    def __init__(self, spec: VolumeSpec, buffer: np.ndarray | None = None):
+    def __init__(self, spec: VolumeSpec):
         from repro.migration.online import OnlineCode56Conversion, OnlineReport
 
         self.spec = spec
@@ -119,13 +119,8 @@ class FleetVolume:
         self.data = data_rng.integers(
             0, 256, size=(spec.capacity_blocks, bs), dtype=np.uint8
         )
-        # p disks up front (the hot-added diagonal disk is column m) so
-        # an externally backed store — one slice of the fleet's shared
-        # segment — needs no resize
-        if buffer is not None:
-            self.array = BlockArray(p, stripes, block_size=bs, buffer=buffer)
-        else:
-            self.array = BlockArray(p, stripes, block_size=bs)
+        # p disks up front: the hot-added diagonal disk is column m
+        self.array = BlockArray(p, stripes, block_size=bs)
         self.layout = Raid5Layout.LEFT_ASYMMETRIC
         Raid5Array(self.array, self.layout, n_disks=self.m).format_with(self.data)
         from repro.faults.journal import OnlineJournal

@@ -20,19 +20,11 @@ Bulk engines that perform their arithmetic in place (batched XOR over
 region views) use :meth:`bulk_view` + :meth:`credit_ios` instead of
 reaching into the private store.
 
-An owned store is a private anonymous memory mapping, advised for huge
-pages and faulted in at construction.  Freeing the array unmaps it, so
-its pages go back to the system at once, whatever the heap allocator
-did with earlier arrays; huge pages keep bulk XORs over it as fast as
-over a heap array.
-
-The store itself is pluggable: pass ``buffer=`` (any writable
-C-contiguous uint8 ndarray of the right shape) to adopt external backing
-zero-copy — this is how :mod:`repro.sweep.shm` places arrays in
-``multiprocessing.shared_memory`` so pool workers read the same bytes
-without pickling.  Externally backed arrays cannot be resized
-(:meth:`add_disk` / :meth:`remove_disk` would silently detach from the
-shared segment), and the provider owns the buffer's lifetime.
+Every array owns its store: a private anonymous memory mapping, advised
+for huge pages and faulted in at construction.  Freeing the array unmaps
+it, so its pages go back to the system at once, whatever the heap
+allocator did with earlier arrays; huge pages keep bulk XORs over it as
+fast as over a heap array.
 """
 
 from __future__ import annotations
@@ -66,34 +58,15 @@ class BlockArray:
     through :meth:`read` / :meth:`write`, which enforce failure state and
     count I/Os; bulk snapshots for verification use :meth:`snapshot`
     (not counted — it models an out-of-band check, not array traffic).
-    Unless ``buffer=`` is given, the store is a private anonymous
-    mapping of its own (see the module docstring), so freeing the array
-    returns its pages to the system.
+    The store is a private anonymous mapping of its own (see the module
+    docstring), so freeing the array returns its pages to the system.
     """
 
-    def __init__(
-        self,
-        n_disks: int,
-        blocks_per_disk: int,
-        block_size: int = 16,
-        buffer: np.ndarray | None = None,
-    ):
+    def __init__(self, n_disks: int, blocks_per_disk: int, block_size: int = 16):
         if n_disks < 1 or blocks_per_disk < 1 or block_size < 1:
             raise ValueError("array dimensions must be positive")
         self.block_size = block_size
-        if buffer is None:
-            self._store = _mapped_zeros((n_disks, blocks_per_disk, block_size))
-            self._owns_store = True
-        else:
-            shape = (n_disks, blocks_per_disk, block_size)
-            if buffer.dtype != np.uint8:
-                raise ValueError(f"buffer must be uint8, got {buffer.dtype}")
-            if buffer.shape != shape:
-                raise ValueError(f"buffer shape {buffer.shape} does not match {shape}")
-            if not buffer.flags.c_contiguous or not buffer.flags.writeable:
-                raise ValueError("buffer must be C-contiguous and writable")
-            self._store = buffer  # adopted zero-copy; provider owns lifetime
-            self._owns_store = False
+        self._store = _mapped_zeros((n_disks, blocks_per_disk, block_size))
         self._failed: set[int] = set()
         self.reads = np.zeros(n_disks, dtype=np.int64)
         self.writes = np.zeros(n_disks, dtype=np.int64)
@@ -101,14 +74,6 @@ class BlockArray:
         self._fault_plane = None
         #: optional concurrency sanitizer; None skips all shadow recording
         self._sanitizer = None
-
-    @classmethod
-    def over(cls, buffer: np.ndarray) -> "BlockArray":
-        """Adopt a ``(n_disks, blocks_per_disk, block_size)`` uint8 buffer."""
-        if buffer.ndim != 3:
-            raise ValueError(f"buffer must be 3-D, got shape {buffer.shape}")
-        n, bpd, bs = buffer.shape
-        return cls(n, bpd, bs, buffer=buffer)
 
     # ------------------------------------------------------------ properties
     @property
@@ -122,11 +87,6 @@ class BlockArray:
     @property
     def failed_disks(self) -> frozenset[int]:
         return frozenset(self._failed)
-
-    @property
-    def external_buffer(self) -> bool:
-        """True when the store was adopted via ``buffer=`` / :meth:`over`."""
-        return not self._owns_store
 
     @property
     def total_reads(self) -> int:
@@ -424,10 +384,14 @@ class BlockArray:
             raise IndexError(f"disk {disk} outside array")
         self._failed.add(disk)
 
-    def require_healthy(self, action: str) -> None:
-        """Refuse an audit while a disk is failed: its raw bytes are stale."""
-        if self._failed:
-            raise RuntimeError(f"rebuild failed disks {sorted(self._failed)} before {action}")
+    def require_healthy(self, action: str, width: int | None = None) -> None:
+        """Refuse an audit while a disk is failed: its raw bytes are stale.
+
+        ``width`` limits the check to disks ``0..width-1``, the columns
+        the audited code spans (a RAID-5 ignores a hot-added disk)."""
+        failed = sorted(d for d in self._failed if width is None or d < width)
+        if failed:
+            raise RuntimeError(f"rebuild failed disks {failed} before {action}")
 
     def replace_disk(self, disk: int) -> None:
         """Swap in a blank disk (clears failure state and contents)."""
@@ -438,8 +402,6 @@ class BlockArray:
 
     def add_disk(self) -> int:
         """Hot-add a blank disk; returns its index (RAID level migration)."""
-        if not self._owns_store:
-            raise ValueError("externally backed array cannot be resized")
         store = _mapped_zeros((self.n_disks + 1,) + self._store.shape[1:])
         store[:-1] = self._store
         self._store = store
@@ -449,8 +411,6 @@ class BlockArray:
 
     def remove_disk(self) -> None:
         """Drop the last disk (RAID-6 -> RAID-5 downgrade)."""
-        if not self._owns_store:
-            raise ValueError("externally backed array cannot be resized")
         if self.n_disks == 1:
             raise ValueError("cannot remove the last disk")
         last = self.n_disks - 1

@@ -193,7 +193,9 @@ class Raid5Array:
         return residue
 
     def verify(self) -> bool:
-        """Uncounted parity scrub: every row residue must be zero."""
+        """Uncounted parity scrub: every row residue must be zero;
+        ``RuntimeError`` while one of the ``n`` disks is failed."""
+        self.array.require_healthy("verifying", width=self.n)
         return not self.row_residues().any()
 
     def parity_map(self) -> list[tuple[int, int]]:

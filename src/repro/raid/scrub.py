@@ -12,9 +12,12 @@ work only where a residue is nonzero:
   data cell, so a single corrupt block is *locatable*: the violated
   chains are its chain signature and all carry the same XOR delta,
   which is XORed back into the block to repair it — why migrating an
-  aging RAID-5 to RAID-6 also protects against silent corruption.  A
-  degraded array is refused (``RuntimeError``): a failed disk's stale
-  bytes would be "located" and repaired on a disk that is gone.
+  aging RAID-5 to RAID-6 also protects against silent corruption.
+
+Both refuse a degraded array (``RuntimeError``): a failed disk's stale
+bytes would read as corruption, and a RAID-6 scrub would "locate" and
+repair them on a disk that is gone.  A RAID-5 checks only the failures
+among its own ``n`` disks, so a failed hot-added disk does not block it.
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ class Raid6ScrubReport:
 
 
 def scrub_raid5(raid5: Raid5Array) -> Raid5ScrubReport:
-    """Verify every stripe's parity equation (uncounted maintenance I/O)."""
+    """Verify every stripe's parity equation (uncounted maintenance I/O).
+    Raises ``RuntimeError`` while one of the RAID-5's disks is failed."""
+    raid5.array.require_healthy("scrubbing", width=raid5.n)
     bad = raid5.row_residues().any(axis=-1)
     return Raid5ScrubReport(raid5.stripes, np.flatnonzero(bad).tolist())
 

@@ -29,13 +29,6 @@ Rules (all purely syntactic — nothing is imported or executed):
   pid-private (its name derives from ``os.getpid()`` / ``mkstemp``) nor
   later pushed through ``os.replace``/``os.rename``.  A concurrent
   reader of such a file can observe a torn write.
-* **SC-R003** — a worker-context function stores into a shared-memory
-  buffer (a value derived from ``SharedNDArray.attach`` / ``create`` /
-  ``from_array`` or its ``.ndarray``).
-  The sweep's shm segments are single-writer (the parent) by design;
-  worker-side stores race every other attacher.  The runtime sanitizer
-  (:mod:`repro.staticcheck.concur.sanitizer`) covers the aliasing this
-  syntactic pass cannot see.
 * **SC-R004** — a worker-context function other than the initializer
   calls a process-wide singleton mutator (``set_registry`` /
   ``set_tracer`` / ``set_program_cache_dir``).
@@ -52,11 +45,11 @@ from repro.staticcheck.report import Finding
 
 __all__ = ["RULES", "DEFAULT_SCOPE", "analyze_source", "run_races"]
 
-RULES = ("SC-R001", "SC-R002", "SC-R003", "SC-R004")
+RULES = ("SC-R001", "SC-R002", "SC-R004")
 
 #: files (relative to the ``repro`` package root) the detector scans:
-#: everything that touches process pools, shared memory, journals or
-#: cross-process cache files
+#: everything that touches process pools, journals or cross-process
+#: cache files
 DEFAULT_SCOPE = (
     "sweep/",
     "faults/journal.py",
@@ -79,8 +72,6 @@ _MUTATORS = frozenset(
 _SINGLETON_MUTATORS = frozenset(
     {"set_registry", "set_tracer", "set_program_cache_dir"}
 )
-#: constructors whose results alias a shared-memory segment (SC-R003)
-_SHM_SOURCES = frozenset({"attach", "from_array", "create"})
 #: functions whose results name a pid/temp-private path (SC-R002)
 _PRIVATE_PATH_CALLS = frozenset(
     {"getpid", "mkstemp", "mkdtemp", "NamedTemporaryFile", "TemporaryDirectory"}
@@ -216,7 +207,7 @@ class _Module:
 
 
 class _FunctionChecker:
-    """SC-R001/R003/R004 inside one worker-context function."""
+    """SC-R001/R004 inside one worker-context function."""
 
     def __init__(self, module: _Module, fn, established: set[str],
                  is_initializer: bool, findings: list[Finding]):
@@ -226,8 +217,8 @@ class _FunctionChecker:
         self.is_initializer = is_initializer
         self.findings = findings
         # prepass: local bindings (params + plain-name assigns without a
-        # `global` declaration), explicit globals, and shm taint — so the
-        # flagging pass below is order-independent
+        # `global` declaration) and explicit globals — so the flagging
+        # pass below is order-independent
         self.global_decls: set[str] = set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Global):
@@ -236,19 +227,10 @@ class _FunctionChecker:
             a.arg
             for a in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
         }
-        self.shm_tainted: set[str] = set()
         for node in ast.walk(fn):
             if isinstance(node, ast.Assign):
-                tainted = self._shm_derived(node.value)
                 for tgt in node.targets:
-                    if not isinstance(tgt, ast.Name):
-                        # storing a tainted value *into* a container is
-                        # not itself a buffer write; only plain-name
-                        # aliases propagate shm taint
-                        continue
-                    if tainted:
-                        self.shm_tainted.add(tgt.id)
-                    if tgt.id not in self.global_decls:
+                    if isinstance(tgt, ast.Name) and tgt.id not in self.global_decls:
                         self.locals.add(tgt.id)
 
     def _flag(self, rule: str, node: ast.AST, message: str) -> None:
@@ -267,14 +249,6 @@ class _FunctionChecker:
             and name in self.module.mutable_globals
             and name not in self.locals
         )
-
-    def _shm_derived(self, expr: ast.expr) -> bool:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.id in self.shm_tainted:
-                return True
-            if isinstance(node, ast.Call) and _call_name(node.func) in _SHM_SOURCES:
-                return True
-        return False
 
     def check(self) -> None:
         fn_label = f"{self.fn.name}()"
@@ -313,18 +287,6 @@ class _FunctionChecker:
                             "establishes — there is no happens-before edge "
                             "ordering the write it expects",
                         )
-            # ------------------------------------------------- SC-R003
-            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
-                root = _root_name(node)
-                if root in self.shm_tainted or self._shm_derived(node.value):
-                    self._flag(
-                        "SC-R003",
-                        node,
-                        f"worker-context {fn_label} stores into a shared-"
-                        "memory buffer — shm segments are single-writer "
-                        "(the creating parent); return results through the "
-                        "future instead",
-                    )
             # ------------------------------------------------- SC-R004
             if isinstance(node, ast.Call) and not self.is_initializer:
                 name = _call_name(node.func)

@@ -19,7 +19,7 @@ Probes:
   same SC-C002 obligation.
 * **racy cache write** — a worker-context function publishing a shared
   file without the atomic-rename idiom; the AST race detector must flag
-  SC-R002 (plus SC-R001/R003/R004 probes for the other rules).
+  SC-R002 (plus SC-R001/R004 probes for the other rules).
 * **unfenced interleaving** — the sanitizer smoke with its sync edges
   dropped; the vector-clock recorder must report the write conflicts.
 """
@@ -114,16 +114,6 @@ def _race_probes() -> tuple[int, list[Finding]]:
 
             def go(executor):
                 executor.submit(worker, "programs.json", "{}")
-        """),
-        ("worker-shm-store", "SC-R003", """
-            from repro.sweep.shm import SharedNDArray
-
-            def worker(handle):
-                segment = SharedNDArray.attach(handle)
-                segment.ndarray[0] = 99
-
-            def go(executor, handle):
-                executor.submit(worker, handle)
         """),
         ("worker-singleton-swap", "SC-R004", """
             def worker(task):

@@ -17,10 +17,10 @@ invariant earlier PRs fought for:
   set is empty so not even a compatibility re-export may revive it.
 * **SC-L004** — ``multiprocessing`` (and ``concurrent.futures``) is
   imported only inside ``repro.sweep`` and ``repro.fleet``.  Process
-  management, shared memory and the resource-tracker workarounds live
-  behind audited boundaries — the sweep runner and the fleet service's
-  admission worker pool; a stray ``import multiprocessing`` elsewhere
-  bypasses their determinism and cleanup guarantees.
+  and thread pools live behind audited boundaries — the sweep runner
+  and the fleet service's admission worker pool; a stray
+  ``import multiprocessing`` elsewhere bypasses their determinism and
+  cleanup guarantees.
 * **SC-L005** — no direct ``np.bitwise_xor`` (nor the ``xor_reduce`` /
   ``xor_into`` helpers) on ``BlockArray`` storage outside
   ``repro.kernels``.  A function-local taint pass marks every value
@@ -33,8 +33,8 @@ invariant earlier PRs fought for:
   packages (``repro.core``, ``repro.compiled``, ``repro.migration``,
   ``repro.faults``).  Every run there must replay bit-identically from
   an explicit seed — the fault plane's crash schedules, the sweep's
-  shared-memory results and the model checker's state hashes all depend
-  on it.  Flagged: ``time.time`` / ``time.time_ns``, any stdlib
+  merged results and the model checker's state hashes all depend on
+  it.  Flagged: ``time.time`` / ``time.time_ns``, any stdlib
   ``random`` usage, ``os.urandom``, ``np.random.*`` legacy global-state
   calls, and *unseeded* ``np.random.default_rng()``.  Allowed:
   ``time.monotonic`` / ``perf_counter`` (deadlines, not data) and
@@ -76,8 +76,8 @@ _DEPRECATED_ALLOWED: frozenset[str] = frozenset()
 
 #: process-management modules confined to the sweep package
 _MP_MODULES = frozenset({"multiprocessing", "concurrent.futures"})
-#: the packages allowed to spawn workers / map shared memory: the
-#: sweep runner and the fleet service's admission worker pool
+#: the packages allowed to spawn workers: the sweep runner and the
+#: fleet service's admission worker pool
 _MP_ALLOWED_PREFIXES = ("sweep/", "fleet/")
 
 #: bulk storage accessors whose results are BlockArray storage (taint roots)
@@ -352,9 +352,9 @@ class _Linter(ast.NodeVisitor):
                 "SC-L004",
                 node,
                 f"import of `{module}` outside repro.sweep/repro.fleet — "
-                "process pools and shared memory go through the sweep "
-                "runner (repro.sweep.run_sweep / repro.sweep.shm) or the "
-                "fleet service's worker pool (repro.fleet.service)",
+                "process pools go through the sweep runner "
+                "(repro.sweep.run_sweep) or the fleet service's worker "
+                "pool (repro.fleet.service)",
             )
 
     def visit_Import(self, node: ast.Import) -> None:

@@ -9,9 +9,7 @@ Supporting pieces:
 
 * :mod:`repro.sweep.spec`   — the task model (pure, order-stable);
 * :mod:`repro.sweep.runner` — chunked process-pool execution with
-  timeout/retry, serial fallback, and cross-process metric/span merging;
-* :mod:`repro.sweep.shm`    — shared-memory ndarray + BlockArray
-  backing (the only module allowed to import ``multiprocessing``).
+  timeout/retry, serial fallback, and cross-process metric/span merging.
 """
 
 from repro.sweep.runner import (
@@ -22,7 +20,6 @@ from repro.sweep.runner import (
     run_sweep,
     run_task,
 )
-from repro.sweep.shm import SharedNDArray, ShmHandle
 from repro.sweep.spec import SweepSpec, SweepTask, Workload, derive_seed, paper_grid_pairs
 
 __all__ = [
@@ -37,6 +34,4 @@ __all__ = [
     "SweepResult",
     "SweepError",
     "POOL_BLOCKS",
-    "SharedNDArray",
-    "ShmHandle",
 ]

@@ -12,11 +12,10 @@ Mechanics:
 * **chunked dispatch** — tasks ship to workers in contiguous chunks
   (fewer IPC round-trips); results come back tagged with their task
   index, so arrival order is irrelevant;
-* **shared source data** — the ``execute`` workload's logical payload is
-  one seed-deterministic random pool, placed in
-  :mod:`multiprocessing.shared_memory` for the pool workers (attached by
-  name, zero-copy) and materialised as a plain array for serial runs —
-  identical bytes either way;
+* **one source-data pool** — the ``execute`` workload's logical payload
+  is one seed-deterministic random pool (:func:`data_pool`), which every
+  pool worker regenerates from the seed at start-up and serial runs
+  build once — identical bytes either way;
 * **timeout / retry** — a chunk that times out, dies with its worker, or
   raises is retried on a fresh pool up to ``retries`` times, then (by
   default) recomputed inline by the parent, so a flaky worker degrades
@@ -56,11 +55,11 @@ from repro.sweep.spec import SweepSpec, SweepTask, derive_seed
 
 __all__ = ["SweepError", "SweepResult", "run_sweep", "run_task", "POOL_BLOCKS"]
 
-#: logical blocks in the shared source-data pool; ``execute`` tasks tile
+#: logical blocks in the source-data pool; ``execute`` tasks tile
 #: it to their plan's data_blocks, so any grid size is covered
 POOL_BLOCKS = 4096
 #: byte width of the pool — execute tasks read the leading ``block_size``
-#: columns, so every block size shares one segment
+#: columns, so every block size shares one pool
 POOL_BLOCK_SIZE = 64
 
 
@@ -94,7 +93,7 @@ def _task_plan(task: SweepTask):
 def run_task(task: SweepTask, pool: np.ndarray | None = None, pool_seed: int = 0) -> dict:
     """Execute one grid cell; returns a JSON-safe record.
 
-    ``pool`` is the shared source-data payload for ``execute`` tasks
+    ``pool`` is the source-data payload for ``execute`` tasks
     (generated from ``pool_seed`` when absent).  Unsupported (code, p)
     combinations come back as ``{"skipped": ...}`` — a deterministic
     record, so serial and parallel merges agree on the full grid, holes
@@ -211,8 +210,8 @@ def run_task(task: SweepTask, pool: np.ndarray | None = None, pool_seed: int = 0
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(pool_handle: dict | None, pool_seed: int, cache_dir: str | None) -> None:
-    """Pool initializer: private obs state, shared data pool, disk cache."""
+def _worker_init(pool_seed: int, cache_dir: str | None) -> None:
+    """Pool initializer: private obs state, the source-data pool, disk cache."""
     from repro.compiled import set_program_cache_dir
     from repro.obs import set_registry, set_tracer
 
@@ -222,15 +221,7 @@ def _worker_init(pool_handle: dict | None, pool_seed: int, cache_dir: str | None
     tracer = Tracer(enabled=True)
     set_registry(registry)
     set_tracer(tracer)
-    _WORKER_STATE.update(
-        registry=registry, tracer=tracer, segment=None, pool=None, pool_seed=pool_seed
-    )
-    if pool_handle is not None:
-        from repro.sweep.shm import SharedNDArray
-
-        segment = SharedNDArray.attach(pool_handle)
-        _WORKER_STATE["segment"] = segment
-        _WORKER_STATE["pool"] = segment.ndarray
+    _WORKER_STATE.update(registry=registry, tracer=tracer, pool=data_pool(pool_seed))
 
 
 def _run_chunk(task_dicts: list[dict]) -> dict:
@@ -244,11 +235,7 @@ def _run_chunk(task_dicts: list[dict]) -> dict:
     for d in task_dicts:
         task = SweepTask.from_dict(d)
         with tracer.span("task", cat="sweep.task", task=task.task_id):
-            record = run_task(
-                task,
-                pool=_WORKER_STATE.get("pool"),
-                pool_seed=_WORKER_STATE.get("pool_seed", 0),
-            )
+            record = run_task(task, pool=_WORKER_STATE.get("pool"))
         out.append({"index": task.index, "record": record})
     response = {
         "pid": os.getpid(),
@@ -357,7 +344,6 @@ def run_sweep(
     needs_pool = any(w.kind == "execute" for w in spec.workloads)
 
     worker_stats: dict[int, dict] = {}
-    segment = None
     try:
         local_pool = data_pool(spec.seed) if needs_pool else None
         if workers <= 0:
@@ -380,13 +366,7 @@ def run_sweep(
                 [t.to_dict() for t in tasks],
                 chunksize or max(1, -(-len(tasks) // (workers * 4))),
             )
-            pool_handle = None
-            if needs_pool:
-                from repro.sweep.shm import SharedNDArray
-
-                segment = SharedNDArray.from_array(local_pool)
-                pool_handle = segment.handle.to_dict()
-            init_args = (pool_handle, spec.seed, str(cache_dir) if cache_dir else None)
+            init_args = (spec.seed, str(cache_dir) if cache_dir else None)
             if executor_factory is None:
                 def executor_factory(n, initargs):
                     return ProcessPoolExecutor(
@@ -451,8 +431,6 @@ def run_sweep(
                 pending = sorted(failed)
                 attempt += 1
     finally:
-        if segment is not None:
-            segment.unlink()
         if cache_dir is not None:
             set_program_cache_dir(prev_cache_dir)
 

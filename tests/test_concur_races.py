@@ -126,69 +126,6 @@ class TestFilePublishes:
         assert "SC-R002" in rules(src)
 
 
-class TestShmStores:
-    def test_flags_worker_store_into_attached_segment(self):
-        src = """
-            from repro.sweep.shm import SharedNDArray
-
-            def worker(handle):
-                segment = SharedNDArray.attach(handle)
-                segment.ndarray[0] = 99
-
-            def go(executor, handle):
-                executor.submit(worker, handle)
-        """
-        assert "SC-R003" in rules(src)
-
-    def test_alias_propagates_taint(self):
-        src = """
-            from repro.sweep.shm import SharedNDArray
-
-            def worker(handle):
-                segment = SharedNDArray.attach(handle)
-                view = segment.ndarray
-                view[3] = 1
-
-            def go(executor, handle):
-                executor.submit(worker, handle)
-        """
-        assert "SC-R003" in rules(src)
-
-    def test_read_only_attach_allowed(self):
-        src = """
-            from repro.sweep.shm import SharedNDArray
-
-            def worker(handle):
-                segment = SharedNDArray.attach(handle)
-                return segment.ndarray.sum()
-
-            def go(executor, handle):
-                executor.submit(worker, handle)
-        """
-        assert rules(src) == []
-
-    def test_storing_taint_into_container_is_not_a_buffer_write(self):
-        """The sweep runner stores the attached segment into its worker-
-        state dict inside the *initializer* — that subscript store is a
-        plain dict insert, not a write into the shared buffer."""
-        src = """
-            from repro.sweep.shm import SharedNDArray
-
-            _STATE: dict = {}
-
-            def _init(handle):
-                segment = SharedNDArray.attach(handle)
-                _STATE["segment"] = segment
-                _STATE["pool"] = segment.ndarray
-
-            def go(handle):
-                from concurrent.futures import ProcessPoolExecutor
-                return ProcessPoolExecutor(2, initializer=_init,
-                                           initargs=(handle,))
-        """
-        assert rules(src) == []
-
-
 class TestSingletonMutators:
     def test_flags_worker_registry_swap(self):
         src = """

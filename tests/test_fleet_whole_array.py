@@ -40,6 +40,13 @@ def per_block_fill(array: BlockArray, layout: Raid5Layout, n: int, data, stripes
         array.raw(pd, stripe)[...] = row_xor_raw(array, stripe, n, (pd,))
 
 
+def holding(prior: np.ndarray) -> BlockArray:
+    """An array whose disks start out holding ``prior`` (uncounted)."""
+    array = BlockArray(*prior.shape)
+    array.restore(prior)
+    return array
+
+
 class TestFillIdentity:
     @pytest.mark.parametrize("layout", list(Raid5Layout))
     @pytest.mark.parametrize("width", range(3, 15))
@@ -49,9 +56,9 @@ class TestFillIdentity:
         # nonzero prior contents everywhere: parity slots must be overwritten
         prior = rng.integers(0, 256, size=(disks, stripes, bs), dtype=np.uint8)
         data = rng.integers(0, 256, size=(stripes * (width - 1), bs), dtype=np.uint8)
-        want = BlockArray.over(prior.copy())
+        want = holding(prior)
         per_block_fill(want, layout, width, data, stripes)
-        got = BlockArray.over(prior.copy())
+        got = holding(prior)
         Raid5Array(got, layout, n_disks=width).format_with(data)
         assert np.array_equal(got.snapshot(), want.snapshot())
         assert got.total_ios == 0
@@ -62,9 +69,9 @@ class TestFillIdentity:
         rng = np.random.default_rng(5)
         prior = rng.integers(0, 256, size=(7, 9, 8), dtype=np.uint8)
         data = rng.integers(0, 256, size=(4 * 4, 8), dtype=np.uint8)
-        want = BlockArray.over(prior.copy())
+        want = holding(prior)
         per_block_fill(want, layout, 5, data, 4)
-        got = BlockArray.over(prior.copy())
+        got = holding(prior)
         Raid5Array(got, layout, n_disks=5).format_with(data, stripes=4)
         assert np.array_equal(got.snapshot(), want.snapshot())
 

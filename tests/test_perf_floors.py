@@ -15,15 +15,22 @@ wrong path cannot pass a floor.
   FCFS and NCQ-64;
 * the disabled tracer costs < 5% of a compiled run, both as the direct
   null-span cost and against paired baseline runs whose ``span()`` is a
-  bare ``nullcontext``.
+  bare ``nullcontext``;
+* a fleet drain at the ``fleet-faulted`` geometry peaks below 120 MB
+  resident (each volume owns its pages only while a client runs it).
 """
 
+import json
+import subprocess
+import sys
 from contextlib import nullcontext
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 import pytest
 
+import repro
 from repro.compiled import compile_plan, execute_plan_compiled
 from repro.faults.journal import OnlineJournal
 from repro.migration import (
@@ -278,4 +285,47 @@ def test_disabled_tracer_overhead_under_five_percent(engine_configs, record_prop
     record_property("null_span_pct", null_pct)
     assert null_pct < MAX_OVERHEAD_PCT, (
         f"{max_spans} disabled spans cost {null_pct:.2f}% of the fastest run"
+    )
+
+
+# ------------------------------------------------------------ fleet memory
+
+MAX_FLEET_RSS_MB = 120.0
+
+#: a child drains the fleet and reports its *own* peak RSS.  Neither
+#: rusage field works here: RUSAGE_CHILDREN folds in every other test's
+#: subprocesses, and Linux carries the spawning process's peak into the
+#: child's RUSAGE_SELF ``ru_maxrss`` across exec, so a child of a 400 MB
+#: test process reads 400 MB.  ``VmHWM`` is the peak of the child's own
+#: address space.
+_FLEET_DRAIN = """
+import json
+from repro.fleet.service import FleetConfig, run_fleet
+
+report = run_fleet(FleetConfig(
+    volumes=64, clients=2, p=13, groups=4, block_size=4096,
+    requests_per_volume=32, batch=4, spares=4, seed=2026,
+    fail_volumes=(7, 23, 61), fail_disk=1,
+))
+with open("/proc/self/status") as status:
+    hwm_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps({"ok": report["ok"], "peak_rss_MB": hwm_kb * 1024 / 1e6}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_fleet_drain_peak_rss_under_bound(record_property):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLEET_DRAIN],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={"PYTHONPATH": str(Path(repro.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    record_property("peak_rss_MB", doc["peak_rss_MB"])
+    assert doc["ok"], "fleet drain failed a gate"
+    assert doc["peak_rss_MB"] < MAX_FLEET_RSS_MB, (
+        f"fleet drain peaked at {doc['peak_rss_MB']:.0f} MB resident"
     )

@@ -174,3 +174,31 @@ class TestDegradedScrub:
         assert np.array_equal(r6.array.snapshot(), before)
         r6.rebuild_disks(4)
         assert scrub_raid6(r6).clean and r6.verify()
+
+    def test_raid5_scrub_and_verify_refuse_a_failed_disk(self, raid5, rng):
+        """Disk 0's new data lives only in the refreshed parity — a correct
+        degraded state whose stale raw bytes must not read as corruption."""
+        raid5.array.fail_disk(0)
+        raid5.write(0, rng.integers(0, 256, 8, dtype=np.uint8))
+        with pytest.raises(RuntimeError, match=r"rebuild failed disks \[0\] before scrubbing"):
+            scrub_raid5(raid5)
+        with pytest.raises(RuntimeError, match=r"rebuild failed disks \[0\] before verifying"):
+            raid5.verify()
+        raid5.rebuild_disk(0)
+        assert scrub_raid5(raid5).clean and raid5.verify()
+
+    def test_raid5_ignores_a_failed_disk_beyond_its_width(self, raid5):
+        raid5.array.add_disk()
+        raid5.array.fail_disk(5)
+        assert scrub_raid5(raid5).clean and raid5.verify()
+
+    def test_migrator_refuses_a_degraded_source(self, rng):
+        from repro.core import Code56Migrator
+
+        r5 = Raid5Array(BlockArray(4, 8, block_size=8))
+        r5.format_with(rng.integers(0, 256, size=(r5.capacity_blocks, 8), dtype=np.uint8))
+        migrator = Code56Migrator(r5.array, p=5)
+        migrator.check_source()
+        r5.array.fail_disk(2)
+        with pytest.raises(RuntimeError, match=r"rebuild failed disks \[2\]"):
+            migrator.check_source()
