@@ -17,7 +17,7 @@ Both effects are printed; the assertions encode the refined picture.
 """
 
 from repro.codes import get_layout
-from repro.core import plan_generic_hybrid_recovery
+from repro.core import plan_hybrid_recovery
 from repro.core.chain_decoder import plan_double_column_recovery
 from repro.simdisk import get_preset, simulate_closed
 from repro.workloads.rebuild import rebuild_trace
@@ -31,7 +31,7 @@ BLOCK = 4096
 
 def _measure():
     layout = get_layout("code56", P)
-    hybrid = plan_generic_hybrid_recovery(layout, COLUMN)
+    hybrid = plan_hybrid_recovery(layout, COLUMN)
     conventional = plan_double_column_recovery(layout, COLUMN)
     out = {}
     for name, plan in (("conventional", conventional), ("hybrid", hybrid.plan)):

@@ -2,13 +2,13 @@
 
 The paper applies Xiang et al.'s read-sharing recovery to Code 5-6 and
 notes it "can be used in many MDS codes to provide higher reliability".
-This bench runs the generalised optimiser over the full comparison set:
+This bench runs the same optimiser over the full comparison set:
 per-stripe reads for the worst *data*-column failure, hybrid vs
 conventional single-family recovery.
 """
 
 from repro.codes import CODE_NAMES, get_layout
-from repro.core import plan_generic_hybrid_recovery
+from repro.core import plan_hybrid_recovery
 
 PRIMES = (5, 7)
 
@@ -18,7 +18,7 @@ def _sweep():
     for p in PRIMES:
         for name in CODE_NAMES:
             lay = get_layout(name, p)
-            per_col = [plan_generic_hybrid_recovery(lay, c) for c in lay.physical_cols]
+            per_col = [plan_hybrid_recovery(lay, c) for c in lay.physical_cols]
             # report the best achievable saving over the column choices
             best = max(per_col, key=lambda h: h.read_savings)
             rows.append((p, name, best.reads, best.conventional_reads, best.read_savings))

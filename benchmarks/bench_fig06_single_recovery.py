@@ -8,7 +8,7 @@ per-p read counts.
 """
 
 from repro.codes import code56_layout
-from repro.core.recovery import plan_hybrid_recovery
+from repro.core import plan_hybrid_recovery
 
 PRIMES = (5, 7, 11, 13)
 

@@ -130,12 +130,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             plane.attach(array)
             journal = ConversionJournal()
             crashes = 0
-            with tracer.span("execute.injected", cat="cli", engine=args.engine):
+            with tracer.span("execute.injected", cat="cli"):
                 while True:
                     try:
-                        run = execute_checkpointed(
-                            plan, array, data, journal, engine=args.engine
-                        )
+                        run = execute_checkpointed(plan, array, data, journal)
                         break
                     except ConversionCrash:
                         crashes += 1
@@ -193,7 +191,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                 schedule=schedule,
                 metrics=registry.snapshot(),
                 meta={"command": "convert", "code": code, "approach": approach,
-                      "p": args.p, "engine": args.engine},
+                      "p": args.p,
+                      "engine": args.engine if plane is None else "checkpointed"},
             )
             print(f"trace: {args.trace} ({len(doc['traceEvents'])} events; "
                   f"open in https://ui.perfetto.dev)")
@@ -414,13 +413,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.codes import get_layout
-    from repro.core import plan_generic_hybrid_recovery
+    from repro.core import plan_hybrid_recovery
 
     layout = get_layout(args.code, args.p)
     cols = [args.column] if args.column is not None else list(layout.physical_cols)
     print(f"single-disk recovery reads per stripe for {args.code} p={args.p}")
     for col in cols:
-        h = plan_generic_hybrid_recovery(layout, col)
+        h = plan_hybrid_recovery(layout, col)
         print(f"  column {col}: hybrid={h.reads} conventional={h.conventional_reads} "
               f"saved={h.read_savings:.0%}")
     return 0
@@ -483,14 +482,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     reports = []
     run_sweep = args.crash_sweep or args.soak is None
     if run_sweep:
-        engines = ["audited", "compiled"] if args.engine == "both" else [args.engine]
-        for engine in engines:
-            reports.append(
-                crash_sweep_offline(
-                    args.p, engine, groups=args.groups, block_size=args.block_size,
-                    seed=args.seed, sample=args.sample, artifacts_dir=args.artifacts,
-                )
+        reports.append(
+            crash_sweep_offline(
+                args.p, groups=args.groups, block_size=args.block_size,
+                seed=args.seed, sample=args.sample, artifacts_dir=args.artifacts,
             )
+        )
         if args.online:
             reports.append(
                 crash_sweep_online(
@@ -512,7 +509,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         kind = r["kind"]
         status = "PASS" if r["ok"] else f"FAIL ({len(r['failures'])} failures)"
         if kind == "crash-sweep-offline":
-            print(f"{kind} [{r['engine']}] p={r['p']}: {r['runs']} runs over "
+            print(f"{kind} p={r['p']}: {r['runs']} runs over "
                   f"{r['points_swept']}/{r['crash_events']} crash points "
                   f"x {len(r['variants'])} variants — {status}")
         elif kind == "crash-sweep-online":
@@ -813,7 +810,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--block-size", type=int, default=16)
     p_conv.add_argument("--seed", type=int, default=0)
     p_conv.add_argument("--engine", choices=["audited", "compiled"], default="compiled",
-                        help="batched compiled executor (default) or per-block audited engine")
+                        help="executor for a healthy run: batched compiled "
+                             "(default) or per-block audited; --inject always "
+                             "runs the checkpointed per-group executor")
     p_conv.add_argument("--online", action="store_true",
                         help="live-migrate via Algorithm 2 under a seeded "
                              "application-write schedule (code56/direct only)")
@@ -872,7 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="crash-point sweeps + seeded fault soaks (repro.faults)"
     )
     p_chaos.add_argument("--crash-sweep", action="store_true",
-                         help="sweep every crash point of the offline engines "
+                         help="sweep every crash point of offline conversion "
                               "(default action when --soak is not given)")
     p_chaos.add_argument("--online", action="store_true",
                          help="also sweep the online converter's crash points")
@@ -884,8 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--groups", type=int, default=2)
     p_chaos.add_argument("--block-size", type=int, default=8)
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--engine", choices=["audited", "compiled", "both"],
-                         default="both")
     p_chaos.add_argument("--schedules", type=int, default=3,
                          help="online sweep: app-write interleavings per point")
     p_chaos.add_argument("--batch", type=int, default=1,

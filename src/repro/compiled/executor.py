@@ -17,7 +17,7 @@ compile_plan` refuses a plan otherwise), so there is no second tier.
 The views bypass the counted read hooks that fault planes and failed
 disks observe, so :func:`execute_compiled` refuses such arrays:
 :func:`repro.faults.execute_checkpointed` is the fault-aware entry
-point, and runs faulted phases on the audited engine's group code.
+point, and runs every stripe-group on the audited engine's group code.
 
 Byte-identical to the audited engine with identical per-disk counters
 (tested for every supported conversion); only the Python and

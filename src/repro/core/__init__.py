@@ -2,7 +2,8 @@
 
 * :mod:`repro.core.chain_decoder` — Algorithm 1 (two recovery chains, the
   peel order of :func:`repro.codes.build_recovery_plan`)
-* :mod:`repro.core.recovery` — hybrid single-disk recovery (Fig. 6)
+* :mod:`repro.core.recovery` — hybrid single-disk recovery (Fig. 6), for
+  every registered code
 * :mod:`repro.core.conversion` — bidirectional migration (Algorithm 2)
 * :mod:`repro.core.virtual` — virtual disks for any array width
 """
@@ -14,7 +15,7 @@ from repro.core.conversion import (
     downgrade_to_raid5,
     upgrade_to_raid6,
 )
-from repro.core.recovery import HybridRecovery, conventional_recovery_reads, plan_hybrid_recovery
+from repro.core.recovery import HybridRecovery, plan_hybrid_recovery
 from repro.core.virtual import VirtualDiskPlan, virtual_disk_plan
 
 __all__ = [
@@ -25,12 +26,7 @@ __all__ = [
     "downgrade_to_raid5",
     "upgrade_to_raid6",
     "HybridRecovery",
-    "conventional_recovery_reads",
     "plan_hybrid_recovery",
     "VirtualDiskPlan",
     "virtual_disk_plan",
 ]
-
-from repro.core.recovery_generic import GenericHybridRecovery, plan_generic_hybrid_recovery
-
-__all__ += ["GenericHybridRecovery", "plan_generic_hybrid_recovery"]

@@ -19,9 +19,8 @@ planner, :func:`repro.codes.decoder.build_recovery_plan`:
 Every step uses one parity chain of ``p-2`` surviving or recovered
 cells, so each lost element costs ``p-3`` XORs — the optimal decoding
 complexity claimed in Section III-E.  This module keeps the paper's
-entry point as a validating wrapper over the planner, Theorem 1's
-starting points, and the per-chain source sets the hybrid single-disk
-recovery (:mod:`repro.core.recovery`, Fig. 6) is scored with.
+entry point as a validating wrapper over the planner and Theorem 1's
+starting points.
 """
 
 from __future__ import annotations
@@ -42,26 +41,6 @@ def recovery_chain_starting_points(p: int, f1: int, f2: int) -> tuple[Cell, Cell
     if not 0 <= f1 < f2 <= p - 2:
         raise ValueError("starting points exist only for two square columns")
     return (f2 - f1 - 1, f1), (p - 1 - (f2 - f1), f2)
-
-
-def _horizontal_sources(p: int, target: Cell) -> tuple[Cell, ...]:
-    """All other square cells in the target's row (Eq. 1 / Eq. 3)."""
-    i, c = target
-    return tuple((i, j) for j in range(p - 1) if j != c)
-
-
-def _diagonal_sources(p: int, target: Cell) -> tuple[Cell, ...]:
-    """The diagonal parity plus the target's diagonal siblings (Eq. 5)."""
-    i, c = target
-    d = (i + c) % p
-    parity_row = (d + 1) % p  # the diagonal stored at row r covers d = r - 1
-    siblings = tuple(
-        (r, j)
-        for r in range(p - 1)
-        for j in range(p - 1)
-        if (r + j) % p == d and (r, j) != target
-    )
-    return ((parity_row, p - 1), *siblings)
 
 
 def plan_double_column_recovery(layout: CodeLayout, f1: int, f2: int | None = None) -> RecoveryPlan:

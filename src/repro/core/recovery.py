@@ -1,17 +1,20 @@
-"""Hybrid single-disk recovery for Code 5-6 (Section III-E.4, Figure 6).
+"""Hybrid single-disk recovery (Section III-E.4, Figure 6).
 
-When one square column fails, every lost data cell can be rebuilt from
-either its horizontal chain or its diagonal chain.  Choosing a mix lets
-reads be *shared* between the two families (a surviving cell that sits on
-both a chosen row and a chosen diagonal is read once), cutting recovery
-read I/O — the approach Xiang et al. proposed for RDP, applied here to
-Code 5-6.  At ``p = 5`` the paper reports 9 reads instead of 12 per
-stripe (a 25% reduction; the paper rounds the per-element read saving to
-"up to 33%": 12/9 = 1.33x).
+When one column fails, every lost cell can be rebuilt from any parity
+chain that covers it with no other unknown — for a Code 5-6 square
+column, its horizontal chain or its diagonal chain.  Choosing a mix lets
+reads be *shared* between the chosen chains (a surviving cell on both a
+chosen row and a chosen diagonal is read once), cutting recovery read
+I/O — the approach Xiang et al. proposed for RDP, which the paper
+applies to Code 5-6 and notes "can be used in many MDS codes".  At
+``p = 5`` the paper reports 9 reads instead of 12 per stripe for Code
+5-6 (a 25% reduction; the paper rounds the per-element read saving to
+"up to 33%": 12/9 = 1.33x); for RDP it gives Xiang et al.'s 12 vs 16.
 
-``plan_hybrid_recovery`` enumerates all 2^(p-2) choice vectors for small
-``p`` (the paper's regime) and falls back to a local-search heuristic for
-large ``p``.
+:func:`plan_hybrid_recovery` works on any registered layout: it
+enumerates every choice vector up to :data:`_EXHAUSTIVE_COMBOS` (every
+Code 5-6 column through ``p = 17``) and falls back to a greedy
+single-flip descent from the conventional pick beyond that.
 """
 
 from __future__ import annotations
@@ -19,19 +22,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from repro.codes.code56 import horizontal_parity_cell
-from repro.codes.geometry import Cell, CodeLayout
+from repro.codes.geometry import Cell, ChainKind, CodeLayout
 from repro.codes.plans import RecoveryPlan, RecoveryStep
-from repro.core.chain_decoder import (
-    _diagonal_sources,
-    _horizontal_sources,
-    plan_double_column_recovery,
-)
 
-__all__ = ["HybridRecovery", "plan_hybrid_recovery", "conventional_recovery_reads"]
+__all__ = ["HybridRecovery", "plan_hybrid_recovery"]
 
-#: Exhaustive search bound: 2^(p-2) plans are scored below this p.
-_EXHAUSTIVE_P_LIMIT = 17
+#: exhaustive search bound on the number of choice combinations
+_EXHAUSTIVE_COMBOS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -40,9 +37,9 @@ class HybridRecovery:
 
     column: int
     plan: RecoveryPlan
-    #: chain family chosen per lost data cell ("horizontal" / "diagonal")
-    choices: tuple[str, ...]
     reads: int
+    #: reads of the single-family recovery (horizontal chains where they
+    #: cover the column)
     conventional_reads: int
 
     @property
@@ -53,93 +50,90 @@ class HybridRecovery:
         return 1.0 - self.reads / self.conventional_reads
 
 
-def conventional_recovery_reads(layout: CodeLayout, column: int) -> int:
-    """Reads used by the conventional single-family recovery.
+def _candidates(layout: CodeLayout, lost: set[Cell]) -> dict[Cell, list[tuple[Cell, ...]]]:
+    """Per lost cell: every source-set (one per usable chain).
 
-    A failed square column is rebuilt purely through horizontal chains
-    (each of the ``p-1`` rows reads its ``p-2`` surviving cells; rows
-    share nothing).  The diagonal column is rebuilt purely from data.
+    A chain is usable for a cell when the cell is its parity (recompute)
+    or a member (solve), and no *other* lost cell appears among the
+    remaining terms.  Horizontal-family chains come first: the first
+    option of every cell is the conventional pick.
     """
-    plan = plan_double_column_recovery(layout, column)
-    return plan.total_reads
+    ranked: dict[Cell, list[tuple[bool, tuple[Cell, ...]]]] = {cell: [] for cell in lost}
+    virtual = layout.virtual_cells
+    for chain in layout.chains:
+        terms = [t for t in (chain.parity, *chain.members) if t not in virtual]
+        hit = [t for t in terms if t in lost]
+        if len(hit) != 1:
+            continue  # covers none, or cannot isolate a single unknown
+        target = hit[0]
+        sources = tuple(sorted(t for t in terms if t != target))
+        ranked[target].append((chain.kind is not ChainKind.HORIZONTAL, sources))
+    return {cell: [s for _rank, s in sorted(opts)] for cell, opts in ranked.items()}
 
 
 def plan_hybrid_recovery(layout: CodeLayout, column: int) -> HybridRecovery:
-    """Best-mix recovery of a single failed column of Code 5-6.
-
-    For the diagonal column there is no choice (horizontal chains do not
-    cover it), so the conventional plan is returned as-is.
-    """
-    if layout.name != "code56":
-        raise ValueError("hybrid recovery is specific to Code 5-6")
-    p = layout.p
-    if column == p - 1:
-        plan = plan_double_column_recovery(layout, column)
-        reads = plan.total_reads
-        return HybridRecovery(
-            column=column,
-            plan=plan,
-            choices=(),
-            reads=reads,
-            conventional_reads=reads,
+    """Minimise distinct reads to rebuild one failed column of ``layout``."""
+    if column not in layout.physical_cols:
+        raise ValueError(f"column {column} is not a physical column of {layout.name}")
+    lost = {
+        (r, column)
+        for r in range(layout.rows)
+        if (r, column) not in layout.virtual_cells
+    }
+    cands = _candidates(layout, lost)
+    uncovered = [cell for cell, options in cands.items() if not options]
+    if uncovered:
+        raise ValueError(
+            f"{layout.name}: cells {uncovered} have no single-unknown chain — "
+            "not a single-failure-correcting layout?"
         )
-    if not 0 <= column <= p - 2:
-        raise ValueError(f"column {column} outside stripe")
+    cells = sorted(cands)
+    option_lists = [cands[c] for c in cells]
 
-    parity_cell = horizontal_parity_cell(p, p - 2 - column)
-    data_rows = [r for r in range(p - 1) if (r, column) != parity_cell]
+    # a read set is a bitmask over the surviving cells, so a choice
+    # vector scores as the popcount of its options' union
+    bit: dict[Cell, int] = {}
+    masks = [
+        [sum(1 << bit.setdefault(t, len(bit)) for t in set(sources)) for sources in options]
+        for options in option_lists
+    ]
 
-    def sources_for(row: int, family: str) -> tuple[Cell, ...]:
-        target = (row, column)
-        if family == "horizontal":
-            return _horizontal_sources(p, target)
-        return _diagonal_sources(p, target)
+    def score(choice: tuple[int, ...]) -> int:
+        reads = 0
+        for options, k in zip(masks, choice):
+            reads |= options[k]
+        return reads.bit_count()
 
-    def score(choice: tuple[str, ...]) -> tuple[int, set[Cell]]:
-        reads: set[Cell] = set()
-        # the column's horizontal parity cell is always recomputed from its
-        # row (it belongs to no diagonal chain)
-        reads.update(_horizontal_sources(p, parity_cell))
-        for row, family in zip(data_rows, choice):
-            reads.update(sources_for(row, family))
-        return len(reads), reads
-
-    if p <= _EXHAUSTIVE_P_LIMIT:
-        best_choice = min(
-            itertools.product(("horizontal", "diagonal"), repeat=len(data_rows)),
-            key=lambda ch: (score(ch)[0], ch),
-        )
+    conventional = (0,) * len(cells)
+    combos = 1
+    for options in option_lists:
+        combos *= len(options)
+    if combos <= _EXHAUSTIVE_COMBOS:
+        best = min(itertools.product(*(range(len(o)) for o in option_lists)), key=score)
     else:
-        # Greedy + single-flip local search for large p.
-        best_choice = tuple("horizontal" for _ in data_rows)
-        best_reads = score(best_choice)[0]
+        # greedy descent: flip one cell's choice at a time while it helps
+        best = conventional
+        best_reads = score(best)
         improved = True
         while improved:
             improved = False
-            for i in range(len(data_rows)):
-                flipped = list(best_choice)
-                flipped[i] = "diagonal" if flipped[i] == "horizontal" else "horizontal"
-                cand = tuple(flipped)
-                cand_reads = score(cand)[0]
-                if cand_reads < best_reads:
-                    best_choice, best_reads = cand, cand_reads
-                    improved = True
+            for i, options in enumerate(option_lists):
+                for k in range(len(options)):
+                    if k == best[i]:
+                        continue
+                    trial = best[:i] + (k,) + best[i + 1:]
+                    r = score(trial)
+                    if r < best_reads:
+                        best, best_reads = trial, r
+                        improved = True
 
-    steps = [
-        RecoveryStep(target=(row, column), sources=sources_for(row, family))
-        for row, family in zip(data_rows, best_choice)
-    ]
-    steps.append(
-        RecoveryStep(target=parity_cell, sources=_horizontal_sources(p, parity_cell))
+    steps = tuple(
+        RecoveryStep(target=cell, sources=options[k])
+        for cell, options, k in zip(cells, option_lists, best)
     )
-    plan = RecoveryPlan(
-        lost=tuple((r, column) for r in range(p - 1)), steps=tuple(steps)
-    )
-    reads = plan.total_reads
     return HybridRecovery(
         column=column,
-        plan=plan,
-        choices=best_choice,
-        reads=reads,
-        conventional_reads=conventional_recovery_reads(layout, column),
+        plan=RecoveryPlan(lost=tuple(cells), steps=steps),
+        reads=score(best),
+        conventional_reads=score(conventional),
     )

@@ -12,15 +12,15 @@ The robustness layer for the conversion stack:
 * :mod:`repro.faults.degraded` — reconstruct-on-read for degraded-mode
   conversion;
 * :mod:`repro.faults.journal` — the conversion journals (write-ahead
-  undo records for the offline engines, a validated watermark for the
+  undo records for offline conversion, a validated watermark for the
   online converter);
 * :mod:`repro.faults.checkpoint` — crash-consistent execution and
-  resume for the audited and compiled engines;
+  resume for offline conversion, one stripe-group unit at a time;
 * :mod:`repro.faults.chaos` — crash-point sweeps and seeded fault
   soaks (the ``repro chaos`` backend).
 
 The heavyweight modules (journal/checkpoint/degraded/chaos pull in the
-migration engines) load lazily so that ``repro.migration`` can import
+conversion executors) load lazily so that ``repro.migration`` can import
 the light ones without a cycle.
 """
 

@@ -6,7 +6,7 @@ run), kill the conversion there, resume it from its journal, and demand
 the resumed array be **byte-identical** to an uninterrupted run.  Each
 crash point is swept under several write-interleaving variants — a clean
 kill, a half-torn in-flight write, a one-byte-torn write — and, for the
-online engine, under several seeded application-write schedules.
+online converter, under several seeded application-write schedules.
 
 Every run is reproducible from a plain-data spec (seed + fault
 schedule): failures come back as JSON-ready dicts that
@@ -59,7 +59,7 @@ def _select_points(n_events: int, crash_points, sample: int | None):
 
 # ------------------------------------------------------------------ offline
 def _offline_reference(plan, seed: int, block_size: int) -> np.ndarray:
-    from repro.migration.engine import execute_plan, prepare_source_array
+    from repro.migration import execute_plan, prepare_source_array
 
     array, data = prepare_source_array(
         plan, np.random.default_rng(seed), block_size=block_size
@@ -70,14 +70,13 @@ def _offline_reference(plan, seed: int, block_size: int) -> np.ndarray:
 
 def _offline_single(
     plan,
-    engine: str,
     seed: int,
     block_size: int,
     scenario: FaultScenario,
     reference: np.ndarray,
 ) -> dict:
     """One crash(+faults)/resume cycle; byte-compared against reference."""
-    from repro.migration.engine import prepare_source_array, verify_conversion
+    from repro.migration import prepare_source_array, verify_conversion
 
     array, data = prepare_source_array(
         plan, np.random.default_rng(seed), block_size=block_size
@@ -89,7 +88,7 @@ def _offline_single(
     run = None
     for _attempt in range(2 + len(scenario.disk_failures)):
         try:
-            run = execute_checkpointed(plan, array, data, journal, engine=engine)
+            run = execute_checkpointed(plan, array, data, journal)
             break
         except ConversionCrash:
             crashed += 1
@@ -112,7 +111,6 @@ def _offline_single(
 
 def crash_sweep_offline(
     p: int = 5,
-    engine: str = "audited",
     *,
     groups: int = 2,
     block_size: int = 8,
@@ -134,20 +132,19 @@ def crash_sweep_offline(
 
     plan = build_plan("code56", "direct", p, groups=groups)
     reference = _offline_reference(plan, seed, block_size)
-    n_events = count_crash_events(plan, engine=engine, block_size=block_size, seed=seed)
+    n_events = count_crash_events(plan, block_size=block_size, seed=seed)
     points = _select_points(n_events, crash_points, sample)
     runs = 0
     failures: list[dict] = []
     for k in points:
         for label, tear in CRASH_VARIANTS:
             scenario = FaultScenario(seed=seed).with_crash(k, tear)
-            outcome = _offline_single(plan, engine, seed, block_size, scenario, reference)
+            outcome = _offline_single(plan, seed, block_size, scenario, reference)
             runs += 1
             if not outcome["ok"]:
                 failures.append(
                     {
                         "kind": "offline-crash",
-                        "engine": engine,
                         "p": p,
                         "groups": groups,
                         "block_size": block_size,
@@ -159,7 +156,6 @@ def crash_sweep_offline(
                 )
     report = {
         "kind": "crash-sweep-offline",
-        "engine": engine,
         "p": p,
         "groups": groups,
         "crash_events": n_events,
@@ -178,7 +174,7 @@ def crash_sweep_offline(
 def _online_array(p: int, groups: int, seed: int, block_size: int):
     """A formatted left-asymmetric RAID-5 plus the blank diagonal disk."""
     from repro.migration.approaches import build_plan
-    from repro.migration.engine import prepare_source_array
+    from repro.migration import prepare_source_array
 
     plan = build_plan("code56", "direct", p, groups=groups)
     array, data = prepare_source_array(
@@ -385,8 +381,7 @@ def fault_soak(
 ) -> dict:
     """Seeded randomized fault campaign for a wall-clock budget.
 
-    Each iteration draws a scenario kind — offline crash/resume (either
-    engine), mixed sector-error/transient injection, degraded conversion
+    Each iteration draws a scenario kind — offline crash/resume, mixed sector-error/transient injection, degraded conversion
     with a failed disk (rebuilt and fully verified afterwards), a torn
     parity write healed by the RAID-6 scrubber, or an online
     crash/resume — runs it, and verifies the end state.  Everything
@@ -394,8 +389,6 @@ def fault_soak(
     the returned spec alone.
     """
     from repro.migration.approaches import build_plan
-    from repro.migration.engine import prepare_source_array, verify_conversion
-    from repro.raid.scrub import scrub_raid6
 
     rng = np.random.default_rng(seed)
     deadline = time.monotonic() + seconds
@@ -409,7 +402,6 @@ def fault_soak(
             break
         iterations += 1
         p = int(rng.choice(p_values))
-        engine = "audited" if rng.random() < 0.5 else "compiled"
         kind = kinds[iterations % len(kinds)]
         tally[kind] += 1
         groups = 2
@@ -417,7 +409,6 @@ def fault_soak(
         run_seed = int(rng.integers(1 << 31))
         spec = {
             "kind": kind,
-            "engine": engine,
             "p": p,
             "groups": groups,
             "block_size": block_size,
@@ -446,7 +437,7 @@ def fault_soak(
                     torn_writes=(TornWrite(op=int(rng.integers(10, 40)), keep_fraction=0.5),),
                 )
                 spec["scenario"] = scenario.to_dict()
-                ok = _run_torn_scrub(plan, engine, run_seed, block_size, scenario)
+                ok = _run_torn_scrub(plan, run_seed, block_size, scenario)
             elif kind == "degraded":
                 failed_disk = int(rng.integers(p - 1))
                 # transients only: they always recover within the retry
@@ -462,7 +453,7 @@ def fault_soak(
                     meta={"kind": kind},
                 )
                 spec.update(failed_disk=failed_disk, scenario=scenario.to_dict())
-                ok = _run_degraded(plan, engine, run_seed, block_size, scenario, failed_disk)
+                ok = _run_degraded(plan, run_seed, block_size, scenario, failed_disk)
             else:
                 scenario = _soak_scenario(rng, p, kind)
                 if kind == "offline-crash":
@@ -472,7 +463,7 @@ def fault_soak(
                 spec["scenario"] = scenario.to_dict()
                 reference = _offline_reference(plan, run_seed, block_size)
                 ok = _offline_single(
-                    plan, engine, run_seed, block_size, scenario, reference
+                    plan, run_seed, block_size, scenario, reference
                 )["ok"]
         except Exception as exc:  # noqa: BLE001 - soak reports, never aborts
             ok = False
@@ -493,8 +484,8 @@ def fault_soak(
     return report
 
 
-def _run_torn_scrub(plan, engine, seed, block_size, scenario) -> bool:
-    from repro.migration.engine import prepare_source_array, verify_conversion
+def _run_torn_scrub(plan, seed, block_size, scenario) -> bool:
+    from repro.migration import prepare_source_array, verify_conversion
     from repro.raid.scrub import scrub_raid6
 
     array, data = prepare_source_array(
@@ -502,7 +493,7 @@ def _run_torn_scrub(plan, engine, seed, block_size, scenario) -> bool:
     )
     plane = FaultPlane(scenario)
     plane.attach(array)
-    run = execute_checkpointed(plan, array, data, engine=engine)
+    run = execute_checkpointed(plan, array, data)
     plane.detach()
     raid6 = _as_raid6(plan, array)
     report = scrub_raid6(raid6, repair=True)
@@ -513,8 +504,8 @@ def _run_torn_scrub(plan, engine, seed, block_size, scenario) -> bool:
     return verify_conversion(run.result, check_io_counters=False)
 
 
-def _run_degraded(plan, engine, seed, block_size, scenario, failed_disk) -> bool:
-    from repro.migration.engine import prepare_source_array, verify_conversion
+def _run_degraded(plan, seed, block_size, scenario, failed_disk) -> bool:
+    from repro.migration import prepare_source_array, verify_conversion
 
     array, data = prepare_source_array(
         plan, np.random.default_rng(seed), block_size=block_size
@@ -522,7 +513,7 @@ def _run_degraded(plan, engine, seed, block_size, scenario, failed_disk) -> bool
     array.fail_disk(failed_disk)
     plane = FaultPlane(scenario)
     plane.attach(array)
-    run = execute_checkpointed(plan, array, data, engine=engine)
+    run = execute_checkpointed(plan, array, data)
     plane.detach()
     raid6 = _as_raid6(plan, array)
     raid6.rebuild_disks(failed_disk)
@@ -550,9 +541,7 @@ def replay_scenario(spec: dict) -> dict:
     plan = build_plan("code56", "direct", p, groups=groups)
     if kind in ("offline-crash", "offline-faults"):
         reference = _offline_reference(plan, seed, block_size)
-        return _offline_single(
-            plan, spec.get("engine", "audited"), seed, block_size, scenario, reference
-        )
+        return _offline_single(plan, seed, block_size, scenario, reference)
     if kind == "online-crash":
         return _online_single(
             p, groups, seed, spec.get("schedule", 0), block_size, scenario, None,
@@ -560,13 +549,10 @@ def replay_scenario(spec: dict) -> dict:
             batch=spec.get("batch", 1),
         )
     if kind == "torn-scrub":
-        ok = _run_torn_scrub(plan, spec.get("engine", "audited"), seed, block_size, scenario)
+        ok = _run_torn_scrub(plan, seed, block_size, scenario)
         return {"ok": ok}
     if kind == "degraded":
-        ok = _run_degraded(
-            plan, spec.get("engine", "audited"), seed, block_size, scenario,
-            spec["failed_disk"],
-        )
+        ok = _run_degraded(plan, seed, block_size, scenario, spec["failed_disk"])
         return {"ok": ok}
     raise ValueError(f"unknown scenario kind {kind!r}")
 

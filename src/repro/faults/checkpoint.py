@@ -1,8 +1,7 @@
 """Crash-consistent conversion: checkpointed execution and resume.
 
-Both offline engines are wrapped in the same write-ahead discipline,
-one *unit* at a time — a stripe-group for the audited engine, a whole
-phase for the compiled engine:
+Offline conversion is wrapped in a write-ahead discipline, one
+stripe-group *unit* at a time:
 
 1. ``journal.begin(unit)`` logs the pre-image of every block the unit
    will write (captured out of band, like controller NVRAM);
@@ -19,20 +18,16 @@ rollback first restores the exact pre-unit state — so a conversion
 resumed after a crash at any boundary converges to the byte-identical
 final array (the crash-sweep tests enumerate every boundary).
 
-Faults and degraded mode ride the audited engine's own group code: an
-audited unit always runs :func:`~repro.migration.engine._execute_group`,
-and a compiled phase unit runs its groups through it too, in group
-order, whenever a fault plane is attached or a disk has failed (a
-healthy compiled unit runs the executor's fused phase).  Every such
-read goes through a :class:`~repro.faults.degraded.ReconstructingReader`,
-which turns disk failures and read faults into RAID-5 row
-reconstructions for zero-movement plans (direct Code 5-6) and refuses
-anything else.
+Every unit runs the audited group code
+(:func:`~repro.migration.engine._execute_group`), with each read going
+through a :class:`~repro.faults.degraded.ReconstructingReader`, which
+turns disk failures and read faults into RAID-5 row reconstructions for
+zero-movement plans (direct Code 5-6) and refuses anything else.  The
+fault plane observes every one of those reads and writes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -43,7 +38,6 @@ from repro.faults.errors import ConversionCrash
 from repro.faults.journal import ConversionJournal
 from repro.faults.plane import FaultPlane
 from repro.faults.spec import FaultScenario
-from repro.migration.batch import fused_run_usable
 from repro.migration.engine import ConversionResult, _execute_group
 from repro.migration.plan import ConversionPlan
 from repro.raid.array import BlockArray
@@ -69,7 +63,7 @@ class CheckpointedRun:
 
 
 # --------------------------------------------------------------------- units
-def _audited_units(plan: ConversionPlan):
+def _group_units(plan: ConversionPlan):
     """(key, group-work, written-disks, written-blocks) in execution order."""
     units = []
     for gw in sorted(plan.group_works, key=lambda g: (g.phase, g.group)):
@@ -98,43 +92,6 @@ def _audited_units(plan: ConversionPlan):
     return units
 
 
-def _compiled_units(plan: ConversionPlan, program):
-    """(key, (phase-program, group-works), written-disks, written-blocks)
-    per phase; the group works are the phase's, in group order."""
-    by_phase: dict[int, list] = defaultdict(list)
-    for gw in sorted(plan.group_works, key=lambda g: (g.phase, g.group)):
-        by_phase[gw.phase].append(gw)
-    units = []
-    for ph in program.phases:
-        disks = np.concatenate(
-            [ph.migrate_dst_disk, ph.null_disk, ph.trim_disk, ph.parity_disk]
-        )
-        blocks = np.concatenate(
-            [ph.migrate_dst_block, ph.null_block, ph.trim_block, ph.parity_block]
-        )
-        units.append((("phase", ph.phase), (ph, by_phase[ph.phase]), disks, blocks))
-    return units
-
-
-def _run_phase_checkpointed(plan, unit, array: BlockArray, reader) -> None:
-    """One compiled phase unit.
-
-    Healthy (no fault plane, no failed disk — e.g. a resume after the
-    crashing plane is detached): the executor's fused phase.  Otherwise
-    the phase's group works run, in group order, on the audited engine's
-    own code, whose per-block reads fall back to row reconstruction and
-    whose I/O hooks the fault plane observes.
-    """
-    from repro.compiled import executor
-
-    ph, gws = unit
-    if fused_run_usable(array):
-        executor._run_phase(ph, array)
-        return
-    for gw in gws:
-        _execute_group(plan, gw, array, io=reader)
-
-
 # ------------------------------------------------------------------ executor
 def execute_checkpointed(
     plan: ConversionPlan,
@@ -142,23 +99,16 @@ def execute_checkpointed(
     data: np.ndarray,
     journal: ConversionJournal | None = None,
     *,
-    engine: str = "audited",
-    program=None,
     validate: bool = True,
 ) -> CheckpointedRun:
     """Run (or resume) a conversion under the write-ahead journal.
 
-    Pass the journal of a crashed run to resume it — with the **same
-    engine**: unit boundaries differ between the audited (per-group) and
-    compiled (per-phase) executors, so a journal only describes the
-    engine that wrote it.  ``validate=False`` trusts committed units
-    blindly (only the seeded-fault selftest does this, to prove that
-    validation is what catches stale checkpoints).
+    Pass the journal of a crashed run to resume it.  ``validate=False``
+    trusts committed units blindly (only the seeded-fault selftest does
+    this, to prove that validation is what catches stale checkpoints).
     """
     from repro.obs.tracer import get_tracer
 
-    if engine not in ("audited", "compiled"):
-        raise ValueError(f"unknown engine {engine!r}")
     degraded = bool(array.failed_disks)
     if degraded:
         lost_new = sorted(set(array.failed_disks) & set(plan.new_disks))
@@ -175,14 +125,7 @@ def execute_checkpointed(
             )
     if journal is None:
         journal = ConversionJournal()
-    if engine == "compiled":
-        if program is None:
-            from repro.compiled.compiler import compile_plan
-
-            program = compile_plan(plan)
-        units = _compiled_units(plan, program)
-    else:
-        units = _audited_units(plan)
+    units = _group_units(plan)
     reader = ReconstructingReader(
         array, plan.m, allow_reconstruction=plan_is_zero_movement(plan)
     )
@@ -194,11 +137,10 @@ def execute_checkpointed(
     executed = skipped = rollbacks = stale = 0
     tracer = get_tracer()
     with tracer.span(
-        "execute.checkpointed", cat="faults", engine=engine,
-        code=plan.code.name, approach=plan.approach, resumed=not fresh,
+        "execute.checkpointed", cat="faults", code=plan.code.name, approach=plan.approach, resumed=not fresh,
         degraded=degraded,
     ), (plane.crashable() if plane is not None else nullcontext()):
-        for key, work, wdisks, wblocks in units:
+        for key, gw, wdisks, wblocks in units:
             rec = journal.get(key)
             if rec is not None and rec.state == "committed":
                 if not validate or journal.validate(key, array):
@@ -217,10 +159,7 @@ def execute_checkpointed(
             journal.begin(key, wdisks, wblocks, array.gather_raw(wdisks, wblocks))
             if plane is not None:
                 plane.crash_point(f"begin:{key}")
-            if engine == "compiled":
-                _run_phase_checkpointed(plan, work, array, reader)
-            else:
-                _execute_group(plan, work, array, io=reader)
+            _execute_group(plan, gw, array, io=reader)
             if plane is not None:
                 plane.crash_point(f"pre-commit:{key}")
             journal.commit(
@@ -267,11 +206,9 @@ def run_to_completion(attempt, max_crashes: int = 10_000):
 def count_crash_events(
     plan: ConversionPlan,
     *,
-    engine: str = "audited",
     block_size: int = 8,
     seed: int = 0,
     scenario: FaultScenario | None = None,
-    program=None,
 ) -> int:
     """Probe run: how many crashable events does this conversion have?
 
@@ -280,7 +217,7 @@ def count_crash_events(
     exhaustive crash sweep enumerates.  ``scenario`` (minus its crash)
     must match the sweep's, so faulted runs count the same events.
     """
-    from repro.migration.engine import prepare_source_array
+    from repro.migration import prepare_source_array
 
     array, data = prepare_source_array(
         plan, np.random.default_rng(seed), block_size=block_size
@@ -288,6 +225,6 @@ def count_crash_events(
     base = scenario.without_crash() if scenario is not None else FaultScenario()
     plane = FaultPlane(base)
     plane.attach(array)
-    execute_checkpointed(plan, array, data, engine=engine, program=program)
+    execute_checkpointed(plan, array, data)
     plane.detach()
     return plane.crash_events_done

@@ -1,4 +1,4 @@
-"""Reconstruct-on-read: degraded-mode I/O for the conversion engines.
+"""Reconstruct-on-read: degraded-mode I/O for conversion.
 
 The direct Code 5-6 conversion never writes the old RAID-5 columns, so
 the horizontal (row) parity stays valid at every instant — the paper's
@@ -9,8 +9,8 @@ of its RAID-5 row, at any point during the conversion.
 
 :class:`ReconstructingReader` is the one fault-aware adapter over the
 raid layer's row-XOR seam (:func:`repro.raid.raid5.row_xor` /
-:func:`~repro.raid.raid5.row_xor_raw`), consumed by the offline engines
-and the online converter alike — ``read`` / ``read_ios`` (counted, with
+:func:`~repro.raid.raid5.row_xor_raw`), consumed by checkpointed offline
+conversion and the online converter alike — ``read`` / ``read_ios`` (counted, with
 reconstruction fallback and the fault plane's ``reconstructed_blocks``
 / ``degraded_reads`` counters), ``peek`` (uncounted, for
 controller-memory fills, parity audits and resume scans) and

@@ -3,15 +3,14 @@
 Two journal shapes, one per conversion style:
 
 * :class:`ConversionJournal` — a write-ahead undo/commit log for the
-  offline engines.  Before a unit of work (one stripe-group for the
-  audited engine, one phase for the compiled engine) touches the array,
-  ``begin`` records the pre-images of every block the unit will write;
-  after the unit's last write, ``commit`` seals it with a SHA-256 digest
-  of the bytes actually written.  On restart, a committed unit whose
-  digest still matches the array is skipped; anything else — an
-  in-flight unit, or a committed unit whose bytes no longer match (a
-  stale or tampered checkpoint) — is **rolled back from its pre-images
-  and re-executed, never trusted**.
+  offline conversion.  Before a unit of work (one stripe-group) touches
+  the array, ``begin`` records the pre-images of every block the unit
+  will write; after the unit's last write, ``commit`` seals it with a
+  SHA-256 digest of the bytes actually written.  On restart, a
+  committed unit whose digest still matches the array is skipped;
+  anything else — an in-flight unit, or a committed unit whose bytes no
+  longer match (a stale or tampered checkpoint) — is **rolled back from
+  its pre-images and re-executed, never trusted**.
 * :class:`OnlineJournal` — a watermark bitmap of generated diagonal
   parities for Algorithm 2.  Entries are marked only *after* the parity
   write completes (write-ahead ordering), and a resuming converter
@@ -40,7 +39,7 @@ __all__ = ["JournalKey", "JournalRecord", "ConversionJournal", "OnlineJournal"]
 IN_FLIGHT = "in-flight"
 COMMITTED = "committed"
 
-#: unit identifier — e.g. ``("group", g)`` or ``("phase", i)``
+#: unit identifier — ``("group", phase, group)`` for offline conversion
 JournalKey = tuple[object, ...]
 
 

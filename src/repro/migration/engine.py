@@ -76,8 +76,10 @@ def prepare_source_array(
     filled uncounted by :meth:`Raid5Array.format_with`, so every I/O
     counter starts at zero.
     ``data`` supplies the logical payload explicitly (``(data_blocks,
-    block_size)`` uint8 — e.g. a slice of a shared-memory pool in
-    :mod:`repro.sweep`); by default it is drawn from ``rng``.
+    block_size)`` uint8 — e.g. a slice of a sweep worker's private data
+    pool in :mod:`repro.sweep.runner`, or the payload handed to
+    :func:`repro.core.upgrade_to_raid6`); by default it is drawn from
+    ``rng``.
     """
     array = BlockArray(plan.n, plan.blocks_per_disk, block_size)
     source = Raid5Array(array, plan.source_layout, n_disks=plan.m)

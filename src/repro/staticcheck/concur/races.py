@@ -2,9 +2,8 @@
 
 Static shared-state taint analysis over the modules that cross a process
 boundary: the sweep pool (``repro.sweep``), the crash journals
-(``repro.faults.journal``), the counted block store (``repro.raid.
-array``) and the on-disk compiled-program cache (``repro.compiled.
-compiler``).  The question each rule asks is the happens-before
+(``repro.faults.journal``) and the on-disk compiled-program cache
+(``repro.compiled.compiler``).  The question each rule asks is the happens-before
 question: *is this access to shared state ordered by an explicit
 synchronization edge?*  The edges this codebase recognises:
 
@@ -53,7 +52,6 @@ RULES = ("SC-R001", "SC-R002", "SC-R004")
 DEFAULT_SCOPE = (
     "sweep/",
     "faults/journal.py",
-    "raid/array.py",
     "compiled/compiler.py",
 )
 

@@ -229,34 +229,28 @@ def crash_recovery_checks() -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = []
     plan = build_plan("code56", "direct", 5, groups=2)
 
-    for engine in ("audited", "compiled"):
-        array, data = prepare_source_array(
-            plan, np.random.default_rng(11), block_size=8
-        )
-        journal = ConversionJournal()
-        execute_checkpointed(plan, array, data, journal, engine=engine)
-        reference = array.snapshot()
+    array, data = prepare_source_array(plan, np.random.default_rng(11), block_size=8)
+    journal = ConversionJournal()
+    execute_checkpointed(plan, array, data, journal)
+    reference = array.snapshot()
 
-        # control: with the journal intact, resume skips every unit
-        rerun = execute_checkpointed(plan, array, data, journal, engine=engine)
-        control = rerun.stale_detected == 0 and rerun.units_executed == 0
+    # control: with the journal intact, resume skips every unit
+    rerun = execute_checkpointed(plan, array, data, journal)
+    control = rerun.stale_detected == 0 and rerun.units_executed == 0
 
-        # flip one byte a committed unit wrote; its digest is now a lie
-        rec = next(r for r in journal.records.values() if r.state == "committed")
-        payloads = array.gather_raw(rec.disks, rec.blocks)
-        payloads[0, 0] ^= 0xFF
-        array.restore_blocks(rec.disks, rec.blocks, payloads)
-        resumed = execute_checkpointed(plan, array, data, journal, engine=engine)
-        recovered = (
-            control
-            and resumed.stale_detected >= 1
-            and resumed.rollbacks >= 1
-            and bool(np.array_equal(array.snapshot(), reference))
-        )
-        checks.append(
-            (f"{engine} engine: tampered committed checkpoint re-executed",
-             recovered)
-        )
+    # flip one byte a committed unit wrote; its digest is now a lie
+    rec = next(r for r in journal.records.values() if r.state == "committed")
+    payloads = array.gather_raw(rec.disks, rec.blocks)
+    payloads[0, 0] ^= 0xFF
+    array.restore_blocks(rec.disks, rec.blocks, payloads)
+    resumed = execute_checkpointed(plan, array, data, journal)
+    recovered = (
+        control
+        and resumed.stale_detected >= 1
+        and resumed.rollbacks >= 1
+        and bool(np.array_equal(array.snapshot(), reference))
+    )
+    checks.append(("offline: tampered committed checkpoint re-executed", recovered))
 
     # online: a mark with no parity bytes behind it must be dropped
     array, _data = prepare_source_array(plan, np.random.default_rng(11), block_size=8)

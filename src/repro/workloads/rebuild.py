@@ -30,9 +30,10 @@ def rebuild_trace(
     """Trace of rebuilding ``column`` over ``groups`` stripe-groups.
 
     The plan must recover exactly that column (e.g. from
-    :func:`repro.core.plan_generic_hybrid_recovery` or a column plan from
-    :func:`repro.codes.build_recovery_plan`).  Disk = code column (identity mapping, the NLB
-    layout); the replacement disk receives the writes.
+    :func:`repro.core.plan_hybrid_recovery` or a column plan from
+    :func:`repro.codes.build_recovery_plan`).  Disk = code column
+    (identity mapping, the NLB layout); the replacement disk receives the
+    writes.
     """
     lost_cols = {c for _r, c in plan.lost}
     if lost_cols != {column}:

@@ -106,7 +106,7 @@ class TestFaultInjectionCli:
         )
         assert run_cli(
             "convert", "code56", "direct", "--p", "5", "--groups", "2",
-            "--engine", "audited", "--inject", scenario,
+            "--inject", scenario,
         ) == 0
         out = capsys.readouterr().out
         assert "verified: True" in out
@@ -119,7 +119,7 @@ class TestFaultInjectionCli:
                                     [{"disk": 2, "block": 2}]}))
         assert run_cli(
             "convert", "code56", "direct", "--p", "5", "--groups", "2",
-            "--engine", "audited", "--inject", str(path), "--metrics",
+            "--inject", str(path), "--metrics",
         ) == 0
         out = capsys.readouterr().out
         assert "faults.sector_errors_hit" in out
@@ -127,7 +127,7 @@ class TestFaultInjectionCli:
 
     def test_chaos_sampled_sweep(self, capsys):
         assert run_cli(
-            "chaos", "--crash-sweep", "--sample", "3", "--engine", "audited",
+            "chaos", "--crash-sweep", "--sample", "3",
         ) == 0
         out = capsys.readouterr().out
         assert "crash-sweep-offline" in out and "PASS" in out
@@ -141,7 +141,7 @@ class TestFaultInjectionCli:
 
     def test_chaos_replay_inline(self, capsys):
         spec = json.dumps({
-            "kind": "offline-crash", "engine": "compiled", "p": 5,
+            "kind": "offline-crash", "p": 5,
             "groups": 2, "block_size": 8, "seed": 3,
             "scenario": {"seed": 3, "crash_at": 4, "crash_tear": 0.5},
         })

@@ -20,9 +20,8 @@ from repro.codes import (
     get_code,
 )
 from repro.codes.code56 import horizontal_parity_cell
+from repro.codes.geometry import ChainKind
 from repro.core.chain_decoder import (
-    _diagonal_sources,
-    _horizontal_sources,
     plan_double_column_recovery,
     recovery_chain_starting_points,
 )
@@ -166,21 +165,19 @@ class TestAlgorithm1PeelOrder:
         other chain family, and the walks end at the two horizontal-parity
         cells of the failed columns."""
         lay = code56_layout(p)
+        kind_of = {frozenset((ch.parity, *ch.members)): ch.kind for ch in lay.chains}
         for f1, f2 in itertools.combinations(range(p - 1), 2):
             plan = plan_double_column_recovery(lay, f1, f2)
             family: dict = {}
             for n, step in enumerate(plan.steps):
-                sources = set(step.sources)
-                if sources == set(_horizontal_sources(p, step.target)):
-                    family[step.target] = "horizontal"
-                else:
-                    assert sources == set(_diagonal_sources(p, step.target)), step
-                    family[step.target] = "diagonal"
+                kind = kind_of.get(frozenset((step.target, *step.sources)))
+                assert kind is not None, step
+                family[step.target] = kind
                 reused = [src for src in step.sources if src in family]
                 if n < 2:
-                    assert reused == [] and family[step.target] == "diagonal"
+                    assert reused == [] and family[step.target] is ChainKind.DIAGONAL
                 else:
                     assert len(reused) == 1, step
                     assert family[reused[0]] != family[step.target], step
             for f in (f1, f2):
-                assert family[horizontal_parity_cell(p, p - 2 - f)] == "horizontal"
+                assert family[horizontal_parity_cell(p, p - 2 - f)] is ChainKind.HORIZONTAL

@@ -6,10 +6,8 @@ this file pins down the machinery the fused path adds — when the
 lowering pass produces region ops and when compilation must refuse,
 that the executor's preallocated scratch is actually reused instead of
 churned, that the executor refuses fault planes / failed disks (the
-checkpointed executor handles those), that the obs bridge records
-kernel-labelled counters with zero I/O drift, and that degraded and
-crash/resume conversions from :mod:`repro.faults` stay byte-identical
-while fused selection is active.
+checkpointed executor handles those), and that the obs bridge records
+kernel-labelled counters with zero I/O drift.
 """
 
 import dataclasses
@@ -32,7 +30,6 @@ from repro.migration import (
     execute_plan,
     fused_run_usable,
     prepare_source_array,
-    verify_conversion,
 )
 from repro.migration.approaches import alignment_cycle
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -278,80 +275,3 @@ class TestObsBridge:
             set_registry(prev)
         assert registry.snapshot()["counters"] == []
 
-
-class TestFaultsUnderFusedSelection:
-    """Degraded and crash/resume conversions with fused selection active.
-
-    The fused path must step aside for these (they observe the counted
-    read path) without the caller doing anything — same bytes, same
-    recovery behaviour.
-    """
-
-    def test_degraded_conversion_byte_identical(self):
-        from repro.faults import FaultPlane, FaultScenario, execute_checkpointed
-
-        def degraded(engine):
-            plan = build_plan("code56", "direct", 5, groups=2)
-            array, data = prepare_source_array(
-                plan, np.random.default_rng(5), block_size=8
-            )
-            array.fail_disk(1)
-            plane = FaultPlane(FaultScenario())
-            plane.attach(array)
-            run = execute_checkpointed(plan, array, data, engine=engine)
-            plane.detach()
-            assert run.degraded
-            assert verify_conversion(run.result, check_io_counters=False)
-            return array
-
-        audited = degraded("audited")
-        compiled = degraded("compiled")
-        assert np.array_equal(audited.snapshot(), compiled.snapshot())
-
-    def test_crash_resume_byte_identical(self):
-        from repro.faults import (
-            ConversionCrash,
-            ConversionJournal,
-            FaultPlane,
-            FaultScenario,
-            execute_checkpointed,
-        )
-
-        plan = build_plan("code56", "direct", 5, groups=2)
-        ref, data = prepare_source_array(
-            plan, np.random.default_rng(6), block_size=8
-        )
-        execute_plan(plan, ref, data)
-
-        array, _ = prepare_source_array(
-            plan, np.random.default_rng(6), block_size=8
-        )
-        plane = FaultPlane(FaultScenario(crash_at=6, crash_tear=0.5))
-        plane.attach(array)
-        journal = ConversionJournal()
-        crashes = 0
-        while True:
-            try:
-                run = execute_checkpointed(
-                    plan, array, data, journal, engine="compiled"
-                )
-                break
-            except ConversionCrash:
-                crashes += 1
-                plane.disarm_crash()
-        plane.detach()
-        assert crashes == 1
-        assert np.array_equal(array.snapshot(), ref.snapshot())
-        assert verify_conversion(run.result, check_io_counters=False)
-
-    def test_healthy_checkpointed_run_uses_fused(self, monkeypatch):
-        from repro.faults import execute_checkpointed
-
-        plan = build_plan("code56", "direct", 5, groups=2)
-        array, data = prepare_source_array(
-            plan, np.random.default_rng(7), block_size=8
-        )
-        spy = _FusedSpy(monkeypatch)
-        run = execute_checkpointed(plan, array, data, engine="compiled")
-        assert spy.calls > 0  # no plane attached: the fast path stays on
-        assert verify_conversion(run.result, check_io_counters=False)

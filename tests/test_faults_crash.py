@@ -3,7 +3,7 @@
 The acceptance gate for the fault plane: crash the conversion at every
 crashable event boundary (clean and torn-write variants), resume from
 the journal, and require the final array to be byte-identical to an
-uninterrupted run — for both offline engines and the online converter,
+uninterrupted run — for offline conversion and the online converter,
 exhaustively at p ∈ {5, 7} and sampled at p = 13.
 """
 
@@ -28,8 +28,7 @@ from repro.migration.engine import prepare_source_array
 
 
 class TestCheckpointedExecution:
-    @pytest.mark.parametrize("engine", ["audited", "compiled"])
-    def test_healthy_run_matches_plain_execution(self, engine, rng):
+    def test_healthy_run_matches_plain_execution(self, rng):
         from repro.migration.engine import execute_plan, verify_conversion
 
         plan = build_plan("code56", "direct", 5, groups=2)
@@ -40,18 +39,17 @@ class TestCheckpointedExecution:
         array, data = prepare_source_array(
             plan, np.random.default_rng(3), block_size=8
         )
-        run = execute_checkpointed(plan, array, data, engine=engine)
+        run = execute_checkpointed(plan, array, data)
         assert verify_conversion(run.result, check_io_counters=False)
         assert np.array_equal(array.snapshot(), ref_array.snapshot())
         assert run.units_skipped == 0 and run.rollbacks == 0
 
-    @pytest.mark.parametrize("engine", ["audited", "compiled"])
-    def test_counted_io_matches_plan_when_healthy(self, engine):
+    def test_counted_io_matches_plan_when_healthy(self):
         plan = build_plan("code56", "direct", 5, groups=2)
         array, data = prepare_source_array(
             plan, np.random.default_rng(3), block_size=8
         )
-        run = execute_checkpointed(plan, array, data, engine=engine)
+        run = execute_checkpointed(plan, array, data)
         assert run.result.measured_reads == plan.read_ios
         assert run.result.measured_writes == plan.write_ios
 
@@ -75,27 +73,22 @@ class TestCheckpointedExecution:
         assert crashes == 1
         assert plane.counters["crashes"] == 1
 
-    def test_probe_counts_match_between_engines_and_scenarios(self):
+    def test_probe_count_is_deterministic(self):
         plan = build_plan("code56", "direct", 5, groups=2)
-        for engine in ("audited", "compiled"):
-            n1 = count_crash_events(plan, engine=engine)
-            n2 = count_crash_events(plan, engine=engine)
-            assert n1 == n2 > 0
+        assert count_crash_events(plan) == count_crash_events(plan) > 0
 
 
 class TestOfflineSweeps:
     @pytest.mark.parametrize("p", [5, 7])
-    @pytest.mark.parametrize("engine", ["audited", "compiled"])
-    def test_exhaustive_sweep_byte_identical(self, p, engine):
-        report = crash_sweep_offline(p, engine)
+    def test_exhaustive_sweep_byte_identical(self, p):
+        report = crash_sweep_offline(p)
         assert report["ok"], report["failures"][:2]
         assert report["points_swept"] == report["crash_events"]
         assert report["runs"] == report["crash_events"] * len(report["variants"])
         assert set(report["variants"]) == {"clean", "torn-half", "torn-1-byte"}
 
-    @pytest.mark.parametrize("engine", ["audited", "compiled"])
-    def test_sampled_sweep_large_p(self, engine):
-        report = crash_sweep_offline(13, engine, sample=6)
+    def test_sampled_sweep_large_p(self):
+        report = crash_sweep_offline(13, sample=6)
         assert report["ok"], report["failures"][:2]
         assert report["points_swept"] == 6
 
@@ -123,7 +116,6 @@ class TestSoakAndReplay:
     def test_failure_specs_replay_verbatim(self):
         spec = {
             "kind": "offline-crash",
-            "engine": "audited",
             "p": 5,
             "groups": 2,
             "block_size": 8,

@@ -46,13 +46,12 @@ class TestZeroMovementPredicate:
 
 
 class TestDegradedConversion:
-    @pytest.mark.parametrize("engine", ["audited", "compiled"])
     @pytest.mark.parametrize("failed_disk", [0, 2])
-    def test_completes_and_rebuilds(self, engine, failed_disk, rng):
+    def test_completes_and_rebuilds(self, failed_disk, rng):
         plan, array, data = degraded_setup(failed_disk=failed_disk)
         plane = FaultPlane(FaultScenario())
         plane.attach(array)
-        run = execute_checkpointed(plan, array, data, engine=engine)
+        run = execute_checkpointed(plan, array, data)
         assert run.degraded
         assert plane.counters["reconstructed_blocks"] > 0
         plane.detach()
@@ -62,11 +61,10 @@ class TestDegradedConversion:
         assert raid6.verify()
         assert scrub_raid6(raid6).clean
 
-    @pytest.mark.parametrize("engine", ["audited", "compiled"])
-    def test_crash_resume_while_degraded(self, engine):
+    def test_crash_resume_while_degraded(self):
         plan, array, data = degraded_setup()
         ref_plan, ref_array, ref_data = degraded_setup()
-        ref_run = execute_checkpointed(ref_plan, ref_array, ref_data, engine=engine)
+        execute_checkpointed(ref_plan, ref_array, ref_data)
         plane = FaultPlane(FaultScenario(crash_at=6, crash_tear=0.5))
         plane.attach(array)
         journal = ConversionJournal()
@@ -75,7 +73,7 @@ class TestDegradedConversion:
         crashes = 0
         while True:
             try:
-                run = execute_checkpointed(plan, array, data, journal, engine=engine)
+                run = execute_checkpointed(plan, array, data, journal)
                 break
             except ConversionCrash:
                 crashes += 1

@@ -7,7 +7,6 @@ carrying *two* errors as unlocatable instead of silently "fixing" it.
 """
 
 import numpy as np
-import pytest
 
 from repro.codes.registry import get_code
 from repro.faults import (
@@ -33,7 +32,7 @@ def convert_with_faults(scenario, seed=0):
     )
     plane = FaultPlane(scenario)
     plane.attach(array)
-    run = execute_checkpointed(plan, array, data, engine="audited")
+    run = execute_checkpointed(plan, array, data)
     plane.detach()
     raid6 = Raid6Array(array, get_code("code56", plan.p))
     return plan, array, run, raid6, plane
@@ -99,8 +98,7 @@ class TestTwoErrorChain:
 
 
 class TestCrashTearIsJournalHealed:
-    @pytest.mark.parametrize("engine", ["audited", "compiled"])
-    def test_crash_torn_write_rolled_back_not_scrub_visible(self, engine):
+    def test_crash_torn_write_rolled_back_not_scrub_visible(self):
         """A tear from a crash is healed by the journal, not the scrubber."""
         from repro.faults import ConversionCrash, ConversionJournal
 
@@ -108,13 +106,13 @@ class TestCrashTearIsJournalHealed:
         array, data = prepare_source_array(
             plan, np.random.default_rng(0), block_size=8
         )
-        n_events = 36 if engine == "audited" else 34
-        plane = FaultPlane(FaultScenario(crash_at=n_events // 2, crash_tear=0.5))
+        # half-way through the conversion's 36 crashable events
+        plane = FaultPlane(FaultScenario(crash_at=18, crash_tear=0.5))
         plane.attach(array)
         journal = ConversionJournal()
         while True:
             try:
-                run = execute_checkpointed(plan, array, data, journal, engine=engine)
+                run = execute_checkpointed(plan, array, data, journal)
                 break
             except ConversionCrash:
                 plane.disarm_crash()

@@ -1,13 +1,49 @@
-"""Generic hybrid single-disk recovery across every code."""
+"""Hybrid single-disk recovery (Section III-E.4, Figure 6) for every code."""
 
 import numpy as np
 import pytest
 
-from repro.codes import CODE_NAMES, apply_recovery_plan, get_code, get_layout
-from repro.core import plan_generic_hybrid_recovery
-from repro.core.recovery import plan_hybrid_recovery
+from repro.codes import (
+    CODE_NAMES,
+    apply_recovery_plan,
+    code56_layout,
+    get_code,
+    get_layout,
+)
+from repro.codes.geometry import ChainKind
+from repro.core import plan_double_column_recovery, plan_hybrid_recovery
 
 ALL_CODES = CODE_NAMES + ("code56-right",)
+
+
+def chain_kinds(layout, plan):
+    """The family of the layout chain each step of ``plan`` reads."""
+    kind_of = {frozenset((ch.parity, *ch.members)): ch.kind for ch in layout.chains}
+    return [kind_of[frozenset((step.target, *step.sources))] for step in plan.steps]
+
+
+class TestFigure6:
+    def test_paper_numbers_at_p5(self):
+        """9 reads instead of 12 per stripe when a data column fails."""
+        lay = code56_layout(5)
+        for col in range(4):
+            h = plan_hybrid_recovery(lay, col)
+            assert h.conventional_reads == 12
+            assert h.reads == 9
+            assert h.read_savings == pytest.approx(0.25)
+
+    def test_savings_positive_for_larger_primes(self):
+        for p in (7, 11):
+            lay = code56_layout(p)
+            for col in range(p - 1):
+                h = plan_hybrid_recovery(lay, col)
+                assert h.reads < h.conventional_reads
+
+    def test_mixes_both_chain_families(self):
+        lay = code56_layout(5)
+        h = plan_hybrid_recovery(lay, 1)
+        kinds = set(chain_kinds(lay, h.plan))
+        assert kinds == {ChainKind.HORIZONTAL, ChainKind.DIAGONAL}
 
 
 class TestCorrectness:
@@ -18,23 +54,75 @@ class TestCorrectness:
         data = rng.integers(0, 256, size=(code.num_data, 8), dtype=np.uint8)
         stripe = code.make_stripe(data)
         for col in lay.physical_cols:
-            h = plan_generic_hybrid_recovery(lay, col)
+            h = plan_hybrid_recovery(lay, col)
             broken = stripe.copy()
             broken[:, col, :] = 0
             apply_recovery_plan(h.plan, broken)
             assert np.array_equal(broken, stripe), (name, col)
 
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_hybrid_plan_recovers_payload(self, p, rng):
+        lay = code56_layout(p)
+        code = get_code("code56", p)
+        data = rng.integers(0, 256, size=(code.num_data, 8), dtype=np.uint8)
+        stripe = code.make_stripe(data)
+        for col in range(p):
+            h = plan_hybrid_recovery(lay, col)
+            broken = stripe.copy()
+            broken[:, col, :] = 0
+            apply_recovery_plan(h.plan, broken)
+            assert np.array_equal(broken, stripe), (p, col)
+
     def test_never_worse_than_conventional(self, paper_p):
         for name in ALL_CODES:
             lay = get_layout(name, paper_p)
             for col in lay.physical_cols:
-                h = plan_generic_hybrid_recovery(lay, col)
+                h = plan_hybrid_recovery(lay, col)
                 assert h.reads <= h.conventional_reads, (name, col)
+
+    def test_diagonal_column_has_no_choice(self):
+        lay = code56_layout(5)
+        h = plan_hybrid_recovery(lay, 4)
+        assert set(chain_kinds(lay, h.plan)) == {ChainKind.DIAGONAL}
+        assert h.reads == h.conventional_reads
+        assert h.read_savings == 0.0
+
+    def test_conventional_reads_definition(self):
+        # p=5: each of the 4 rows reads its 3 surviving square cells, and
+        # the diagonal column rebuild reads every data cell once
+        lay = code56_layout(5)
+        assert plan_hybrid_recovery(lay, 0).conventional_reads == 12
+        assert plan_hybrid_recovery(lay, 4).conventional_reads == 12
+        # single-family recovery is Algorithm 1's single-column plan
+        for p in (5, 7):
+            lay = code56_layout(p)
+            for col in range(p):
+                conventional = plan_double_column_recovery(lay, col).total_reads
+                assert plan_hybrid_recovery(lay, col).conventional_reads == conventional
+
+    def test_large_p_heuristic_path(self, rng):
+        """p=19 exceeds the exhaustive bound; the local search must still
+        produce a correct, no-worse-than-conventional plan."""
+        p = 19
+        lay = code56_layout(p)
+        h = plan_hybrid_recovery(lay, 3)
+        assert h.reads <= h.conventional_reads
+        code = get_code("code56", p)
+        data = rng.integers(0, 256, size=(code.num_data, 4), dtype=np.uint8)
+        stripe = code.make_stripe(data)
+        broken = stripe.copy()
+        broken[:, 3, :] = 0
+        apply_recovery_plan(h.plan, broken)
+        assert np.array_equal(broken, stripe)
+
+    def test_rejects_out_of_range_column(self):
+        with pytest.raises(ValueError):
+            plan_hybrid_recovery(code56_layout(5), 7)
 
     def test_rejects_virtual_column(self):
         lay = get_layout("evenodd", 5, virtual_cols=(4,))
         with pytest.raises(ValueError):
-            plan_generic_hybrid_recovery(lay, 4)
+            plan_hybrid_recovery(lay, 4)
 
     def test_shortened_layout_recoverable(self, rng):
         lay = get_layout("code56", 7, virtual_cols=(0,))
@@ -44,7 +132,7 @@ class TestCorrectness:
         data = rng.integers(0, 256, size=(lay.num_data, 8), dtype=np.uint8)
         stripe = code.make_stripe(data)
         for col in lay.physical_cols:
-            h = plan_generic_hybrid_recovery(lay, col)
+            h = plan_hybrid_recovery(lay, col)
             broken = stripe.copy()
             broken[:, col, :] = 0
             apply_recovery_plan(h.plan, broken)
@@ -53,32 +141,38 @@ class TestCorrectness:
 
 class TestKnownResults:
     def test_matches_specialised_code56_optimiser(self):
-        """The generic optimiser must find the same optimum as the
-        Code 5-6-specific module (9 reads at p=5)."""
-        for p in (5, 7):
-            lay = get_layout("code56", p)
+        """The optimum the former Code 5-6-only planner found by
+        enumerating every row/diagonal mix (through p=17): the same
+        hybrid and conventional reads on every data column, and the
+        diagonal column's unshareable cost.  p=17 sits right at the
+        exhaustive bound (2^15 choice vectors); greedy descent from the
+        conventional pick stops at 180 reads on column 3, not 177."""
+        reads = {5: (9, 12), 7: (22, 30), 11: (66, 90), 13: (97, 132), 17: (177, 240)}
+        for p, (hybrid, conventional) in reads.items():
+            lay = code56_layout(p)
             for col in range(p - 1):
-                generic = plan_generic_hybrid_recovery(lay, col)
-                special = plan_hybrid_recovery(lay, col)
-                assert generic.reads == special.reads, (p, col)
+                h = plan_hybrid_recovery(lay, col)
+                assert (h.reads, h.conventional_reads) == (hybrid, conventional), (p, col)
+            h = plan_hybrid_recovery(lay, p - 1)
+            assert h.reads == h.conventional_reads == conventional
 
     def test_rdp_xiang_saving(self):
         """Xiang et al. (SIGMETRICS'10): hybrid recovery of an RDP data
         column reads ~25% less (12 vs 16 at p=5)."""
         lay = get_layout("rdp", 5)
-        h = plan_generic_hybrid_recovery(lay, 0)
+        h = plan_hybrid_recovery(lay, 0)
         assert h.conventional_reads == 16
         assert h.reads == 12
         assert h.read_savings == pytest.approx(0.25)
 
     def test_code56_paper_numbers(self):
         lay = get_layout("code56", 5)
-        h = plan_generic_hybrid_recovery(lay, 1)
+        h = plan_hybrid_recovery(lay, 1)
         assert (h.reads, h.conventional_reads) == (9, 12)
 
     def test_parity_only_columns_have_no_choice(self):
         lay = get_layout("rdp", 5)
-        h = plan_generic_hybrid_recovery(lay, 5)  # the diagonal column
+        h = plan_hybrid_recovery(lay, 5)  # the diagonal column
         assert h.reads == h.conventional_reads
 
     def test_mirror_symmetry(self):
@@ -86,10 +180,6 @@ class TestKnownResults:
         for p in (5, 7):
             left = get_layout("code56", p)
             right = get_layout("code56-right", p)
-            left_reads = sorted(
-                plan_generic_hybrid_recovery(left, c).reads for c in range(p)
-            )
-            right_reads = sorted(
-                plan_generic_hybrid_recovery(right, c).reads for c in range(p)
-            )
+            left_reads = sorted(plan_hybrid_recovery(left, c).reads for c in range(p))
+            right_reads = sorted(plan_hybrid_recovery(right, c).reads for c in range(p))
             assert left_reads == right_reads

@@ -136,22 +136,22 @@ class TestSyntheticTraces:
 class TestRebuildTrace:
     def test_counts_match_plan(self):
         from repro.codes import get_layout
-        from repro.core import plan_generic_hybrid_recovery
+        from repro.core import plan_hybrid_recovery
         from repro.workloads.rebuild import rebuild_trace
 
         lay = get_layout("code56", 5)
-        h = plan_generic_hybrid_recovery(lay, 1)
+        h = plan_hybrid_recovery(lay, 1)
         t = rebuild_trace(lay, h.plan, 1, groups=10)
         assert t.reads == 10 * h.reads
         assert t.writes == 10 * (lay.rows)  # whole column rewritten
 
     def test_writes_target_replacement_disk(self):
         from repro.codes import get_layout
-        from repro.core import plan_generic_hybrid_recovery
+        from repro.core import plan_hybrid_recovery
         from repro.workloads.rebuild import rebuild_trace
 
         lay = get_layout("rdp", 5)
-        h = plan_generic_hybrid_recovery(lay, 2)
+        h = plan_hybrid_recovery(lay, 2)
         t = rebuild_trace(lay, h.plan, 2, groups=4)
         assert set(t.disk[t.is_write].tolist()) == {2}
         assert 2 not in set(t.disk[~t.is_write].tolist())
@@ -160,11 +160,11 @@ class TestRebuildTrace:
         import pytest
 
         from repro.codes import get_layout
-        from repro.core import plan_generic_hybrid_recovery
+        from repro.core import plan_hybrid_recovery
         from repro.workloads.rebuild import rebuild_trace
 
         lay = get_layout("code56", 5)
-        h = plan_generic_hybrid_recovery(lay, 1)
+        h = plan_hybrid_recovery(lay, 1)
         with pytest.raises(ValueError):
             rebuild_trace(lay, h.plan, 2, groups=4)
 
