@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from repro.codes.geometry import Cell, ChainKind, CodeLayout, ParityChain
 from repro.util.primes import is_prime
 
@@ -36,7 +34,6 @@ __all__ = [
     "horizontal_parity_cell",
     "diagonal_of_cell",
     "diagonal_chain_cells",
-    "diagonal_chain_index",
     "DIAGONAL_COLUMN",
 ]
 
@@ -70,23 +67,6 @@ def diagonal_chain_cells(p: int, parity_row: int) -> tuple[Cell, ...]:
         for c in range(p - 1)
         if (r + c) % p == d
     )
-
-
-@lru_cache(maxsize=None)
-def diagonal_chain_index(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)`` of every diagonal chain at once: two read-only
-    ``(p-1, p-2)`` index arrays whose row ``i`` lists
-    :func:`diagonal_chain_cells` of parity row ``i``.
-
-    Indexing a ``(cols, ..., rows, ...)`` square with them gathers the
-    members of every chain in one step, so the fleet's offline image
-    computes every diagonal of every group together.
-    """
-    cells = np.array([diagonal_chain_cells(p, row) for row in range(p - 1)], dtype=np.intp)
-    chain_rows, chain_cols = cells[..., 0], cells[..., 1]
-    chain_rows.flags.writeable = False
-    chain_cols.flags.writeable = False
-    return chain_rows, chain_cols
 
 
 def code56_layout(p: int, virtual_cols: tuple[int, ...] = ()) -> CodeLayout:

@@ -53,7 +53,7 @@ def _run_phase_fused(ph: PhaseProgram, array: BlockArray) -> None:
     fz = ph.fused
     bs = array.block_size
     batch = fz.batch
-    store = array.bulk_view(slice(None), slice(None)).reshape(-1, bs)
+    store = array.flat_view()
     out = _SCRATCH.take((fz.n_chains * batch, bs))
 
     # Cache-block across *chains*, not within one: the phase's chains all

@@ -78,21 +78,24 @@ def read_run(run: Run, rows: np.ndarray, n: int) -> np.ndarray | None:
 class AuditTable:
     """Every cell template of a plan, classified over its groups.
 
-    ``stores[cell]`` is the run of flat store addresses (``disk * bpd +
-    block``) that ``cell`` occupies, one per group; ``lbas[cell]`` is,
-    for a data template, the run of source LBAs it holds in the groups
-    that hold one.  Templates no group stores are absent: they read as
-    zero.
+    ``addr[r * cols + c, g]`` is the flat store address (``disk * bpd +
+    block``, a row of :meth:`BlockArray.flat_view`) of cell ``(r, c)``
+    in group ``g``, -1 where the group stores none: the table
+    :meth:`ArrayCode.verify_cells` reads.  ``stores[cell]`` is its row
+    for ``cell`` classified as a run; ``lbas[cell]`` is, for a data
+    template, the run of source LBAs it holds in the groups that hold
+    one.  Templates no group stores are absent: they read as zero.
     """
 
     groups: int
     data_blocks: int
+    addr: np.ndarray
     stores: dict[Cell, Run]
     lbas: dict[Cell, Run]
 
     def lookup(self, array: BlockArray) -> CellLookup:
         """``cell -> (groups, block)`` reads of ``array``'s store, in place."""
-        store = array.bulk_view(slice(None), slice(None)).reshape(-1, array.block_size)
+        store = array.flat_view()
 
         def stored(cell: Cell) -> np.ndarray | None:
             run = self.stores.get(cell)
@@ -146,7 +149,8 @@ def audit_table(plan: ConversionPlan) -> AuditTable:
                 runs[divmod(t, cols)] = run
         return runs
 
-    table = AuditTable(groups, len(data), classify(addr), classify(lba))
+    addr.flags.writeable = False
+    table = AuditTable(groups, len(data), addr, classify(addr), classify(lba))
     _AUDIT_CACHE[key] = table
     return table
 

@@ -58,7 +58,9 @@ class QosTarget:
     def breached_by(self, latencies) -> str | None:
         """Name of the first quantile of ``latencies`` (p50, p95, p99
         order) over its limit, or None.  Only constrained quantiles are
-        computed, in one ``np.percentile`` call."""
+        computed, in one ``np.percentile`` call, and none when no sample
+        exceeds the tightest limit: an interpolated quantile never
+        exceeds the largest sample."""
         limits = [
             (name, q, limit)
             for name, q, limit in (
@@ -69,6 +71,8 @@ class QosTarget:
             if limit is not None
         ]
         if not limits or not len(latencies):
+            return None
+        if max(latencies) <= min(limit for _n, _q, limit in limits):
             return None
         values = np.percentile(np.asarray(latencies), [q for _n, q, _l in limits])
         for (name, _q, limit), value in zip(limits, values):

@@ -11,10 +11,12 @@ reconstruct-on-read.
 
 :class:`ScrubCursor` is the idle-slack parity verifier.  It owns no
 chain arithmetic: every check is one :meth:`ArrayCode.syndromes` call
-over a zero-copy ``(disk, group, row)`` view of the store, masked by the
-journal.  A :meth:`~ScrubCursor.step` checks one stripe — that row's
-horizontal chain plus, when the diagonal parity of that row is
-journal-marked, its diagonal chain — over one group.  The fleet
+over the store's pages in place, through the converter's address table
+(:meth:`OnlineCode56Conversion.cell_addresses`), and its boolean map of
+violated chains is masked by the journal.  A :meth:`~ScrubCursor.step`
+checks one stripe — that row's horizontal chain plus, when the diagonal
+parity of that row is journal-marked, its diagonal chain — over one
+group.  The fleet
 scheduler feeds it whatever ticks are left between request arrivals once
 conversion has drained, so silent corruption surfaces while the volume
 is still under management instead of at the next full audit.
@@ -115,14 +117,12 @@ class ScrubCursor:
         self.errors_found += 1
         self.errors.append((stripe, kind))
 
-    def _syndromes(self, groups: slice, chains):
-        """:meth:`ArrayCode.syndromes` over a zero-copy ``(disk, group,
-        row)`` view of ``groups`` (column ``c`` is disk ``c``)."""
+    def _violated(self, groups: slice, chains: list[int]) -> np.ndarray:
+        """:meth:`ArrayCode.syndromes` of ``chains`` over ``groups``, read
+        in place through the converter's address table."""
         conv = self.conv
-        view = conv.array.bulk_view(slice(0, conv.p), slice(0, self.stripes))
-        square = view.reshape(conv.p, conv.groups, conv.rows, -1)[:, groups]
-        shape = (square.shape[1], square.shape[3])
-        return conv.code.syndromes(lambda rc: square[rc[1], :, rc[0]], shape, chains)
+        addr = conv.cell_addresses()[:, groups]
+        return conv.code.syndromes(conv.array.flat_view(), addr, chains)
 
     def step(self) -> int:
         """Scrub the next stripe; returns the tick cost (0 if no stripes)."""
@@ -141,9 +141,10 @@ class ScrubCursor:
         if diagonal and conv.journal.is_marked(group, row):
             cost += 1
             chains.append(conv.rows + row)
-        for idx, residue in self._syndromes(slice(group, group + 1), chains):
-            if residue.any():
-                self._record(stripe, _KINDS[idx // conv.rows])
+        if chains:
+            for idx, hit in zip(chains, self._violated(slice(group, group + 1), chains)):
+                if hit[0]:
+                    self._record(stripe, _KINDS[idx // conv.rows])
         return cost
 
     def sweep(self) -> int:
@@ -152,8 +153,8 @@ class ScrubCursor:
         Same tick cost, counters and error list (same order), computed
         for the whole volume at once: one :meth:`ArrayCode.syndromes`
         call over every group, the row chains and (journal permitting)
-        the diagonal chains, the latter counted only for journal-marked
-        rows.  The cursor ends where it started.
+        the diagonal chains, its map masked by the journal so that only
+        marked rows count diagonals.  The cursor ends where it started.
         """
         total = self.stripes
         if total == 0:
@@ -165,8 +166,9 @@ class ScrubCursor:
         chains = [*range(rows)] if horizontal else []
         if diagonal:
             chains += range(rows, 2 * rows)
-        for idx, residue in self._syndromes(slice(None), chains):
-            bad[idx // rows, :, idx % rows] = residue.any(axis=-1)
+        if chains:
+            picked = np.array(chains)
+            bad[picked // rows, :, picked % rows] = self._violated(slice(None), chains)
         mask = conv.journal.marked() if diagonal else np.zeros((conv.groups, rows), dtype=bool)
         bad[1] &= mask
         bad = bad.reshape(2, total)

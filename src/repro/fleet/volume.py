@@ -31,7 +31,7 @@ work between foreground arrivals:
 3. **scrub**: idle-slack parity verification once conversion has
    drained (:meth:`ScrubCursor.step`), plus one full pass before the
    volume reports complete (:meth:`ScrubCursor.sweep`, the whole volume
-   in one :meth:`ArrayCode.syndromes` call).
+   in one tiled :meth:`ArrayCode.syndromes` gather).
 
 Provisioning is whole-array work too: the seeded data lands through one
 vectorized RAID-5 fill (:meth:`Raid5Array.format_with`).  The fleet
@@ -43,20 +43,23 @@ audit, and a byte-for-byte comparison against the analytically
 constructed offline-conversion image of the final logical data (RAID-5
 rows + Code 5-6 diagonals over the truth model) — zero divergence means
 the online migration landed exactly where an offline conversion of the
-same writes would have.  Both audits are whole-array tensor operations:
-the reference image is built from the cached
-:func:`~repro.raid.layouts.raid5_placement` table and
-:func:`~repro.codes.code56.diagonal_chain_index` and compared with an
-uncounted view of the array, never a copy.
+same writes would have.  The stripe audit is one tiled
+:meth:`ArrayCode.syndromes` gather over the store in place.  The
+reference image is streamed: one stripe-group at a time, one reused
+``(p, rows, block)`` buffer is filled from the cached
+:func:`~repro.raid.layouts.raid5_placement` table and the code's chain
+table (:meth:`ArrayCode.chain_table`), with XOR arithmetic of its own,
+and compared with an uncounted view of that group.  The whole image is
+never built and the seeded data never copied.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_index
 from repro.faults.errors import ConversionCrash
 from repro.faults.events import DiskFailureEvent
 from repro.faults.plane import FaultPlane
@@ -424,38 +427,56 @@ class FleetVolume:
             return clock
         return clock + self.scrub.sweep()
 
-    def reference_snapshot(self) -> np.ndarray:
-        """The offline-conversion image of the final logical data.
+    def _reference_groups(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``(group, image)`` of every stripe-group in turn: ``image`` is
+        the group's ``(p, rows, block)`` offline-conversion image of the
+        final logical data, one buffer refilled for every group (read it
+        before drawing the next).
 
         RAID-5 data placement + horizontal parities + Code 5-6 diagonal
         parities computed analytically over the truth model — exactly
         the bytes an offline conversion of the post-write image
         produces (both parity families are determined by the data).
-        Independent of the converter: data lands through the cached
-        :func:`raid5_placement` table, each horizontal parity is one XOR-reduce
-        over the ``m`` RAID-5 disks, and each diagonal chain is reduced
-        for every group at once.
+        Independent of the converter and of :meth:`ArrayCode.syndromes`:
+        the seeded data lands through the cached :func:`raid5_placement`
+        table and the applied writes over it, each horizontal parity is
+        one XOR-reduce over the ``m`` RAID-5 disks, and the diagonal
+        chains, whose cells the code's chain table lists, are reduced
+        together.
         """
         spec = self.spec
-        rows, m, bs = spec.rows, self.m, spec.block_size
-        stripes = spec.groups * rows
-        final = self.data.copy()
-        if self.applied:
-            lbas = np.fromiter(self.applied, dtype=np.intp, count=len(self.applied))
-            final[lbas] = np.stack(list(self.applied.values()))
-        stripe_of, disk_of, parity_of = raid5_placement(self.layout, m, stripes)
-        expect = np.zeros((spec.p, stripes, bs), dtype=np.uint8)
-        expect[disk_of, stripe_of] = final
-        # the parity slot of each row is still zero, so the row XOR over
-        # all m disks is the horizontal parity
-        expect[parity_of, np.arange(stripes)] = np.bitwise_xor.reduce(expect[:m], axis=0)
-        chain_rows, chain_cols = diagonal_chain_index(spec.p)
-        square = expect[:m].reshape(m, spec.groups, rows, bs)
-        # (rows, p-2, groups, block): chain members of every group
-        members = square[chain_cols, :, chain_rows]
-        expect[m].reshape(spec.groups, rows, bs)[...] = np.bitwise_xor.reduce(
-            members, axis=1
-        ).transpose(1, 0, 2)
+        rows, m = spec.rows, self.m
+        per_group = rows * (m - 1)  # LBAs of one group, stripe by stripe
+        stripe_of, disk_of, parity_of = raid5_placement(self.layout, m, spec.groups * rows)
+        chain_rows, chain_cols = self.conv.code.chain_table().terms(range(rows, 2 * rows))
+        chain_rows, chain_cols = chain_rows[:, 1:], chain_cols[:, 1:]
+        applied = np.array(sorted(self.applied), dtype=np.intp)
+        image = np.empty((spec.p, rows, spec.block_size), dtype=np.uint8)
+        local = np.arange(rows)
+        for group in range(spec.groups):
+            lo, base = group * per_group, group * rows
+            span = slice(lo, lo + per_group)
+            image[disk_of[span], stripe_of[span] - base] = self.data[span]
+            first, last = np.searchsorted(applied, [lo, lo + per_group])
+            for lba in applied[first:last].tolist():
+                image[disk_of[lba], stripe_of[lba] - base] = self.applied[lba]
+            # with each row's parity slot zeroed, the row XOR over all m
+            # disks is the horizontal parity
+            parity = parity_of[base : base + rows]
+            image[parity, local] = 0
+            image[parity, local] = np.bitwise_xor.reduce(image[:m], axis=0)
+            np.bitwise_xor.reduce(image[chain_cols, chain_rows], axis=1, out=image[m])
+            yield group, image
+
+    def reference_snapshot(self) -> np.ndarray:
+        """The whole ``(p, stripes, block)`` offline-conversion image,
+        every group of :meth:`_reference_groups` stacked (for tests; the
+        audit streams it)."""
+        spec = self.spec
+        rows = spec.rows
+        expect = np.empty((spec.p, spec.groups * rows, spec.block_size), dtype=np.uint8)
+        for group, image in self._reference_groups():
+            expect[:, group * rows : (group + 1) * rows] = image
         return expect
 
     def divergent_blocks(self) -> int:
@@ -463,15 +484,21 @@ class FleetVolume:
 
         Failed (unrebuilt) disks hold stale bytes by design and are
         excluded; every surviving disk must match exactly.  The array is
-        compared in place (an uncounted view), not through a snapshot.
+        compared in place (an uncounted view), one group's reference
+        image at a time into one reused byte mask: the whole image is
+        never built and the seeded data never copied.
         """
-        expect = self.reference_snapshot()
-        got = self.array.bulk_view(slice(0, self.spec.p), slice(None))
-        differs = np.any(expect != got, axis=-1)
+        spec = self.spec
         failed = self.array.failed_disks
-        return sum(
-            int(differs[disk].sum()) for disk in range(self.spec.p) if disk not in failed
-        )
+        live = np.array([disk not in failed for disk in range(spec.p)])
+        got = self.array.bulk_view(slice(0, spec.p), slice(None))
+        got = got.reshape(spec.p, spec.groups, spec.rows, spec.block_size)
+        differs = np.empty((spec.p, spec.rows, spec.block_size), dtype=bool)
+        divergent = 0
+        for group, image in self._reference_groups():
+            np.not_equal(image, got[:, group], out=differs)
+            divergent += int(np.count_nonzero(differs.any(axis=-1)[live]))
+        return divergent
 
     def result(self) -> dict:
         """JSON-ready per-volume outcome (the fleet report's unit)."""

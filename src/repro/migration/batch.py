@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells
+from repro.codes.registry import get_code
 from repro.kernels import ScratchPool, resolve_kernel
 from repro.obs.metrics import get_registry
 from repro.raid.array import BlockArray
@@ -50,20 +50,17 @@ _GATHER_RUN_BYTES = 1 << 17
 
 
 @lru_cache(maxsize=None)
-def _chain_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row chain geometry as arrays: ``R[prow, j]``/``C[prow, j]``
-    the square cell at chain position ``j``, and ``credit[prow, disk]``
-    the per-disk read totals one parity of that row bills."""
-    rows, chain_len = p - 1, p - 2
-    r_tab = np.empty((rows, chain_len), dtype=np.intp)
-    c_tab = np.empty((rows, chain_len), dtype=np.intp)
-    credit = np.zeros((rows, p), dtype=np.int64)
-    for prow in range(rows):
-        for j, (r, c) in enumerate(diagonal_chain_cells(p, prow)):
-            r_tab[prow, j] = r
-            c_tab[prow, j] = c
-            credit[prow, c] += 1
-    return r_tab, c_tab, credit
+def _diagonal_members(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)[prow, j]``: the square cell at position ``j`` of
+    the chain of diagonal parity row ``prow``, read once per prime from
+    the Code 5-6 chain table (:meth:`ArrayCode.chain_table`: chains
+    ``p-1 .. 2p-3`` of the layout, the parity at term 0).  Read-only."""
+    rows = p - 1
+    r_tab, c_tab = get_code("code56", p).chain_table().terms(range(rows, 2 * rows))
+    members = r_tab[:, 1:], c_tab[:, 1:]
+    for table in members:
+        table.flags.writeable = False
+    return members
 
 
 def fused_run_usable(array: BlockArray) -> bool:
@@ -78,13 +75,9 @@ def fused_run_usable(array: BlockArray) -> bool:
 
 def run_read_credit(array: BlockArray, p: int, run: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Per-disk read totals the audited path would perform for ``run``."""
-    _r_tab, _c_tab, credit = _chain_tables(p)
-    counts = np.zeros(p - 1, dtype=np.int64)
-    for _g, r in run:
-        counts[r] += 1
-    reads = np.zeros(array.n_disks, dtype=np.int64)
-    reads[:p] = counts @ credit
-    return reads
+    _r_tab, c_tab = _diagonal_members(p)
+    prows = np.fromiter((r for _g, r in run), dtype=np.intp, count=len(run))
+    return np.bincount(c_tab[prows].ravel(), minlength=array.n_disks)
 
 
 def execute_run_fused(
@@ -121,7 +114,7 @@ def execute_run_fused(
         # overhead-bound small run (a group or two per row): one
         # fancy-indexed gather pulls the whole (chain, n, bs) cube, one
         # kernel call reduces it — no per-row Python loop
-        r_tab, c_tab, _credit = _chain_tables(p)
+        r_tab, c_tab = _diagonal_members(p)
         g_arr = np.fromiter((g for g, _r in run), dtype=np.intp, count=n)
         prows = np.fromiter((r for _g, r in run), dtype=np.intp, count=n)
         np.multiply(g_arr, rows, out=out_blocks)
@@ -137,10 +130,11 @@ def execute_run_fused(
         by_row: dict[int, list[int]] = {}
         for g, r in run:
             by_row.setdefault(r, []).append(g)
+        r_tab, c_tab = _diagonal_members(p)
         pos = 0
         for prow in sorted(by_row):
             gs = by_row[prow]
-            chain = diagonal_chain_cells(p, prow)
+            chain = tuple(zip(r_tab[prow].tolist(), c_tab[prow].tolist()))
             k = len(gs)
             out_blocks[pos : pos + k] = np.asarray(gs, dtype=np.intp) * rows + prow
             contiguous = k == gs[-1] - gs[0] + 1

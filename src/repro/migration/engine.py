@@ -14,8 +14,9 @@ The first two checks read the array in place, with no per-group loop
 and no stripe tensor: the plan's cached audit table
 (:func:`repro.compiled.recovery.audit_table`) gives every stripe cell as
 a zero-copy ``(groups, block)`` view of the store.  Data cells are
-compared with their runs of the ground truth, and each parity chain is
-XORed into one reused accumulator (:meth:`ArrayCode.verify_cells`).
+compared with their runs of the ground truth, and the parity chains are
+checked through the same table's block addresses
+(:meth:`ArrayCode.verify_cells`: one tiled gather per chain term).
 Once both pass, every group is a codeword, so the failure trials do not
 touch the array at all: each trial's recovery plan is replayed over the
 code's identity stripe (:meth:`ArrayCode.codeword_basis`, a bit-packed
@@ -209,9 +210,10 @@ def verify_conversion(
     """Full post-conversion audit (see module docstring).
 
     Checks data and parity over all groups at once through the plan's
-    audit table, a ``cell -> (groups, block)`` lookup of views into the
-    store: each data template is compared with its run of ``data``, and
-    each parity chain is XORed into one reused accumulator.  Each
+    audit table: each data template is compared with its run of
+    ``data`` through a ``cell -> (groups, block)`` lookup of views into
+    the store, and the parity chains are checked over the table's block
+    addresses (:meth:`ArrayCode.verify_cells`).  Each
     double-failure trial then replays its recovery plan over the code's
     identity stripe instead of the store: the parity check has shown
     every group to be a codeword, and a plan that rebuilds the lost
@@ -226,7 +228,6 @@ def verify_conversion(
     tracer = get_tracer()
     plan, array, data = result.plan, result.array, result.data
     code = plan.code
-    shape = (plan.groups, array.block_size)
     with tracer.span(
         "verify", cat="engine", code=plan.code.name, approach=plan.approach,
         groups=plan.groups, trials=failure_trials,
@@ -237,9 +238,9 @@ def verify_conversion(
         with tracer.span("verify.data", cat="engine"):
             if not table.data_intact(stored, data):
                 return False
-        # 2. every stripe-group parity-consistent (one accumulator per chain walk)
+        # 2. every stripe-group parity-consistent (one tiled gather per chain term)
         with tracer.span("verify.parity", cat="engine"):
-            if not code.verify_cells(stored, shape):
+            if not code.verify_cells(array.flat_view(), table.addr):
                 return False
         # 3. double-failure recoverability, proved rather than replayed.
         #    Check 2 put every group in the code's codeword space, so

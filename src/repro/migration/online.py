@@ -194,6 +194,7 @@ class OnlineCode56Conversion:
         #: in-flight run: parities written but not yet marked (None = idle)
         self._run: tuple[tuple[int, int], ...] | None = None
         self._run_keys: np.ndarray | None = None  # cursor keys, ascending
+        self._addr: np.ndarray | None = None  # cell_addresses(), once built
         self.journal = journal
         #: completed events — a resume harness slices its event lists by
         #: these (app serves are never crash-interrupted, so every event
@@ -615,21 +616,30 @@ class OnlineCode56Conversion:
         return clock + ios
 
     # ---------------------------------------------------------------- audit
+    def cell_addresses(self) -> np.ndarray:
+        """Read-only ``(rows * p, groups)`` address table of the converted
+        array over :meth:`BlockArray.flat_view`, built once: columns
+        ``0..p-2`` are disks ``0..p-2`` and column ``p-1`` is the diagonal
+        disk ``m``, so cell ``(r, c)`` of group ``g`` is row ``c * bpd +
+        g * rows + r``."""
+        if self._addr is None:
+            col = np.arange(self.p)[None, :, None] * self.array.blocks_per_disk
+            group = np.arange(self.groups)[None, None, :] * self.rows
+            addr = (col + group + np.arange(self.rows)[:, None, None]).reshape(-1, self.groups)
+            addr.flags.writeable = False
+            self._addr = addr
+        return self._addr
+
     def verify(self) -> bool:
         """Uncounted whole-array audit of the converted RAID-6.
 
-        One batched :meth:`ArrayCode.verify` over a zero-copy ``(groups,
-        rows, p, block)`` view of the store: columns ``0..p-2`` are disks
-        ``0..p-2`` and column ``p-1`` is the diagonal disk ``m``, so every
-        chain is checked for every group at once without copying a stripe.
+        One :meth:`ArrayCode.verify_cells` over the store's pages in
+        place (:meth:`BlockArray.flat_view`) and :meth:`cell_addresses`:
+        every chain is checked for every group without copying a stripe.
 
         Requires a healthy array — rebuild failed disks first (e.g. via
         ``Raid6Array.rebuild_disks``); a degraded array's failed columns
         hold stale bytes that only the erasure code can interpret.
         """
         self.array.require_healthy("verifying")
-        view = self.array.bulk_view(slice(0, self.p), slice(0, self.groups * self.rows))
-        stripes = view.reshape(
-            self.p, self.groups, self.rows, self.array.block_size
-        ).transpose(1, 2, 0, 3)
-        return self.code.verify(stripes)
+        return self.code.verify_cells(self.array.flat_view(), self.cell_addresses())

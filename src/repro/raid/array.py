@@ -350,6 +350,13 @@ class BlockArray:
             raise TypeError("bulk_view takes slices (views only); use gather_raw for fancy indexing")
         return self._store[disks, blocks]
 
+    def flat_view(self) -> np.ndarray:
+        """Uncounted ``(n_disks * blocks_per_disk, block_size)`` view of the
+        whole store: block ``b`` of disk ``d`` is row ``d *
+        blocks_per_disk + b``, the address :meth:`ArrayCode.syndromes`
+        tables use."""
+        return self._store.reshape(-1, self.block_size)
+
     def credit_ios(self, reads=None, writes=None) -> None:
         """Add per-disk I/O counts performed out-of-band by a bulk engine.
 

@@ -10,8 +10,6 @@ few stripe-groups, Section V-B).
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.codes.base import ArrayCode
@@ -223,28 +221,20 @@ class Raid6Array:
                     self.array.write(disk, self.block_of(group, row), stripe[row, col])
 
     # ----------------------------------------------------------------- audit
-    def cells(self) -> Callable[[Cell], np.ndarray | None]:
-        """Uncounted lookup for :meth:`ArrayCode.syndromes`: ``(r, c)`` ->
-        that cell's ``(groups, block)`` raw bytes, group ``g``'s read from
-        ``disk_of(g, c)`` (``None`` on a virtual column).  A stride view
-        of the store unrotated, a gather of one block per group rotated."""
-        groups = np.arange(self.groups)
-        store = self.array.bulk_view(slice(None), slice(0, self.groups * self.rows))
-        store = store.reshape(self.array.n_disks, self.groups, self.rows, -1)
-        disks = {c: [self.disk_of(g, c) for g in groups] for c in self._physical_cols}
-
-        def cell(rc: Cell) -> np.ndarray | None:
-            r, c = rc
-            if c not in disks:
-                return None
-            if self.rotation_period is None:
-                return store[c, :, r]
-            return store[disks[c], groups, r]
-
-        return cell
+    def addresses(self) -> np.ndarray:
+        """Uncounted address table for :meth:`ArrayCode.syndromes`:
+        ``[r * cols + c, g]`` is the :meth:`BlockArray.flat_view` row of
+        cell ``(r, c)`` of group ``g``, on disk ``disk_of(g, c)`` (-1 on
+        a virtual column)."""
+        groups, rows = np.arange(self.groups), np.arange(self.rows)[:, None]
+        addr = np.full((self.rows, self.code.cols, self.groups), -1, dtype=np.intp)
+        for c in self._physical_cols:
+            disks = np.array([self.disk_of(g, c) for g in groups], dtype=np.intp)
+            addr[:, c] = disks * self.array.blocks_per_disk + groups * self.rows + rows
+        return addr.reshape(-1, self.groups)
 
     def verify(self) -> bool:
         """Uncounted parity check of every group: :meth:`ArrayCode.verify_cells`
-        over :meth:`cells`; ``RuntimeError`` while a disk is failed."""
+        over :meth:`addresses`; ``RuntimeError`` while a disk is failed."""
         self.array.require_healthy("verifying")
-        return self.code.verify_cells(self.cells(), (self.groups, self.array.block_size))
+        return self.code.verify_cells(self.array.flat_view(), self.addresses())

@@ -8,9 +8,11 @@ work only where a residue is nonzero:
 * **RAID-5** reads :meth:`Raid5Array.row_residues`, as its ``verify``
   does, and can only *detect* an inconsistent stripe;
 * a code-based **RAID-6** reads :meth:`ArrayCode.syndromes` over
-  :meth:`Raid6Array.cells`.  Two independent chains run through every
-  data cell, so a single corrupt block is *locatable*: the violated
-  chains are its chain signature and all carry the same XOR delta,
+  :meth:`Raid6Array.addresses`, a boolean map of the violated chains
+  of every group.  Two independent chains run through every data cell,
+  so a single corrupt block is *locatable*: the violated chains are its
+  chain signature and all carry the same XOR delta
+  (:meth:`ArrayCode.residue`, recomputed for the violated pairs only),
   which is XORed back into the block to repair it — why migrating an
   aging RAID-5 to RAID-6 also protects against silent corruption.
 
@@ -89,25 +91,30 @@ def scrub_raid6(raid6: Raid6Array, repair: bool = True) -> Raid6ScrubReport:
     """
     raid6.array.require_healthy("scrubbing")
     code = raid6.code
-    violated: dict[int, list[int]] = {}
-    deltas: dict[int, list[np.ndarray]] = {}
-    for idx, residue in code.syndromes(raid6.cells(), (raid6.groups, raid6.array.block_size)):
-        for group in np.flatnonzero(residue.any(axis=-1)).tolist():
-            violated.setdefault(group, []).append(idx)
-            deltas.setdefault(group, []).append(residue[group].copy())
-    report = Raid6ScrubReport(raid6.groups, sorted(violated))
+    store, addr = raid6.array.flat_view(), raid6.addresses()
+    violated = code.syndromes(store, addr)
+    report = Raid6ScrubReport(raid6.groups, np.flatnonzero(violated.any(axis=0)).tolist())
     signatures = _chain_signature(code)
     for group in report.inconsistent_groups:
-        violated_set, delta = frozenset(violated[group]), deltas[group][0]
+        chains = np.flatnonzero(violated[:, group]).tolist()
+        deltas = [code.residue(store, addr, idx, group) for idx in chains]
+        violated_set, delta = frozenset(chains), deltas[0]
         candidates = [cell for cell, sig in signatures.items() if sig == violated_set]
-        if len(candidates) != 1 or any(not np.array_equal(d, delta) for d in deltas[group]):
+        if len(candidates) != 1 or any(not np.array_equal(d, delta) for d in deltas):
             report.unlocatable_groups.append(group)
             continue
         (row, col), = candidates
         report.located.append((group, (row, col)))
         if repair:
-            # only this cell is wrong: every chain through it is off by delta
-            block = raid6.array.raw(raid6.disk_of(group, col), raid6.block_of(group, row))
-            np.bitwise_xor(block, delta, out=block)
+            _repair(raid6, group, (row, col), delta)
             report.repaired.append((group, (row, col)))
     return report
+
+
+def _repair(raid6: Raid6Array, group: int, cell: Cell, delta: np.ndarray) -> None:
+    """Only ``cell`` of ``group`` is wrong, so every chain through it is
+    off by ``delta`` (a residue, computed into fresh memory): XOR it back
+    into the one stored block."""
+    row, col = cell
+    block = raid6.array.raw(raid6.disk_of(group, col), raid6.block_of(group, row))
+    np.bitwise_xor(block, delta, out=block)

@@ -24,9 +24,10 @@ invariant earlier PRs fought for:
 * **SC-L005** — no direct ``np.bitwise_xor`` (nor the ``xor_reduce`` /
   ``xor_into`` helpers) on ``BlockArray`` storage outside
   ``repro.kernels``.  A function-local taint pass marks every value
-  derived from ``bulk_view`` / ``gather_raw`` (the bulk storage
-  accessors) and flags XOR calls touching tainted data: hot-path XOR on
-  the store must go through the :class:`~repro.kernels.base.XorKernel`
+  derived from ``bulk_view`` / ``flat_view`` / ``gather_raw`` (the
+  bulk storage accessors) and flags XOR calls touching tainted data:
+  hot-path XOR on the store must go through the
+  :class:`~repro.kernels.base.XorKernel`
   that :func:`~repro.kernels.resolve_kernel` returns, or the kernel's
   instrumentation (and any profiler wrapping it) is silently bypassed.
 * **SC-L006** — no nondeterminism primitives in the deterministic
@@ -81,7 +82,7 @@ _MP_MODULES = frozenset({"multiprocessing", "concurrent.futures"})
 _MP_ALLOWED_PREFIXES = ("sweep/", "fleet/")
 
 #: bulk storage accessors whose results are BlockArray storage (taint roots)
-_STORAGE_ACCESSORS = frozenset({"bulk_view", "gather_raw"})
+_STORAGE_ACCESSORS = frozenset({"bulk_view", "flat_view", "gather_raw"})
 #: XOR entry points that must not touch tainted storage directly
 _XOR_CALLS = frozenset({"bitwise_xor", "xor_reduce", "xor_into"})
 #: the one package whose job is XORing the store
@@ -167,8 +168,9 @@ class _Linter(ast.NodeVisitor):
     # ------------------------------------------------------------ SC-L005
     def _storage_derived(self, expr: ast.AST) -> bool:
         """True if ``expr`` (or any sub-expression) names tainted storage:
-        a ``bulk_view`` / ``gather_raw`` call, or a variable assigned from
-        one (views/reshapes/slices of tainted names stay tainted)."""
+        a ``bulk_view`` / ``flat_view`` / ``gather_raw`` call, or a
+        variable assigned from one (views/reshapes/slices of tainted names
+        stay tainted)."""
         tainted = self._tainted[-1]
         for node in ast.walk(expr):
             if isinstance(node, ast.Name) and node.id in tainted:

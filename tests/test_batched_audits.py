@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from repro.codes import CODE_CATALOG, get_code
-from repro.codes.base import ArrayCode
+from repro.codes import base
+from repro.codes.base import SYNDROME_TILE_BYTES, ArrayCode
 from repro.codes.code56 import diagonal_chain_cells
 from repro.codes.decoder import apply_recovery_plan, run_recovery_steps
 from repro.codes.geometry import ChainKind
@@ -252,17 +253,18 @@ def test_online_verify_is_a_view_not_a_copy():
     conv = OnlineCode56Conversion(array, 5, batch=4)
     conv.run([])
     seen = []
-    original = conv.code.verify
+    original = conv.code.verify_cells
 
-    def spy(stripes):
-        seen.append(stripes)
-        return original(stripes)
+    def spy(store, addr):
+        seen.append((store, addr))
+        return original(store, addr)
 
-    conv.code.verify = spy
+    conv.code.verify_cells = spy
     assert conv.verify()
-    (stripes,) = seen
-    assert stripes.shape == (GROUPS, 4, 5, BS)
-    assert np.shares_memory(stripes, array.bulk_view(slice(0, 5), slice(None)))
+    ((store, addr),) = seen
+    assert store.shape == (array.n_disks * array.blocks_per_disk, BS)
+    assert addr.shape == (4 * 5, GROUPS)
+    assert np.shares_memory(store, array.bulk_view(slice(0, 5), slice(None)))
 
 
 def test_online_verify_refuses_failed_disks():
@@ -310,18 +312,27 @@ def test_raid6_verify_agrees_with_loop_on_other_codes(code_name):
             )
 
 
-def test_raid6_cells_are_views_unrotated_and_gathers_rotated():
-    code = get_code("code56", 5)
-    array = BlockArray(code.n_disks, GROUPS * code.rows, block_size=BS)
-    store = array.bulk_view(slice(None), slice(None))
-    store[...] = np.random.default_rng(0).integers(0, 256, size=store.shape, dtype=np.uint8)
-    flat = Raid6Array(array, code).cells()((1, 2))
-    assert flat.shape == (GROUPS, BS) and np.shares_memory(flat, store)
-    raid6 = Raid6Array(array, code, rotation_period=1)
-    rotated = raid6.cells()((1, 2))
-    assert not np.shares_memory(rotated, store)
+@pytest.mark.parametrize("rotation", [None, 1, 2])
+@pytest.mark.parametrize("virtual_cols", [(), (0,)], ids=["full", "shortened"])
+def test_raid6_addresses_follow_the_rotation(rotation, virtual_cols):
+    """Every physical cell's address reads the block ``disk_of`` and
+    ``block_of`` name, in place; a virtual column reads as zero (-1)."""
+    code = get_code("code56", 5, virtual_cols=virtual_cols)
+    array = BlockArray(code.cols, GROUPS * code.rows, block_size=BS)
+    flat = array.flat_view()
+    flat[...] = np.random.default_rng(0).integers(0, 256, size=flat.shape, dtype=np.uint8)
+    raid6 = Raid6Array(array, code, rotation_period=rotation)
+    addr = raid6.addresses()
+    assert addr.shape == (code.rows * code.cols, GROUPS)
     for g in range(GROUPS):
-        assert np.array_equal(rotated[g], array.raw(raid6.disk_of(g, 2), raid6.block_of(g, 1)))
+        for r in range(code.rows):
+            for c in range(code.cols):
+                a = addr[r * code.cols + c, g]
+                if c in code.layout.virtual_cols:
+                    assert a == -1
+                    continue
+                block = array.raw(raid6.disk_of(g, c), raid6.block_of(g, r))
+                assert np.shares_memory(flat[a], block) and np.array_equal(flat[a], block)
 
 
 # ---------------------------------------------------------- syndromes
@@ -340,23 +351,27 @@ def test_syndromes_name_exactly_the_flipped_cells_chains(name, virtual_cols, p):
     code = get_code(name, p, virtual_cols=virtual_cols)
     layout = code.layout
     rng = np.random.default_rng(p)
-    groups, shape = 4, (4, BS)
+    groups = 4
     stripes = code.make_stripe(
         rng.integers(0, 256, size=(groups, code.num_data, BS), dtype=np.uint8)
     )
 
-    def cell(rc):
-        return stripes[:, rc[0], rc[1]]
+    # the stripes as a block store: cell (r, c) of group g is row
+    # (g * rows + r) * cols + c
+    store = stripes.reshape(-1, BS)
+    addr = np.arange(len(store)).reshape(groups, -1).T
 
     def violated():
-        """chain index -> (groups holding a nonzero residue, residues)."""
+        """chain index -> (groups where it is violated, their residues)."""
+        bad = code.syndromes(store, addr)
+        assert bad.shape == (len(layout.chains), groups)
         return {
-            idx: (np.flatnonzero(residue.any(axis=-1)).tolist(), residue.copy())
-            for idx, residue in code.syndromes(cell, shape)
-            if residue.any()
+            idx: (hit, [code.residue(store, addr, idx, g) for g in hit])
+            for idx in range(len(layout.chains))
+            if (hit := np.flatnonzero(bad[idx]).tolist())
         }
 
-    assert violated() == {} and code.verify_cells(cell, shape)
+    assert violated() == {} and code.verify_cells(store, addr)
     real = [rc for rc in (*layout.data_cells, *sorted(layout.parity_cells))
             if rc not in layout.virtual_cells]
     for rc in real + sorted(layout.virtual_cells):
@@ -369,15 +384,53 @@ def test_syndromes_name_exactly_the_flipped_cells_chains(name, virtual_cols, p):
         }
         seen = violated()
         assert set(seen) == signature, rc
-        for bad_groups, residue in seen.values():
+        for bad_groups, (residue,) in seen.values():
             assert bad_groups == [group]
-            assert np.array_equal(residue[group], delta)
-        assert seen and not code.verify_cells(cell, shape)
-        # ``chains=`` walks just the chains asked for, in the order asked
+            assert np.array_equal(residue, delta)
+        assert seen and not code.verify_cells(store, addr)
+        # ``chains=`` checks just the chains asked for, in the order asked
         pick = sorted(signature)[::-1]
-        assert [idx for idx, _ in code.syndromes(cell, shape, chains=pick)] == pick
+        assert np.array_equal(code.syndromes(store, addr, chains=pick),
+                              code.syndromes(store, addr)[pick])
         stripes[group, rc[0], rc[1]] ^= delta
-    assert violated() == {} and code.verify_cells(cell, shape)
+    assert violated() == {} and code.verify_cells(store, addr)
+
+
+@pytest.mark.parametrize("budget", [2 * BS, 5 * BS, 24 * BS, 96 * BS, 648 * BS, None],
+                         ids=lambda b: f"tile{b}")
+@pytest.mark.parametrize("name,virtual_cols", SCRUB_CODES, ids=SCRUB_IDS)
+def test_syndromes_tiles_agree_with_the_chain_loop(monkeypatch, name, virtual_cols, budget):
+    """Every tile shape — one chain of one group one term at a time, runs
+    of terms, several chains and groups, the whole pass in one tile —
+    gives the violation map a per-chain, per-group XOR loop gives, with
+    holes (-1 addresses) reading as zero."""
+    if budget is not None:
+        monkeypatch.setattr(base, "SYNDROME_TILE_BYTES", budget)
+    code = get_code(name, 7, virtual_cols=virtual_cols)
+    rng = np.random.default_rng(len(name))
+    groups = 9
+    stripes = code.make_stripe(
+        rng.integers(0, 256, size=(groups, code.num_data, BS), dtype=np.uint8)
+    )
+    for _ in range(6):
+        stripes[int(rng.integers(groups)), int(rng.integers(code.rows)),
+                int(rng.integers(code.cols)), int(rng.integers(BS))] ^= 0x21
+    store = stripes.reshape(-1, BS)
+    addr = np.arange(len(store)).reshape(groups, -1).T.copy()
+    holes = [r * code.cols + c for r, c in sorted(code.layout.virtual_cells)]
+    addr[holes] = -1
+    want = np.zeros((len(code.layout.chains), groups), dtype=bool)
+    for idx, chain in enumerate(code.layout.chains):
+        for g in range(groups):
+            acc = np.zeros(BS, dtype=np.uint8)
+            for r, c in (chain.parity, *chain.members):
+                if (r, c) not in code.layout.virtual_cells:
+                    acc ^= stripes[g, r, c]
+            want[idx, g] = acc.any()
+    assert want.any() and not want.all()
+    assert np.array_equal(code.syndromes(store, addr), want)
+    pick = [int(i) for i in rng.permutation(len(code.layout.chains))[:5]]
+    assert np.array_equal(code.syndromes(store, addr, chains=pick), want[pick])
 
 
 # ---------------------------------------------------------- scrub_raid6
@@ -728,3 +781,44 @@ def test_divergent_blocks_counts_like_snapshot_loop():
         vol.array.raw(disk, block)[-1] ^= 0x01
     # the flip on failed disk 1 is stale by design and not counted
     assert vol.divergent_blocks() == divergent_loop(vol) == 4
+
+
+# ---------------------------------------------------------- allocation guards
+def _traced_peak(fn):
+    """``(fn(), peak bytes tracemalloc saw numpy and Python allocate)``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_divergent_blocks_streams_its_image():
+    """At the ``fleet-faulted`` geometry (p=13, 4 groups, 4 KiB blocks) the
+    audit holds one group's image, not the 6.6 MB whole-volume image."""
+    vol = FleetVolume(VolumeSpec(
+        volume_id=7, p=13, groups=4, block_size=4096, seed=2026, n_requests=32, batch=4,
+    ))
+    assert vol.run()["state"] == "complete" and vol.applied
+    divergent, peak = _traced_peak(vol.divergent_blocks)
+    assert divergent == 0
+    assert peak < 2_000_000, peak
+
+
+@pytest.mark.parametrize("groups", [4, 192])
+def test_syndromes_pass_allocates_at_most_two_tiles(groups):
+    """A syndrome pass never materialises its ``(chains, groups, block)``
+    residue: at 4 KiB blocks its peak stays within two tile budgets at
+    any group count.  Every group's addresses name one encoded stripe,
+    so the store stays one stripe big."""
+    code = get_code("code56", 13)
+    rng = np.random.default_rng(0)
+    stripe = code.make_stripe(rng.integers(0, 256, size=(code.num_data, 4096), dtype=np.uint8))
+    store = stripe.reshape(-1, 4096)
+    addr = np.repeat(np.arange(len(store))[:, None], groups, axis=1)
+    violated, peak = _traced_peak(lambda: code.syndromes(store, addr))
+    assert violated.shape == (len(code.layout.chains), groups) and not violated.any()
+    assert peak <= 2 * SYNDROME_TILE_BYTES, peak
+    stripe[0, 0, 0] ^= 1
+    assert code.syndromes(store, addr).any(axis=0).all()

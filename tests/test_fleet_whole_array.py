@@ -236,6 +236,35 @@ class TestBreakerIdentity:
         assert breaker_state(new) == breaker_state(old)
         assert (new.trips > 0) == (mask != 0)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_max_shortcut_keeps_the_percentile_verdict(self, seed):
+        """``breached_by`` skips ``np.percentile`` when no sample exceeds
+        the tightest limit; its verdict equals every constrained quantile
+        computed by ``np.percentile``, also when the window's maximum
+        equals a limit."""
+        rng = np.random.default_rng(seed)
+        skipped = computed = 0
+        for _ in range(300):
+            caps = [None if rng.random() < 0.3 else float(rng.integers(1, 60)) for _ in range(3)]
+            target = QosTarget(p50_ticks=caps[0], p95_ticks=caps[1], p99_ticks=caps[2])
+            window = rng.integers(0, 80, size=int(rng.integers(1, 33))).astype(float)
+            set_caps = [c for c in caps if c is not None]
+            if set_caps and rng.random() < 0.5:
+                cap = set_caps[int(rng.integers(len(set_caps)))]
+                window = np.minimum(window, cap)
+                window[int(rng.integers(len(window)))] = cap
+            want = None
+            for name, q, limit in zip(("p50", "p95", "p99"), (50, 95, 99), caps):
+                if limit is not None and float(np.percentile(window, q)) > limit:
+                    want = name
+                    break
+            assert target.breached_by(window.tolist()) == want
+            if set_caps and window.max() <= min(set_caps):
+                skipped += 1
+            else:
+                computed += 1
+        assert skipped and computed
+
 
 # ---------------------------------------------------------------- admission
 def test_at_most_clients_volumes_alive(monkeypatch):

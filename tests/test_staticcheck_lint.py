@@ -176,6 +176,16 @@ class TestKernelXorRule:
         )
         assert [f.rule for f in findings] == ["SC-L005"]
 
+    def test_flags_xor_on_flat_view_result(self):
+        findings = lint(
+            """
+            def f(array):
+                store = array.flat_view()
+                np.bitwise_xor(acc, store[rows], out=acc)
+            """
+        )
+        assert [f.rule for f in findings] == ["SC-L005"]
+
     def test_taint_propagates_through_views(self):
         findings = lint(
             """
