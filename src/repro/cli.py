@@ -562,7 +562,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         tenants = tuple((name, args.qos_p99) for name, _ in DEFAULT_TENANTS)
     config = FleetConfig(
         volumes=args.volumes,
-        clients=args.clients,
         p=args.p,
         groups=args.groups,
         block_size=args.block_size,
@@ -581,7 +580,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     gates = ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in report["gates"].items())
     print(
         f"fleet p={config.p} volumes={report['volumes_total']} "
-        f"clients={config.clients} spares={config.spares}: {states}"
+        f"spares={config.spares}: {states}"
     )
     print(
         f"  rebuilds={report['rebuilds_completed']} "
@@ -902,8 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fleet.add_argument("--volumes", type=int, default=8,
                          help="volumes to migrate")
-    p_fleet.add_argument("--clients", type=int, default=4,
-                         help="worker-pool width (concurrent migrations)")
     p_fleet.add_argument("--p", type=int, default=5)
     p_fleet.add_argument("--groups", type=int, default=2)
     p_fleet.add_argument("--block-size", type=int, default=8)

@@ -6,8 +6,8 @@ top of the batched online converter: per-volume health state machines
 scrubbing (:mod:`~repro.fleet.spares`), token-bucket + circuit-breaker
 QoS arbitration between foreground I/O and background conversion
 (:mod:`~repro.fleet.qos`), the per-volume cooperative driver
-(:mod:`~repro.fleet.volume`) and the thread-pool service with its gated
-fleet report (:mod:`~repro.fleet.service`).
+(:mod:`~repro.fleet.volume`) and the serial service, one volume at a
+time, with its gated fleet report (:mod:`~repro.fleet.service`).
 
 Heavy submodules load lazily so ``import repro.fleet`` stays cheap for
 callers that only want the spec types.

@@ -36,7 +36,7 @@ __all__ = ["VolumeState", "HealthTransition", "VolumeHealth"]
 class VolumeState(Enum):
     """Lifecycle states of one fleet volume."""
 
-    PENDING = "pending"  # queued behind admission control
+    PENDING = "pending"  # queued behind the volumes before it
     MIGRATING = "migrating"  # conversion in progress, array healthy
     DEGRADED = "degraded"  # a data disk failed; reconstruct-on-read
     REBUILDING = "rebuilding"  # spare attached, row-XOR rebuild running

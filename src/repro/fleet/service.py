@@ -1,14 +1,14 @@
-"""The migration fleet service: admission, spares, and the merged report.
+"""The migration fleet service: a serial drain, spares, and the merged report.
 
 :class:`FleetService` turns a :class:`FleetConfig` into a fleet of
-:class:`~repro.fleet.volume.FleetVolume` tasks, admits at most
-``clients`` of them concurrently through a worker pool — each worker
-provisions its volume (data, RAID-5 fill, converter, and a
-:class:`~repro.raid.array.BlockArray` that owns its pages) and drives it
-to a result, so at most ``clients`` volumes hold memory at once —
-arbitrates hot spares through the shared
-:class:`~repro.fleet.spares.SparePool`, and merges the per-volume
-results into one JSON-ready fleet report with explicit pass/fail gates:
+:class:`~repro.fleet.volume.FleetVolume` tasks and drains them one at a
+time, in volume order: each volume is provisioned (data, RAID-5 fill,
+converter, and a :class:`~repro.raid.array.BlockArray` that owns its
+pages), driven to a result and freed before the next is built, so one
+volume holds memory at once.  Hot spares go through the
+:class:`~repro.fleet.spares.SparePool`, which therefore grants them to
+the lowest-id failing volumes first, and the per-volume results merge
+into one JSON-ready fleet report with explicit pass/fail gates:
 
 * ``all_terminal`` — every volume reached a terminal health state;
 * ``zero_divergence`` — every completed volume's surviving disks match
@@ -17,17 +17,15 @@ results into one JSON-ready fleet report with explicit pass/fail gates:
   while its circuit breaker was closed, exceeded its tenant's target;
 * ``no_errors`` — no volume died on an unexpected exception.
 
-Because volumes share nothing but the spare pool, the merged report is
-deterministic for a given config whenever the pool is sized for the
-fault scenario (every claim granted) — which is exactly what the seeded
-soak (:func:`fleet_soak`) asserts, config attached, whenever a gate
-fails.
+Because the drain is one loop, the merged report is deterministic for a
+given config, spare exhaustion included — which is exactly what the
+seeded soak (:func:`fleet_soak`) relies on when it attaches the config
+to every failing gate.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,8 +52,9 @@ class FleetConfig:
     """Deterministic recipe for one fleet run."""
 
     volumes: int = 8
-    #: worker-pool width = how many volumes migrate concurrently
-    clients: int = 4
+    #: selects nothing: the fleet drains one volume at a time.  Kept so
+    #: that recorded configs (reports, soak failures) still replay.
+    clients: int = 1
     p: int = 5
     groups: int = 2
     block_size: int = 8
@@ -158,22 +157,11 @@ class FleetService:
 
     # ------------------------------------------------------------ execution
     def run(self) -> dict:
-        cfg = self.config
         specs = self.build_specs()
         started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=cfg.clients) as pool:
-            futures = [pool.submit(self._run_volume, spec) for spec in specs]
-            results = [f.result() for f in futures]
+        results = [FleetVolume(spec).run(self.spares) for spec in specs]
         elapsed = time.perf_counter() - started
-        results.sort(key=lambda r: r["volume_id"])
         return self._merge(results, elapsed)
-
-    def _run_volume(self, spec: VolumeSpec) -> dict:
-        """Provision one volume and drive it to its result doc, on a worker:
-        a volume lives only while its worker runs it, so at most
-        ``clients`` volumes are alive at once and each one's pages go
-        back to the system when it finishes."""
-        return FleetVolume(spec).run(self.spares)
 
     # ------------------------------------------------------------ reporting
     def _merge(self, results: list[dict], elapsed: float) -> dict:
@@ -248,12 +236,13 @@ def fleet_soak(
     """Chaos-mode soak: randomized fleets until the clock runs out.
 
     Every iteration draws a fleet config from a seeded rng — volume
-    count, admission width, spare-pool size, injected disk failures
+    count, spare-pool size, injected disk failures
     (diagonal disk included), transient rates, crash points, batch
     tier — runs it, and scores the gates.  ``qos_ok`` is only scored
     when no fault injection ran (a pool-exhausted degraded volume is
     *supposed* to be slow); the byte gates are unconditional.  Failures
-    carry the full config dict, so any soak hit replays exactly with
+    carry the full config dict, and the drain is serial, so any soak hit
+    replays exactly, spare exhaustion included, with
     ``run_fleet(FleetConfig.from_dict(cfg))``.
     """
     deadline = time.monotonic() + seconds
@@ -271,7 +260,6 @@ def fleet_soak(
         n_fail = int(rng.integers(0, 3))
         cfg = FleetConfig(
             volumes=volumes,
-            clients=int(rng.integers(2, 5)),
             groups=int(rng.integers(2, 4)),
             seed=seed * 10_000 + iterations,
             requests_per_volume=int(rng.integers(8, 25)),

@@ -1,13 +1,12 @@
 """Hot-spare pool and scrub scheduling for the fleet.
 
 The :class:`SparePool` is the only piece of fleet state shared between
-volume workers, so it is the one place that takes a lock.  A volume that
-loses a data disk asks for a spare; if one is granted the volume rebuilds
-onto it (row-XOR reconstruction through the still-maintained RAID-5
-horizontal parity — valid mid-migration, because Algorithm 2's write
-path updates that parity on every write) and returns to migrating.
-Pool-exhausted volumes stay degraded and keep converting through
-reconstruct-on-read.
+volumes.  A volume that loses a data disk asks for a spare; if one is
+granted the volume rebuilds onto it (row-XOR reconstruction through the
+still-maintained RAID-5 horizontal parity — valid mid-migration, because
+Algorithm 2's write path updates that parity on every write) and returns
+to migrating.  Pool-exhausted volumes stay degraded and keep converting
+through reconstruct-on-read.
 
 :class:`ScrubCursor` is the idle-slack parity verifier.  It owns no
 chain arithmetic: every check is one :meth:`ArrayCode.syndromes` call
@@ -26,8 +25,6 @@ a whole pass of steps, the final scrub before a volume reports complete.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 __all__ = ["SparePool", "ScrubCursor"]
@@ -37,45 +34,37 @@ _KINDS = ("horizontal", "diagonal")
 
 
 class SparePool:
-    """A counted pool of hot spares shared by every volume worker.
+    """A counted pool of hot spares shared by every volume of a fleet.
 
-    Grant order is first-come-first-served under a lock; the *outcome*
-    per volume is deterministic whenever the pool is sized for the fault
-    scenario (every claim granted), which is what seeded soaks assert.
+    Claims are granted in call order.  The fleet drains its volumes one
+    at a time in volume order, so the lowest-id failing volumes get the
+    spares and the rest are denied, whatever the pool size.
     """
 
     def __init__(self, spares: int):
         if spares < 0:
             raise ValueError("spare count must be non-negative")
-        self._lock = threading.Lock()
-        self._free = int(spares)
+        self.free = int(spares)
         self.total = int(spares)
         self.granted = 0
         self.denied = 0
 
     def claim(self) -> bool:
         """Take one spare; False when the pool is exhausted."""
-        with self._lock:
-            if self._free == 0:
-                self.denied += 1
-                return False
-            self._free -= 1
-            self.granted += 1
-            return True
-
-    @property
-    def free(self) -> int:
-        with self._lock:
-            return self._free
+        if self.free == 0:
+            self.denied += 1
+            return False
+        self.free -= 1
+        self.granted += 1
+        return True
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "total": self.total,
-                "free": self._free,
-                "granted": self.granted,
-                "denied": self.denied,
-            }
+        return {
+            "total": self.total,
+            "free": self.free,
+            "granted": self.granted,
+            "denied": self.denied,
+        }
 
 
 class ScrubCursor:

@@ -7,9 +7,9 @@ A :class:`FleetVolume` owns everything about one migrating volume — the
 the health state machine and the QoS arbitration — and replays a seeded
 foreground schedule against the conversion in one deterministic
 cooperative loop.  Volumes share **no** mutable state except the
-:class:`~repro.fleet.spares.SparePool`, so a thread pool may run many of
-them concurrently and the per-volume results (hence the merged fleet
-report) are bit-stable regardless of OS scheduling.
+:class:`~repro.fleet.spares.SparePool`, and the fleet service drains
+them one at a time in volume order, so the per-volume results (hence
+the merged fleet report) are bit-stable for a given config.
 
 The background scheduler inside :meth:`run` arbitrates three kinds of
 work between foreground arrivals:
@@ -35,8 +35,8 @@ work between foreground arrivals:
 
 Provisioning is whole-array work too: the seeded data lands through one
 vectorized RAID-5 fill (:meth:`Raid5Array.format_with`).  The fleet
-service constructs each volume on the worker that drives it, so a
-volume holds memory only while it runs.
+service constructs each volume just before it drives it, so a volume
+holds memory only while it runs.
 
 Completion is audited two ways: the converter's own Code 5-6 stripe
 audit, and a byte-for-byte comparison against the analytically

@@ -16,10 +16,9 @@ invariant earlier PRs fought for:
   ``repro.migration.batch`` behind the kernel tier), and the allowance
   set is empty so not even a compatibility re-export may revive it.
 * **SC-L004** — ``multiprocessing`` (and ``concurrent.futures``) is
-  imported only inside ``repro.sweep`` and ``repro.fleet``.  Process
-  and thread pools live behind audited boundaries — the sweep runner
-  and the fleet service's admission worker pool; a stray
-  ``import multiprocessing`` elsewhere bypasses their determinism and
+  imported only inside ``repro.sweep``.  Process and thread pools live
+  behind one audited boundary, the sweep runner; a stray
+  ``import multiprocessing`` elsewhere bypasses its determinism and
   cleanup guarantees.
 * **SC-L005** — no direct ``np.bitwise_xor`` (nor the ``xor_reduce`` /
   ``xor_into`` helpers) on ``BlockArray`` storage outside
@@ -77,9 +76,8 @@ _DEPRECATED_ALLOWED: frozenset[str] = frozenset()
 
 #: process-management modules confined to the sweep package
 _MP_MODULES = frozenset({"multiprocessing", "concurrent.futures"})
-#: the packages allowed to spawn workers: the sweep runner and the
-#: fleet service's admission worker pool
-_MP_ALLOWED_PREFIXES = ("sweep/", "fleet/")
+#: the one package allowed to spawn workers: the sweep runner
+_MP_ALLOWED_PREFIXES = ("sweep/",)
 
 #: bulk storage accessors whose results are BlockArray storage (taint roots)
 _STORAGE_ACCESSORS = frozenset({"bulk_view", "flat_view", "gather_raw"})
@@ -353,10 +351,9 @@ class _Linter(ast.NodeVisitor):
             self._flag(
                 "SC-L004",
                 node,
-                f"import of `{module}` outside repro.sweep/repro.fleet — "
+                f"import of `{module}` outside repro.sweep — "
                 "process pools go through the sweep runner "
-                "(repro.sweep.run_sweep) or the fleet service's worker "
-                "pool (repro.fleet.service)",
+                "(repro.sweep.run_sweep)",
             )
 
     def visit_Import(self, node: ast.Import) -> None:

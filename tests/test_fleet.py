@@ -249,7 +249,7 @@ class TestCrashResume:
 
 class TestFleetService:
     def test_default_fleet_passes_every_gate(self):
-        report = run_fleet(volumes=6, clients=3, requests_per_volume=8)
+        report = run_fleet(volumes=6, requests_per_volume=8)
         assert report["ok"], report["gates"]
         assert report["volumes_complete"] == 6
         assert report["divergent_blocks"] == 0
@@ -257,12 +257,12 @@ class TestFleetService:
 
     @pytest.mark.parametrize("cfg", [
         pytest.param(
-            dict(volumes=8, clients=4, spares=2, fail_volumes=(2, 5),
+            dict(volumes=8, spares=2, fail_volumes=(2, 5),
                  requests_per_volume=10),
             id="8-volumes",
         ),
         pytest.param(
-            dict(volumes=16, clients=8, spares=4, fail_volumes=(3, 7, 11),
+            dict(volumes=16, spares=4, fail_volumes=(3, 7, 11),
                  requests_per_volume=12, batch=4, seed=2026),
             id="16-volumes",
         ),
@@ -280,11 +280,32 @@ class TestFleetService:
             assert vol["rebuilds_completed"] >= 1
 
     def test_results_independent_of_client_pool_width(self):
+        # ``clients`` is a recorded but inert field: every value drains the
+        # same serial loop
         cfg = dict(volumes=6, requests_per_volume=8, fail_volumes=(1,), spares=1)
         narrow = run_fleet(clients=1, **cfg)
         wide = run_fleet(clients=6, **cfg)
         for a, b in zip(narrow["volumes"], wide["volumes"]):
             assert a == b
+
+    def test_exhausted_spares_go_to_the_lowest_failing_volume(self):
+        # four volumes lose a disk and one spare exists: the drain is
+        # serial, so the first failing volume in id order gets it
+        cfg = FleetConfig(
+            volumes=8, clients=4, spares=1, fail_volumes=(1, 2, 5, 6),
+            fail_disk=1, requests_per_volume=10,
+        )
+        report = run_fleet(cfg)
+        assert report["ok"], report["gates"]
+        assert report["spares"] == {"total": 1, "free": 0, "granted": 1, "denied": 3}
+        vols = report["volumes"]
+        assert (vols[1]["rebuilds_completed"], vols[1]["spare_denied"]) == (1, 0)
+        for vid in (2, 5, 6):
+            assert (vols[vid]["rebuilds_completed"], vols[vid]["spare_denied"]) == (0, 1)
+        again = run_fleet(cfg)
+        for doc in (report, again):
+            doc.pop("elapsed_seconds")
+        assert report == again
 
     def test_tenants_round_robin_and_qos_scored_per_tenant(self):
         report = run_fleet(volumes=6, requests_per_volume=8)

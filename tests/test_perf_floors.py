@@ -291,8 +291,8 @@ def test_disabled_tracer_overhead_under_five_percent(engine_configs, record_prop
 
 # ------------------------------------------------------------ fleet memory
 
-#: the drain's measured VmHWM (55.5 MB, 2-CPU x86 host) plus 25%
-MAX_FLEET_RSS_MB = 70.0
+#: the serial drain's measured VmHWM (47.8 MB, 2-CPU x86 host) plus 25%
+MAX_FLEET_RSS_MB = 60.0
 
 #: a child drains the fleet and reports its *own* peak RSS.  Neither
 #: rusage field works here: RUSAGE_CHILDREN folds in every other test's
@@ -305,7 +305,7 @@ import json
 from repro.fleet.service import FleetConfig, run_fleet
 
 report = run_fleet(FleetConfig(
-    volumes=64, clients=2, p=13, groups=4, block_size=4096,
+    volumes=64, p=13, groups=4, block_size=4096,
     requests_per_volume=32, batch=4, spares=4, seed=2026,
     fail_volumes=(7, 23, 61), fail_disk=1,
 ))

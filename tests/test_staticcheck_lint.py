@@ -146,6 +146,10 @@ class TestMultiprocessingBoundaryRule:
             assert lint("import multiprocessing", rel=rel) == []
             assert lint("from concurrent.futures import wait", rel=rel) == []
 
+    def test_flags_pools_in_fleet(self):
+        findings = lint("from concurrent.futures import ThreadPoolExecutor", rel="fleet/service.py")
+        assert [f.rule for f in findings] == ["SC-L004"]
+
     def test_unrelated_imports_not_flagged(self):
         assert lint("import threading") == []
         assert lint("from concurrent import nonsense") == []
