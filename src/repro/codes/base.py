@@ -319,11 +319,6 @@ class ArrayCode:
         plan = self.plan_column_recovery(*cols)
         return apply_recovery_plan(plan, stripe)
 
-    def decode_cells(self, stripe: Stripe, cells: tuple[Cell, ...]) -> Stripe:
-        self._check_shape(stripe)
-        plan = self.plan_cell_recovery(cells)
-        return apply_recovery_plan(plan, stripe)
-
     # --------------------------------------------------------------- update
     def update_block(self, stripe: Stripe, cell: Cell, new_value: npt.ArrayLike) -> int:
         """Read-modify-write a single data block, patching parities.

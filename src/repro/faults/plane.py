@@ -2,8 +2,10 @@
 
 A :class:`FaultPlane` attaches to a :class:`~repro.raid.array.BlockArray`
 (``array.attach_fault_plane(plane)``) and is consulted by every counted
-I/O — per-block and bulk alike — through one ``is not None`` check, so a
-detached array pays nothing.  Given a
+per-block I/O through one ``is not None`` check, so a detached array
+pays nothing.  The counted bulk ops refuse an array with a plane
+attached (:class:`ValueError`): every fault is observed, and handled,
+one block at a time.  Given a
 :class:`~repro.faults.spec.FaultScenario` it injects, deterministically:
 
 * **latent sector errors** — reads of a bad (disk, block) raise
@@ -19,11 +21,10 @@ detached array pays nothing.  Given a
   array's own :class:`~repro.raid.array.DiskFailure`;
 * **crash points** — inside a :meth:`crashable` section the armed
   crashable event raises :class:`~repro.faults.errors.ConversionCrash`
-  *before* the op completes; a bulk op applies and counts only the
-  elements before the crash, and an in-flight write can be torn.
+  *before* the op completes, and an in-flight write can be torn.
 
 Two counters index the schedules: ``op`` advances on every plane-visible
-I/O element, everywhere; ``crash_events_done`` advances only inside
+I/O, everywhere; ``crash_events_done`` advances only inside
 ``crashable()`` sections (the conversion thread) plus explicit
 :meth:`crash_point` barriers, so crash sweeps enumerate exactly the
 conversion's own boundaries and never tear application I/O.
@@ -37,7 +38,7 @@ fault accounting and are bridged into :mod:`repro.obs` post-run.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -45,25 +46,7 @@ from repro.faults.errors import ConversionCrash, ReadFaultError, TransientIOErro
 from repro.faults.spec import FaultScenario
 from repro.util.retry import total_backoff
 
-__all__ = ["FaultPlane", "BulkCrash"]
-
-
-class BulkCrash:
-    """Outcome of a bulk op interrupted by a crash.
-
-    ``prefix`` elements completed (count them, apply their payloads);
-    ``inflight_payload`` is the torn content of the interrupted element
-    (apply uncounted) or ``None`` for a clean boundary; ``crash`` is the
-    exception to raise once the prefix has been applied.
-    """
-
-    __slots__ = ("prefix", "inflight_payload", "crash")
-
-    def __init__(self, prefix: int, inflight_payload: np.ndarray | None,
-                 crash: ConversionCrash):
-        self.prefix = prefix
-        self.inflight_payload = inflight_payload
-        self.crash = crash
+__all__ = ["FaultPlane"]
 
 
 _COUNTERS = (
@@ -88,7 +71,7 @@ class FaultPlane:
         self.scenario = scenario if scenario is not None else FaultScenario()
         self._rng = np.random.default_rng(self.scenario.seed)
         self._array = None
-        #: plane-visible I/O elements seen so far (schedule index)
+        #: plane-visible I/Os seen so far (schedule index)
         self.op = 0
         #: crashable events completed (crash-point index)
         self.crash_events_done = 0
@@ -97,7 +80,6 @@ class FaultPlane:
         self._crash_tear: float | None = self.scenario.crash_tear
         # latent sector errors as flat keys (disk * blocks_per_disk + block)
         self._bad: set[int] = set()
-        self._bad_arr: np.ndarray | None = None  # cache for bulk np.isin
         self._torn: dict[int, float] = {
             t.op: t.keep_fraction for t in self.scenario.torn_writes
         }
@@ -119,7 +101,6 @@ class FaultPlane:
         self._bad = {
             e.disk * self._bpd + e.block for e in self.scenario.sector_errors
         }
-        self._bad_arr = None
         array.attach_fault_plane(self)
 
     def detach(self) -> None:
@@ -127,31 +108,7 @@ class FaultPlane:
             self._array.attach_fault_plane(None)
             self._array = None
 
-    # -------------------------------------------------------- sector errors
-    def add_sector_error(self, disk: int, block: int) -> None:
-        """Mark (disk, block) as unreadable from now on (test hook)."""
-        self._bad.add(disk * self._bpd + block)
-        self._bad_arr = None
-
-    def is_bad(self, disk: int, block: int) -> bool:
-        return (disk * self._bpd + block) in self._bad
-
-    def bad_mask(self, disks, blocks) -> np.ndarray:
-        """Boolean mask of elements currently carrying a sector error."""
-        disks = np.asarray(disks, dtype=np.intp).ravel()
-        blocks = np.asarray(blocks, dtype=np.intp).ravel()
-        if not self._bad:
-            return np.zeros(disks.size, dtype=bool)
-        if self._bad_arr is None:
-            self._bad_arr = np.fromiter(self._bad, dtype=np.int64)
-        return np.isin(disks * self._bpd + blocks, self._bad_arr)
-
     # --------------------------------------------------------- crash control
-    def arm_crash(self, at_event: int, tear: float | None = None) -> None:
-        """Die at crashable event ``at_event`` (0 = before the first)."""
-        self._crash_at = at_event
-        self._crash_tear = tear
-
     def disarm_crash(self) -> None:
         self._crash_at = None
         self._crash_tear = None
@@ -198,25 +155,17 @@ class FaultPlane:
             and self.crash_events_done == self._crash_at
         )
 
-    def _crash_in(self, k: int) -> int | None:
-        """Offset of the armed crash within the next ``k`` crashable events."""
-        if self._crashable_depth == 0 or self._crash_at is None:
-            return None
-        off = self._crash_at - self.crash_events_done
-        return off if 0 <= off < k else None
-
     # ------------------------------------------------------- shared helpers
-    def _fire_disk_failures(self, span: int) -> None:
-        """Fail disks scheduled at or before ops [op, op + span) (boundary model).
+    def _fire_disk_failures(self) -> None:
+        """Fail disks scheduled at or before the current op (boundary model).
 
-        Failure instants are quantised to op boundaries: an instant that
-        falls inside a bulk op fires at the bulk's start (the whole bulk
-        observes the failure, matching :meth:`BlockArray._check_bulk`'s
-        all-or-nothing failure semantics).
+        Failure instants are quantised to op boundaries: a failure
+        scheduled at op ``k`` fires as plane-visible I/O ``k`` (0-based)
+        begins, so that I/O already observes the failed disk.
         """
         if not self._fail_at:
             return
-        due = sorted(o for o in self._fail_at if o < self.op + span)
+        due = sorted(o for o in self._fail_at if o <= self.op)
         for op in due:
             for d in self._fail_at.pop(op):
                 if self._array is not None and d not in self._array.failed_disks:
@@ -268,7 +217,7 @@ class FaultPlane:
     # -------------------------------------------------------- single-op hooks
     def on_read(self, disk: int, block: int) -> None:
         """Consulted by ``BlockArray.read`` before counting; may raise."""
-        self._fire_disk_failures(1)
+        self._fire_disk_failures()
         self._check_not_failed(disk)
         if self._crash_now():
             self._die(f"read d{disk}b{block}")
@@ -294,7 +243,7 @@ class FaultPlane:
         is ``None`` for a clean-boundary crash).  May raise directly for
         disk failures and exhausted transients.
         """
-        self._fire_disk_failures(1)
+        self._fire_disk_failures()
         self._check_not_failed(disk)
         if self._crash_now():
             try:
@@ -316,117 +265,8 @@ class FaultPlane:
         key = disk * self._bpd + block
         if key in self._bad:
             self._bad.discard(key)
-            self._bad_arr = None
             self.counters["sector_errors_cleared"] += 1
         return payload, None
-
-    # ------------------------------------------------------------ bulk hooks
-    def on_bulk_read(self, disks: np.ndarray, blocks: np.ndarray) -> BulkCrash | None:
-        """Consulted by ``read_blocks``; returns a crash plan or None.
-
-        Admission is all-or-nothing for faults: a sector error or an
-        exhausted transient anywhere in the batch raises before anything
-        is counted (callers that want partial progress pre-screen with
-        :meth:`bad_mask` or fall back to per-block I/O).
-        """
-        k = disks.size
-        self._fire_disk_failures(k)
-        if self._array is not None and self._array.failed_disks:
-            failed = sorted(self._array.failed_disks)
-            if np.isin(disks, failed).any():
-                from repro.raid.array import DiskFailure
-
-                raise DiskFailure(f"disk(s) {failed} have failed")
-        crash_off = self._crash_in(k)
-        if crash_off is not None:
-            self.op += crash_off
-            self.crash_events_done += crash_off
-            try:
-                self._die(f"bulk-read[{crash_off}/{k}]")
-            except ConversionCrash as crash:
-                return BulkCrash(crash_off, None, crash)
-        self._bulk_transients(disks, blocks, k)
-        if self._bad:
-            mask = self.bad_mask(disks, blocks)
-            if mask.any():
-                i = int(np.flatnonzero(mask)[0])
-                self.counters["sector_errors_hit"] += int(mask.sum())
-                self.op += k
-                if self._crashable_depth:
-                    self.crash_events_done += k
-                raise ReadFaultError(int(disks[i]), int(blocks[i]))
-        self.op += k
-        if self._crashable_depth:
-            self.crash_events_done += k
-        return None
-
-    def on_bulk_write(
-        self,
-        disks: np.ndarray,
-        blocks: np.ndarray,
-        payloads: np.ndarray,
-        get_old: Callable[[int], np.ndarray],
-    ) -> tuple[np.ndarray, BulkCrash | None]:
-        """Consulted by bulk writes; returns (payloads, crash plan | None).
-
-        ``payloads`` comes back possibly copied-and-torn; ``get_old(i)``
-        lazily reads the pre-write contents of element ``i`` (only called
-        for torn elements).
-        """
-        k = disks.size
-        self._fire_disk_failures(k)
-        if self._array is not None and self._array.failed_disks:
-            failed = sorted(self._array.failed_disks)
-            if np.isin(disks, failed).any():
-                from repro.raid.array import DiskFailure
-
-                raise DiskFailure(f"disk(s) {failed} have failed")
-        crash_off = self._crash_in(k)
-        torn_ops = [
-            (op - self.op, self._torn.pop(op))
-            for op in sorted(self._torn)
-            if self.op <= op < self.op + (crash_off if crash_off is not None else k)
-        ]
-        if torn_ops:
-            payloads = np.array(payloads, dtype=np.uint8, copy=True)
-            for i, keep in torn_ops:
-                payloads[i] = self._tear(payloads[i], get_old(i), keep)
-        if crash_off is not None:
-            self.op += crash_off
-            self.crash_events_done += crash_off
-            try:
-                self._die(f"bulk-write[{crash_off}/{k}]")
-            except ConversionCrash as crash:
-                inflight = None
-                if self._crash_tear is not None:
-                    inflight = self._tear(
-                        payloads[crash_off], get_old(crash_off), self._crash_tear
-                    )
-                return payloads, BulkCrash(crash_off, inflight, crash)
-        self._bulk_transients(disks, blocks, k)
-        if self._bad:
-            cleared = self.bad_mask(disks, blocks)
-            n = int(cleared.sum())
-            if n:
-                keys = (disks * self._bpd + blocks)[cleared]
-                self._bad.difference_update(int(x) for x in keys)
-                self._bad_arr = None
-                self.counters["sector_errors_cleared"] += n
-        self.op += k
-        if self._crashable_depth:
-            self.crash_events_done += k
-        return payloads, None
-
-    def _bulk_transients(self, disks: np.ndarray, blocks: np.ndarray, k: int) -> None:
-        """Scheduled + rate-drawn transients across a bulk op's elements."""
-        for op in [o for o in self._transient if self.op <= o < self.op + k]:
-            i = op - self.op
-            self._transient_gate(int(disks[i]), int(blocks[i]), self._transient.pop(op))
-        rate = self.scenario.transient_rate
-        if rate:
-            hits = np.flatnonzero(self._rng.random(k) < rate)
-            for i in hits:
-                self._transient_gate(int(disks[i]), int(blocks[i]), 1)
 
     # ------------------------------------------------------------- reporting
     def snapshot(self) -> dict:

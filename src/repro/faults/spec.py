@@ -8,7 +8,7 @@ a failure observed in CI ships as a file that reproduces the exact same
 byte-level behaviour locally (``repro chaos --replay scenario.json``).
 
 Schedule entries are indexed by the plane's **op counter** (every
-plane-visible I/O advances it by one, bulk ops by their element count);
+plane-visible per-block I/O advances it by one);
 the crash point is indexed by the **crashable-event counter**, which
 only advances inside the conversion thread's ``crashable()`` sections
 and at journal barriers — so an exhaustive crash sweep enumerates

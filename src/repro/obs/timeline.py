@@ -26,9 +26,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.obs.tracer import SpanRecord
-from repro.simdisk.disk import DiskModel
-from repro.simdisk.sim import DiskSchedule, closed_request_schedule
-from repro.workloads.trace import Trace
+from repro.simdisk.sim import DiskSchedule
 
 __all__ = [
     "SPAN_PID",
@@ -188,18 +186,6 @@ def write_chrome_trace(
 
 def load_chrome_trace(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def simulated_schedule_for_trace(
-    trace: Trace,
-    model: DiskModel,
-    n_disks: int | None = None,
-    reorder_window: int | None = None,
-) -> DiskSchedule:
-    """Convenience re-export of :func:`closed_request_schedule`."""
-    return closed_request_schedule(
-        trace, model, n_disks=n_disks, reorder_window=reorder_window
-    )
 
 
 def validate_chrome_trace(doc: dict) -> list[str]:

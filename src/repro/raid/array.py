@@ -14,7 +14,8 @@ Two I/O granularities share the same counting discipline:
   :meth:`write_zero_blocks` — one numpy gather/scatter over arbitrary
   ``(disk, block)`` index vectors, counting exactly one I/O per element
   (so a compiled execution of the same plan lands on identical per-disk
-  counters).
+  counters).  They refuse an array with a fault plane attached: the
+  plane observes per-block I/O only.
 
 Bulk engines that perform their arithmetic in place (batched XOR over
 region views) use :meth:`bulk_view` + :meth:`credit_ios` instead of
@@ -30,6 +31,7 @@ fast as over a heap array.
 from __future__ import annotations
 
 import mmap
+from typing import NoReturn
 
 import numpy as np
 
@@ -113,9 +115,10 @@ class BlockArray:
     def attach_fault_plane(self, plane) -> None:
         """Install (or, with ``None``, remove) a fault-injection plane.
 
-        Every counted I/O consults the plane before touching the store or
-        the counters; a detached array pays a single ``is None`` test per
-        op, so the injection-disabled overhead is unmeasurable.
+        Every counted per-block I/O consults the plane before touching the
+        store or the counters, and the counted bulk ops refuse to run
+        while one is attached; a detached array pays a single ``is None``
+        test per op, so the injection-disabled overhead is unmeasurable.
         """
         self._fault_plane = plane
 
@@ -210,22 +213,22 @@ class BlockArray:
                 raise DiskFailure(f"disk(s) {hit} have failed")
         return disks, blocks
 
+    def _refuse_plane(self, op: str) -> NoReturn:
+        raise ValueError(
+            f"{op} is counted bulk I/O, which the fault plane does not "
+            "observe; detach the plane or use per-block I/O"
+        )
+
     def read_blocks(self, disks, blocks) -> np.ndarray:
         """Bulk counted read: one gather, one counted I/O per element.
 
         Returns a fresh ``(k, block_size)`` array.  Duplicate locations
-        are each counted (they model repeated physical reads).
+        are each counted (they model repeated physical reads).  Raises
+        :class:`ValueError` while a fault plane is attached.
         """
-        disks, blocks = self._check_bulk(disks, blocks)
         if self._fault_plane is not None:
-            res = self._fault_plane.on_bulk_read(disks, blocks)
-            if res is not None:  # crash mid-bulk: count the completed prefix
-                self.reads += np.bincount(disks[: res.prefix], minlength=self.n_disks)
-                if self._sanitizer is not None:
-                    self._sanitizer.record_reads(
-                        disks[: res.prefix], blocks[: res.prefix]
-                    )
-                raise res.crash
+            self._refuse_plane("read_blocks")
+        disks, blocks = self._check_bulk(disks, blocks)
         self.reads += np.bincount(disks, minlength=self.n_disks)
         if self._sanitizer is not None:
             self._sanitizer.record_reads(disks, blocks)
@@ -238,16 +241,16 @@ class BlockArray:
 
         ``payloads`` is ``(k, block_size)``.  When the same location
         appears more than once, the last payload wins (queue order).
+        Raises :class:`ValueError` while a fault plane is attached.
         """
+        if self._fault_plane is not None:
+            self._refuse_plane("write_blocks")
         disks, blocks = self._check_bulk(disks, blocks)
         payloads = np.asarray(payloads, dtype=np.uint8)
         if payloads.shape != (disks.size, self.block_size):
             raise ValueError(
                 f"payloads must be ({disks.size}, {self.block_size}), got {payloads.shape}"
             )
-        if self._fault_plane is not None:
-            self._faulted_bulk_write(disks, blocks, payloads)
-            return
         self.writes += np.bincount(disks, minlength=self.n_disks)
         self._store.reshape(-1, self.block_size)[
             disks * self.blocks_per_disk + blocks
@@ -255,37 +258,14 @@ class BlockArray:
         if self._sanitizer is not None:
             self._sanitizer.record_writes(disks, blocks)
 
-    def _faulted_bulk_write(self, disks, blocks, payloads: np.ndarray) -> None:
-        """Bulk write through the fault plane (tears, crash prefix)."""
-        flat = self._store.reshape(-1, self.block_size)
-        idx = disks * self.blocks_per_disk + blocks
-        payloads, res = self._fault_plane.on_bulk_write(
-            disks, blocks, payloads, lambda i: self._store[disks[i], blocks[i]]
-        )
-        if res is not None:
-            # elements before the crash completed and count; the in-flight
-            # element may leave torn bytes, uncounted
-            self.writes += np.bincount(disks[: res.prefix], minlength=self.n_disks)
-            flat[idx[: res.prefix]] = payloads[: res.prefix]
-            if self._sanitizer is not None:
-                self._sanitizer.record_writes(
-                    disks[: res.prefix], blocks[: res.prefix]
-                )
-            if res.inflight_payload is not None:
-                flat[idx[res.prefix]] = res.inflight_payload
-            raise res.crash
-        self.writes += np.bincount(disks, minlength=self.n_disks)
-        flat[idx] = payloads
-        if self._sanitizer is not None:
-            self._sanitizer.record_writes(disks, blocks)
-
     def write_zero_blocks(self, disks, blocks) -> None:
-        """Bulk counted NULL writes (parity invalidation)."""
-        disks, blocks = self._check_bulk(disks, blocks)
+        """Bulk counted NULL writes (parity invalidation).
+
+        Raises :class:`ValueError` while a fault plane is attached.
+        """
         if self._fault_plane is not None:
-            zeros = np.zeros((disks.size, self.block_size), dtype=np.uint8)
-            self._faulted_bulk_write(disks, blocks, zeros)
-            return
+            self._refuse_plane("write_zero_blocks")
+        disks, blocks = self._check_bulk(disks, blocks)
         self.writes += np.bincount(disks, minlength=self.n_disks)
         self._store.reshape(-1, self.block_size)[
             disks * self.blocks_per_disk + blocks

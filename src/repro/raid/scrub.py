@@ -106,15 +106,9 @@ def scrub_raid6(raid6: Raid6Array, repair: bool = True) -> Raid6ScrubReport:
         (row, col), = candidates
         report.located.append((group, (row, col)))
         if repair:
-            _repair(raid6, group, (row, col), delta)
+            # only this cell is wrong, so every chain through it is off by
+            # delta: XOR it back into the one stored block
+            block = raid6.array.raw(raid6.disk_of(group, col), raid6.block_of(group, row))
+            np.bitwise_xor(block, delta, out=block)
             report.repaired.append((group, (row, col)))
     return report
-
-
-def _repair(raid6: Raid6Array, group: int, cell: Cell, delta: np.ndarray) -> None:
-    """Only ``cell`` of ``group`` is wrong, so every chain through it is
-    off by ``delta`` (a residue, computed into fresh memory): XOR it back
-    into the one stored block."""
-    row, col = cell
-    block = raid6.array.raw(raid6.disk_of(group, col), raid6.block_of(group, row))
-    np.bitwise_xor(block, delta, out=block)

@@ -1,9 +1,10 @@
 """AST happens-before race detector (SC-R rules).
 
 Static shared-state taint analysis over the modules that cross a process
-boundary: the sweep pool (``repro.sweep``), the crash journals
-(``repro.faults.journal``) and the on-disk compiled-program cache
-(``repro.compiled.compiler``).  The question each rule asks is the happens-before
+boundary: the sweep pool (``repro.sweep``) and the on-disk
+compiled-program cache (``repro.compiled.compiler``).  The crash
+journals are in-memory (no pool, initializer or file), so no rule can
+fire there and they are out of scope.  The question each rule asks is the happens-before
 question: *is this access to shared state ordered by an explicit
 synchronization edge?*  The edges this codebase recognises:
 
@@ -47,11 +48,9 @@ __all__ = ["RULES", "DEFAULT_SCOPE", "analyze_source", "run_races"]
 RULES = ("SC-R001", "SC-R002", "SC-R004")
 
 #: files (relative to the ``repro`` package root) the detector scans:
-#: everything that touches process pools, journals or cross-process
-#: cache files
+#: everything that touches process pools or cross-process cache files
 DEFAULT_SCOPE = (
     "sweep/",
-    "faults/journal.py",
     "compiled/compiler.py",
 )
 

@@ -22,9 +22,11 @@ invariant earlier PRs fought for:
   cleanup guarantees.
 * **SC-L005** — no direct ``np.bitwise_xor`` (nor the ``xor_reduce`` /
   ``xor_into`` helpers) on ``BlockArray`` storage outside
-  ``repro.kernels``.  A function-local taint pass marks every value
-  derived from ``bulk_view`` / ``flat_view`` / ``gather_raw`` (the
-  bulk storage accessors) and flags XOR calls touching tainted data:
+  ``repro.kernels``.  A function-local taint pass marks every name
+  bound to an alias of ``bulk_view`` / ``flat_view`` / ``gather_raw``
+  (the bulk storage accessors) data — the accessor's result and its
+  subscripts, ``.T`` and view methods, not the fresh array another call
+  computes from it — and flags XOR calls touching tainted data:
   hot-path XOR on the store must go through the
   :class:`~repro.kernels.base.XorKernel`
   that :func:`~repro.kernels.resolve_kernel` returns, or the kernel's
@@ -81,6 +83,8 @@ _MP_ALLOWED_PREFIXES = ("sweep/",)
 
 #: bulk storage accessors whose results are BlockArray storage (taint roots)
 _STORAGE_ACCESSORS = frozenset({"bulk_view", "flat_view", "gather_raw"})
+#: ndarray methods whose result aliases their receiver's memory
+_VIEW_METHODS = frozenset({"reshape", "view", "transpose", "swapaxes"})
 #: XOR entry points that must not touch tainted storage directly
 _XOR_CALLS = frozenset({"bitwise_xor", "xor_reduce", "xor_into"})
 #: the one package whose job is XORing the store
@@ -165,20 +169,28 @@ class _Linter(ast.NodeVisitor):
 
     # ------------------------------------------------------------ SC-L005
     def _storage_derived(self, expr: ast.AST) -> bool:
-        """True if ``expr`` (or any sub-expression) names tainted storage:
-        a ``bulk_view`` / ``flat_view`` / ``gather_raw`` call, or a
-        variable assigned from one (views/reshapes/slices of tainted names
-        stay tainted)."""
-        tainted = self._tainted[-1]
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Name) and node.id in tainted:
+        """True if ``expr`` aliases BlockArray storage: a ``bulk_view`` /
+        ``flat_view`` / ``gather_raw`` call, a tainted name, a subscript,
+        ``.T`` or view method (``reshape`` / ``view`` / ``transpose`` /
+        ``swapaxes``) of one, or a list, tuple or comprehension of them.
+        Any other call returns fresh memory, even when it takes storage
+        as an argument (``code.residue(store, ...)``)."""
+        if isinstance(expr, ast.Name):
+            return expr.id in self._tainted[-1]
+        if isinstance(expr, (ast.Subscript, ast.Starred)):
+            return self._storage_derived(expr.value)
+        if isinstance(expr, ast.Attribute):
+            return expr.attr == "T" and self._storage_derived(expr.value)
+        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
+            if expr.func.attr in _STORAGE_ACCESSORS:
                 return True
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _STORAGE_ACCESSORS
-            ):
-                return True
+            return expr.func.attr in _VIEW_METHODS and self._storage_derived(
+                expr.func.value
+            )
+        if isinstance(expr, (ast.List, ast.Tuple)):
+            return any(self._storage_derived(e) for e in expr.elts)
+        if isinstance(expr, (ast.ListComp, ast.GeneratorExp)):
+            return self._storage_derived(expr.elt)
         return False
 
     def _taint_targets(self, targets: list[ast.expr]) -> None:

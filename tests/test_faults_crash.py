@@ -78,6 +78,23 @@ class TestCheckpointedExecution:
         assert count_crash_events(plan) == count_crash_events(plan) > 0
 
 
+class TestCrashEventNumbering:
+    """Pinned probe counts at p=5 (the ``repro chaos --crash-sweep
+    --online --p 5`` defaults): every plane-visible op and journal
+    barrier of the conversion thread is one crashable event, so a change
+    to the plane's ``op`` / ``crash_events_done`` accounting shows here."""
+
+    def test_offline_probe_count(self):
+        assert count_crash_events(build_plan("code56", "direct", 5, groups=2)) == 36
+
+    @pytest.mark.parametrize("batch, events", [(1, [40, 40, 40]), (4, [39, 40, 39])])
+    def test_online_probe_counts(self, batch, events):
+        # crash_points=() runs the reference and the probe, sweeps nothing
+        report = crash_sweep_online(5, batch=batch, crash_points=())
+        assert report["crash_events"] == events
+        assert report["runs"] == 0
+
+
 class TestOfflineSweeps:
     @pytest.mark.parametrize("p", [5, 7])
     def test_exhaustive_sweep_byte_identical(self, p):

@@ -143,18 +143,28 @@ class TestSectorErrors:
         array.read(1, 3)
         array.read(0, 2)
 
-    def test_bulk_read_raises_on_any_bad_element(self, rng):
+    def test_counted_bulk_ops_refuse_a_plane(self, rng):
+        # the plane observes per-block I/O only: each counted bulk op
+        # raises before it counts, advances the plane or touches a byte
         array = fresh_array(rng)
         plane = attach(array, sector_errors=(SectorError(2, 1),))
-        with pytest.raises(ReadFaultError):
-            array.read_blocks(np.array([0, 2, 3]), np.array([1, 1, 1]))
-        assert plane.counters["sector_errors_hit"] == 1
-
-    def test_bad_mask_pre_screen(self, rng):
-        array = fresh_array(rng)
-        plane = attach(array, sector_errors=(SectorError(2, 1), SectorError(0, 0)))
-        mask = plane.bad_mask(np.array([0, 2, 3]), np.array([0, 1, 1]))
-        assert mask.tolist() == [True, True, False]
+        disks, blocks = np.array([0, 2, 3]), np.array([1, 1, 1])
+        before = array.snapshot()
+        reads, writes = array.reads.copy(), array.writes.copy()
+        ops = (
+            lambda: array.read_blocks(disks, blocks),
+            lambda: array.write_blocks(disks, blocks, np.zeros((3, 8), np.uint8)),
+            lambda: array.write_zero_blocks(disks, blocks),
+        )
+        with plane.crashable():
+            for op in ops:
+                with pytest.raises(ValueError, match="fault plane"):
+                    op()
+        assert np.array_equal(array.reads, reads)
+        assert np.array_equal(array.writes, writes)
+        assert (plane.op, plane.crash_events_done) == (0, 0)
+        assert plane.counters["sector_errors_hit"] == 0
+        assert np.array_equal(array.snapshot(), before)
 
 
 class TestTransients:

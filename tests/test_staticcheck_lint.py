@@ -215,6 +215,30 @@ class TestKernelXorRule:
         )
         assert [f.rule for f in findings] == ["SC-L005"]
 
+    def test_fresh_result_of_a_call_on_storage_is_clean(self):
+        # residue() reads the store but returns fresh memory; XORing it
+        # into a one-block buffer is not bulk-storage XOR
+        findings = lint(
+            """
+            def repair(raid6, code, addr, idx, group, block):
+                store = raid6.array.flat_view()
+                delta = code.residue(store, addr, idx, group)
+                np.bitwise_xor(block, delta, out=block)
+            """,
+            rel="raid/scrub.py",
+        )
+        assert findings == []
+
+    def test_taint_propagates_through_transpose_and_lists(self):
+        findings = lint(
+            """
+            def f(array):
+                cols = array.bulk_view(a, b).T
+                xor_reduce([cols[0], cols[1]], out=acc)
+            """
+        )
+        assert [f.rule for f in findings] == ["SC-L005"]
+
     def test_allowed_inside_kernels_package(self):
         findings = lint(
             """
