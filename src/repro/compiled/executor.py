@@ -127,8 +127,8 @@ def _run_phase(ph: PhaseProgram, array: BlockArray) -> None:
 def execute_compiled(program: CompiledPlan, array: BlockArray) -> None:
     """Run every phase of ``program`` on ``array`` (counters accumulate).
 
-    The array must be healthy: an attached fault plane or a failed disk
-    raises :class:`ValueError` (use
+    The array must be healthy: an attached fault plane or sanitizer or a
+    failed disk raises :class:`ValueError` (use
     :func:`repro.faults.execute_checkpointed`).
     """
     if (array.n_disks, array.blocks_per_disk) != (program.n_disks, program.blocks_per_disk):
@@ -138,9 +138,9 @@ def execute_compiled(program: CompiledPlan, array: BlockArray) -> None:
         )
     if not fused_run_usable(array):
         raise ValueError(
-            "execute_compiled needs a healthy array (no fault plane, no failed "
-            "disks); use repro.faults.execute_checkpointed, the fault-aware "
-            "entry point"
+            "execute_compiled needs a healthy array (no fault plane, no "
+            "sanitizer, no failed disks); use repro.faults.execute_checkpointed, "
+            "the fault-aware entry point"
         )
     # size the scratch pool once for the largest phase, so no phase
     # allocates (no per-op temporary churn)

@@ -279,10 +279,13 @@ def crash_sweep_online(
     app requests are durable, so the resume harness replays exactly the
     unserved suffix (``requests_served``).
 
-    ``batch > 1`` sweeps longer runs: crashes land inside group-commit
-    windows (whole runs of correct-but-unmarked parities), and the
-    reference bytes stay those of a budget-1 run — byte-identity then
-    also proves batched == per-parity.
+    The reference run has no fault plane, so every run of it goes
+    through the fused path; every crash/resume run has one and takes
+    the audited per-parity loop, so byte-identity also proves fused ==
+    audited.  ``batch > 1`` sweeps longer runs: crashes land inside
+    group-commit windows (whole runs of correct-but-unmarked parities),
+    and the reference stays a budget-1 run — byte-identity then also
+    proves batched == per-parity.
     """
     from repro.migration.online import OnlineCode56Conversion
 

@@ -147,22 +147,25 @@ class OnlineJournal:
         self._marked[group, row] = True
         self.appends += 1
 
-    def mark_many(self, entries: Iterable[tuple[int, int]]) -> None:
+    def mark_many(self, entries: Iterable[tuple[int, int]] | npt.NDArray[np.intp]) -> None:
         """Group-commit a run of ``(group, row)`` marks in one log append.
 
-        The batched converter's journal flush: issued only after *every*
-        parity write in the run has landed (write-ahead ordering held
-        run-wide), so a crash anywhere before this call leaves the whole
-        run unmarked — correct bytes, regenerated idempotently on
-        resume.  One ``appends`` tick models the single stable-storage
-        flush.
+        ``entries`` may also be an integer ndarray of flat keys ``group *
+        rows + row`` (the online converter's cursor keys).  The batched
+        converter's journal flush: issued only after *every* parity write
+        in the run has landed (write-ahead ordering held run-wide), so a
+        crash anywhere before this call leaves the whole run unmarked —
+        correct bytes, regenerated idempotently on resume.  One
+        ``appends`` tick models the single stable-storage flush.
         """
-        pairs = tuple(entries)
-        if not pairs:
+        if isinstance(entries, np.ndarray):
+            keys = entries
+        else:
+            rows = self._marked.shape[1]
+            keys = [g * rows + r for g, r in entries]
+        if not len(keys):
             return
-        groups = np.fromiter((g for g, _r in pairs), dtype=np.intp, count=len(pairs))
-        rows = np.fromiter((r for _g, r in pairs), dtype=np.intp, count=len(pairs))
-        self._marked[groups, rows] = True
+        self._marked.reshape(-1)[keys] = True
         self.appends += 1
 
     def unmark(self, group: int, row: int) -> None:

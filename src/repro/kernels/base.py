@@ -20,6 +20,7 @@ any implementation.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
@@ -52,8 +53,9 @@ class XorKernel(ABC):
         ``init=True`` overwrites ``dst`` with the reduction of
         ``sources`` (an empty sequence zeroes it); ``init=False``
         accumulates ``dst ^= src`` for every source.  Sources may be
-        non-contiguous strided views or broadcast rows; ``dst`` is always
-        a writable C-contiguous region and never aliases a source.
+        non-contiguous strided views or broadcast rows, or one stacked
+        ``(k, rows, block)`` ndarray; ``dst`` is always a writable
+        C-contiguous region and never aliases a source.
         """
 
     @abstractmethod
@@ -86,6 +88,6 @@ class ScratchPool:
             self._buf = np.empty(nbytes, dtype=np.uint8)
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         self.reserve(n)
         return self._buf[:n].reshape(shape)

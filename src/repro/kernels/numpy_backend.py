@@ -40,6 +40,14 @@ class NumpyXorKernel(XorKernel):
         sources: Sequence[np.ndarray],
         init: bool = True,
     ) -> None:
+        if isinstance(sources, np.ndarray):
+            # one stacked (k, rows, block) cube — a gathered small run —
+            # is one reduction, with no per-source view or tile loop
+            if init:
+                np.bitwise_xor.reduce(sources, axis=0, out=dst)
+            else:
+                np.bitwise_xor(dst, np.bitwise_xor.reduce(sources, axis=0), out=dst)
+            return
         if not sources:
             if init:
                 dst[...] = 0

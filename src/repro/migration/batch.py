@@ -2,25 +2,29 @@
 
 Between application events the online conversion thread claims a *run*
 of pending diagonal parities (:meth:`OnlineCode56Conversion.pending_run`)
-and, when the run has at least two parities and the array is healthy,
-hands it to :func:`execute_run_fused`: the run is grouped by parity row,
-each row's chain becomes one fused XOR reduction over strided
-``bulk_view`` slices of the block store (the ISA-L region-op idiom),
-reduced through the :class:`~repro.kernels.base.XorKernel` that
-:func:`~repro.kernels.resolve_kernel` returns into a reused scratch
-pool, and written back through the *counted*
-:meth:`BlockArray.write_blocks` bulk API.  Reads are credited via
-:meth:`BlockArray.credit_ios` with exactly the per-disk totals the
-audited per-parity path performs — zero counter drift.
+and, when the array is healthy, hands it — one parity long or longer —
+to :func:`execute_run_fused`.  A small run gathers its whole chain cube
+from :meth:`BlockArray.flat_view` through a cached table of every
+parity's chain rows and reduces it in one kernel call; a long run is
+grouped by parity row, each row's chain one fused XOR reduction over
+strided ``bulk_view`` slices of the block store (the ISA-L region-op
+idiom).  Either way the XOR goes through the
+:class:`~repro.kernels.base.XorKernel` that
+:func:`~repro.kernels.resolve_kernel` returns, and the parities are
+written back through the *counted* :meth:`BlockArray.write_blocks` bulk
+API.  Reads are credited via :meth:`BlockArray.credit_ios` with exactly
+the per-disk totals the audited per-parity path performs — zero counter
+drift.
 
-The lowering never runs when a fault plane is attached or a disk has
-failed (:func:`fused_run_usable`, the same gate the offline compiled
-executor applies): the views bypass the counted read hooks that crash
-points, sector errors and degraded reconstruction hang off, so those
-runs take the audited per-parity generator inside
-:meth:`OnlineCode56Conversion.generate_run_step`, whose chain reads go
-through :class:`~repro.faults.degraded.ReconstructingReader` — same
-run/mark protocol, full fault semantics.
+The lowering never runs when a fault plane or a sanitizer is attached
+or a disk has failed (:func:`fused_run_usable`, the same gate the
+offline compiled executor applies): the gathers bypass the counted read
+hooks that crash points, sector errors, degraded reconstruction and
+shadow recording hang off, so those runs take the audited per-parity
+generator inside :meth:`OnlineCode56Conversion.generate_run_step`,
+whose chain reads go through
+:class:`~repro.faults.degraded.ReconstructingReader` — same run/mark
+protocol, full fault semantics.
 """
 
 from __future__ import annotations
@@ -63,72 +67,91 @@ def _diagonal_members(p: int) -> tuple[np.ndarray, np.ndarray]:
     return members
 
 
+@lru_cache(maxsize=None)
+def _chain_rows(p: int, blocks_per_disk: int) -> np.ndarray:
+    """``(p-2, blocks_per_disk)``: column ``key`` holds the
+    :meth:`BlockArray.flat_view` rows of the chain of the diagonal parity
+    at cursor key ``key = group * (p-1) + row`` (cell ``(r, c)`` of group
+    ``g`` is row ``c * blocks_per_disk + g * (p-1) + r``).  Read-only."""
+    rows = p - 1
+    r_tab, c_tab = _diagonal_members(p)
+    keys = np.arange(blocks_per_disk)
+    prows = keys % rows
+    table = (c_tab * blocks_per_disk + r_tab)[prows].T + (keys - prows)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _row_read_credit(p: int, n_disks: int) -> np.ndarray:
+    """``(p-1, n_disks)``: the per-disk reads of each diagonal parity
+    row's chain, which the audited path performs once per parity.
+    Read-only."""
+    _r_tab, c_tab = _diagonal_members(p)
+    table = np.zeros((p - 1, n_disks), dtype=np.int64)
+    np.add.at(table, (np.arange(p - 1)[:, None], c_tab), 1)
+    table.flags.writeable = False
+    return table
+
+
 def fused_run_usable(array: BlockArray) -> bool:
     """Fused execution — online runs here and offline phases in
     :mod:`repro.compiled.executor` — bypasses the counted read path, so
     it is only sound when nothing observes it: no fault plane
-    (crash/tear hooks fire on counted reads) and no failed disks
-    (counted reads raise ``DiskFailure``; views would silently serve
-    stale bytes)."""
-    return array.fault_plane is None and not array.failed_disks
+    (crash/tear hooks fire on counted reads), no failed disks (counted
+    reads raise ``DiskFailure``; views would silently serve stale
+    bytes) and no sanitizer (credited reads are not shadow-recorded)."""
+    return array.fault_plane is None and not array.failed_disks and array.sanitizer is None
 
 
-def run_read_credit(array: BlockArray, p: int, run: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Per-disk read totals the audited path would perform for ``run``."""
-    _r_tab, c_tab = _diagonal_members(p)
-    prows = np.fromiter((r for _g, r in run), dtype=np.intp, count=len(run))
-    return np.bincount(c_tab[prows].ravel(), minlength=array.n_disks)
+def run_read_credit(array: BlockArray, p: int, keys: np.ndarray) -> np.ndarray:
+    """Per-disk read totals the audited path would perform for the run
+    at cursor ``keys`` (see :func:`execute_run_fused`)."""
+    return np.add.reduce(_row_read_credit(p, array.n_disks)[keys % (p - 1)])
 
 
-def execute_run_fused(
-    array: BlockArray,
-    p: int,
-    run: tuple[tuple[int, int], ...],
-) -> int:
-    """Generate every diagonal parity of ``run`` in fused region ops.
+def execute_run_fused(array: BlockArray, p: int, keys: np.ndarray) -> int:
+    """Generate every diagonal parity of a run in fused region ops.
 
-    ``run`` is a cursor-ordered tuple of ``(group, row)`` pairs.  Returns
-    the conversion-thread cost in Te ticks — ``(p-1)`` per parity, the
-    same ``(p-2)`` chain reads + 1 write the audited path bills on a
-    healthy array.  Byte- and counter-identical to looping
-    ``_generate_parity`` over the run.
+    ``keys`` is the run as ascending cursor keys ``group * (p-1) +
+    row`` (the block of the parity on the diagonal disk).  Returns the
+    conversion-thread cost in Te ticks — ``(p-1)`` per parity, the same
+    ``(p-2)`` chain reads + 1 write the audited path bills on a healthy
+    array.  Byte- and counter-identical to looping ``_generate_parity``
+    over the run.
     """
-    if not run:
+    n = len(keys)
+    if not n:
         return 0
     kernel = resolve_kernel()
-    m = p - 1
-    rows = p - 1
+    m = rows = p - 1
     bs = array.block_size
-    n = len(run)
-
-    max_group = max(g for g, _r in run)
-    span = slice(0, (max_group + 1) * rows)
-    # (disk, group, row, block) view of the square region
-    region = array.bulk_view(slice(0, m), span).reshape(m, max_group + 1, rows, bs)
-
-    out = _SCRATCH.take((n, bs))
-    out_blocks = np.empty(n, dtype=np.intp)
-    xor_bytes = 0
 
     if n * bs <= _GATHER_RUN_BYTES:
-        # overhead-bound small run (a group or two per row): one
-        # fancy-indexed gather pulls the whole (chain, n, bs) cube, one
-        # kernel call reduces it — no per-row Python loop
-        r_tab, c_tab = _diagonal_members(p)
-        g_arr = np.fromiter((g for g, _r in run), dtype=np.intp, count=n)
-        prows = np.fromiter((r for _g, r in run), dtype=np.intp, count=n)
-        np.multiply(g_arr, rows, out=out_blocks)
-        out_blocks += prows
-        cube = region[c_tab[prows].T, g_arr[None, :], r_tab[prows].T, :]
-        kernel.region_xor_reduce(out[:n], list(cube), init=True)
+        # overhead-bound small run (a group or two per row): one fancy
+        # index of the flat store through the cached chain table pulls
+        # the whole (chain, n, bs) cube, one kernel call reduces it — no
+        # region set-up and no per-row Python loop
+        out = np.empty((n, bs), dtype=np.uint8)
+        out_blocks = keys
+        cube = array.flat_view()[_chain_rows(p, array.blocks_per_disk)[:, keys]]
+        kernel.region_xor_reduce(out, cube, init=True)
         xor_bytes = cube.nbytes
     else:
         # streaming run: group entries by parity row — a cursor-ordered
         # run keeps each row's groups sorted (contiguous when dense) —
         # and reduce strided views straight off the block store, tiled
         # to keep the destination working set in cache
+        out = _SCRATCH.take((n, bs))
+        groups, prows = np.divmod(keys, rows)
+        max_group = int(groups.max())
+        span = slice(0, (max_group + 1) * rows)
+        # (disk, group, row, block) view of the square region
+        region = array.bulk_view(slice(0, m), span).reshape(m, max_group + 1, rows, bs)
+        out_blocks = np.empty(n, dtype=np.intp)
+        xor_bytes = 0
         by_row: dict[int, list[int]] = {}
-        for g, r in run:
+        for g, r in zip(groups.tolist(), prows.tolist()):
             by_row.setdefault(r, []).append(g)
         r_tab, c_tab = _diagonal_members(p)
         pos = 0
@@ -152,11 +175,11 @@ def execute_run_fused(
                 xor_bytes += len(chain) * dst.nbytes
             pos += k
 
-    # the views above replaced the counted chain reads; credit the
+    # the gather or views above replaced the counted chain reads; credit the
     # identical per-disk totals, then write parities through the counted
     # bulk API (one flush for the whole run)
-    array.credit_ios(reads=run_read_credit(array, p, run))
-    array.write_blocks(np.full(n, m, dtype=np.intp), out_blocks, out[:n])
+    array.credit_ios(reads=run_read_credit(array, p, keys))
+    array.write_blocks(np.full(n, m, dtype=np.intp), out_blocks, out)
 
     registry = get_registry()
     if registry.enabled:

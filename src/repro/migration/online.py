@@ -31,13 +31,13 @@ flushes:
 * :meth:`~OnlineCode56Conversion.pending_run` — the next (up to a
   budget) pending parities, in cursor order, without mutating state;
 * :meth:`~OnlineCode56Conversion.generate_run_step` — generate every
-  parity of the run.  A run of at least :data:`FUSED_MIN_RUN` parities
-  on a healthy array goes through :func:`repro.migration.batch.
-  execute_run_fused` (region XOR through the kernel, counted bulk
-  write, credited reads); every other run goes through the audited
-  per-parity loop, which is cheaper for one parity and the only sound
-  choice under a fault plane / failed disk.  The run stays *in flight*
-  — bytes landed, nothing marked;
+  parity of the run.  Every run on a healthy array (no fault plane, no
+  failed disk, no sanitizer), one parity long or longer, goes through
+  :func:`repro.migration.batch.execute_run_fused` (region XOR through
+  the kernel, counted bulk write, credited reads); every other run goes
+  through the audited per-parity loop, the only sound choice when
+  something observes each counted I/O.  The run stays *in flight* —
+  bytes landed, nothing marked;
 * :meth:`~OnlineCode56Conversion.mark_run_step` — the group commit: one
   journal flush (:meth:`OnlineJournal.mark_many`) for the whole run,
   only after every parity write landed.  Write-ahead ordering is
@@ -75,6 +75,8 @@ interruptibility; both totals are reported.
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,13 +95,8 @@ __all__ = [
     "DiskFailureEvent",  # re-exported; the dataclass lives in repro.faults.events
     "OnlineReport",
     "OnlineCode56Conversion",
-    "FUSED_MIN_RUN",
 ]
 
-#: shortest run the fused path takes.  Draining 1152 parities (p=13,
-#: 4 KiB blocks, 2-CPU Xeon) took 42-52 ms on the audited loop and
-#: 66-68 ms fused at one parity per run, 40 ms and 35-37 ms at two.
-FUSED_MIN_RUN = 2
 
 @dataclass(frozen=True)
 class OnlineRequest:
@@ -190,6 +187,10 @@ class OnlineCode56Conversion:
         self._reader = ReconstructingReader(array, self.m)
         # generated[g][i] — diagonal parity (i, p-1) of group g written?
         self._generated = np.zeros((self.groups, self.rows), dtype=bool)
+        self._total = self.groups * self.rows
+        #: parities marked generated: ``self._generated.sum()``, kept
+        #: as a running count
+        self._done = 0
         self._cursor = 0  # next (group * rows + row) to generate
         #: in-flight run: parities written but not yet marked (None = idle)
         self._run: tuple[tuple[int, int], ...] | None = None
@@ -208,6 +209,7 @@ class OnlineCode56Conversion:
                     f"({self.groups}, {self.rows})"
                 )
             self._validate_journal(journal)
+            self._done = int(self._generated.sum())
 
     def _validate_journal(self, journal) -> None:
         """Trust-but-verify resume: recompute every marked parity's chain."""
@@ -276,7 +278,6 @@ class OnlineCode56Conversion:
             events.append((f.time, 0, f))
         events.sort(key=lambda e: (e[0], e[1]))
         clock = 0.0
-        total_parities = self.groups * self.rows
 
         for _time, _prio, event in events:
             # conversion thread runs until the event arrives
@@ -311,7 +312,7 @@ class OnlineCode56Conversion:
         clock = self._convert_until(float("inf"), clock, report)
         report.finish_tick = clock
         report.parities_generated = int(self._generated.sum())
-        if report.parities_generated != total_parities:
+        if report.parities_generated != self._total:
             raise RuntimeError("conversion finished with ungenerated parities")
         return report
 
@@ -319,7 +320,7 @@ class OnlineCode56Conversion:
     @property
     def conversion_done(self) -> bool:
         """Every diagonal parity generated (the thread has nothing left)."""
-        return bool(self._generated.all())
+        return self._done == self._total
 
     def pending_parity(self) -> tuple[int, int] | None:
         """Next ``(group, row)`` the conversion thread will generate, or
@@ -349,7 +350,7 @@ class OnlineCode56Conversion:
         thread has drained.
         """
         limit = self.batch if budget is None else int(budget)
-        total = self.groups * self.rows
+        total = self._total
         run: list[tuple[int, int]] = []
         cur = self._cursor
         while cur < total and len(run) < limit:
@@ -362,13 +363,14 @@ class OnlineCode56Conversion:
     def generate_run_step(self, report: OnlineReport, budget: int | None = None) -> int:
         """Transition: claim a run and write every parity in it — array only.
 
-        A run of at least :data:`FUSED_MIN_RUN` parities on a healthy
-        array is lowered to fused region ops (:func:`repro.migration.
-        batch.execute_run_fused` — counted bulk write, credited reads,
-        zero counter drift).  Every other run goes through the audited
-        per-parity generator: one parity is cheaper there, and under a
-        fault plane or with failed disks it keeps degraded
-        reconstruction and crash/fault hooks firing at every I/O.
+        On a healthy array (:func:`repro.migration.batch.
+        fused_run_usable`) every run, whatever its length, is lowered to
+        fused region ops (:func:`repro.migration.batch.
+        execute_run_fused` — counted bulk write, credited reads, zero
+        counter drift).  Every other run goes through the audited
+        per-parity generator: under a fault plane or with failed disks
+        it keeps degraded reconstruction and crash/fault hooks firing at
+        every I/O, and under a sanitizer it shadow-records every read.
         Either way nothing is marked: the run stays in flight until
         :meth:`mark_run_step`, and the whole window is the crash window
         — a crash leaves correct-but-unmarked parities, regenerated
@@ -379,16 +381,15 @@ class OnlineCode56Conversion:
         run = self.pending_run(budget)
         if not run:
             return 0
-        if len(run) >= FUSED_MIN_RUN and fused_run_usable(self.array):
-            cost = execute_run_fused(self.array, self.p, run)
+        keys = np.fromiter((g * self.rows + r for g, r in run), dtype=np.intp, count=len(run))
+        if fused_run_usable(self.array):
+            cost = execute_run_fused(self.array, self.p, keys)
         else:
             cost = 0
             for group, row in run:
                 cost += self._generate_parity(group, row, report)
         self._run = run
-        self._run_keys = np.fromiter(
-            (g * self.rows + r for g, r in run), dtype=np.int64, count=len(run)
-        )
+        self._run_keys = keys
         return cost
 
     def mark_run_step(self) -> None:
@@ -399,15 +400,14 @@ class OnlineCode56Conversion:
         landed, preserving write-ahead ordering run-wide — then the
         cursor advances past the run.
         """
-        run = self._run
+        run, keys = self._run, self._run_keys
         if run is None:
             raise RuntimeError("no parity run in flight")
-        for group, row in run:
-            self._generated[group, row] = True
+        self._generated.reshape(-1)[keys] = True
+        self._done += len(run)
         if self.journal is not None:
-            self.journal.mark_many(run)
-        last_g, last_r = run[-1]
-        self._cursor = max(self._cursor, last_g * self.rows + last_r + 1)
+            self.journal.mark_many(keys)
+        self._cursor = max(self._cursor, int(keys[-1]) + 1)
         self._run = None
         self._run_keys = None
 
@@ -438,12 +438,13 @@ class OnlineCode56Conversion:
         cursor, generated, run = state
         self._cursor = int(cursor)
         self._generated[...] = generated
+        self._done = int(generated.sum())
         self._run = run
         self._run_keys = (
             None
             if run is None
             else np.fromiter(
-                (g * self.rows + r for g, r in run), dtype=np.int64, count=len(run)
+                (g * self.rows + r for g, r in run), dtype=np.intp, count=len(run)
             )
         )
 
@@ -466,7 +467,7 @@ class OnlineCode56Conversion:
         """
         if deadline == float("inf"):
             return self.batch
-        room = int(np.ceil((deadline - clock) / self._parity_cost_estimate()))
+        room = math.ceil((deadline - clock) / self._parity_cost_estimate())
         return max(1, min(self.batch, room))
 
     def convert_run(self, report: OnlineReport, budget: int) -> int:
@@ -495,11 +496,9 @@ class OnlineCode56Conversion:
     def _convert_until(self, deadline: float, clock: float, report: OnlineReport) -> float:
         """Run the conversion thread, one deadline-shrunk run at a time,
         until ``clock`` reaches ``deadline`` or the thread drains."""
-        from contextlib import nullcontext
-
         if self.conversion_done:
             return clock
-        start_tick, start_parities = clock, int(self._generated.sum())
+        start_tick, start_parities = clock, self._done
         plane = self.array.fault_plane
         # only the conversion thread is crashable: an armed crash kills a
         # parity generation at an I/O boundary, never an app serve
@@ -516,7 +515,7 @@ class OnlineCode56Conversion:
                     break
             span.set(
                 ticks=clock - start_tick,
-                parities=int(self._generated.sum()) - start_parities,
+                parities=self._done - start_parities,
             )
         return clock
 

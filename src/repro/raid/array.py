@@ -30,12 +30,20 @@ fast as over a heap array.
 
 from __future__ import annotations
 
+import math
 import mmap
 from typing import NoReturn
 
 import numpy as np
 
 __all__ = ["DiskFailure", "BlockArray"]
+
+#: counted bulk ops of at most this many elements check and count on
+#: Python ints: four numpy reductions and a ``bincount`` cost more than
+#: the whole op for the one-to-three-block writes of an online run
+_SMALL_BULK = 16
+
+_UINT8 = np.dtype(np.uint8)
 
 
 class DiskFailure(Exception):
@@ -45,7 +53,7 @@ class DiskFailure(Exception):
 def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
     """A zeroed uint8 array of ``shape`` on its own private anonymous
     mapping, faulted in; the mapping is unmapped when the array is freed."""
-    mapping = mmap.mmap(-1, int(np.prod(shape)), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    mapping = mmap.mmap(-1, math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         mapping.madvise(mmap.MADV_HUGEPAGE)
     store = np.frombuffer(mapping, dtype=np.uint8).reshape(shape)
@@ -68,8 +76,10 @@ class BlockArray:
         if n_disks < 1 or blocks_per_disk < 1 or block_size < 1:
             raise ValueError("array dimensions must be positive")
         self.block_size = block_size
-        self._store = _mapped_zeros((n_disks, blocks_per_disk, block_size))
-        self._failed: set[int] = set()
+        self._set_store(_mapped_zeros((n_disks, blocks_per_disk, block_size)))
+        #: the failed disks; replaced (never mutated) on every change, so
+        #: :attr:`failed_disks` hands it out without a copy
+        self._failed: frozenset[int] = frozenset()
         self.reads = np.zeros(n_disks, dtype=np.int64)
         self.writes = np.zeros(n_disks, dtype=np.int64)
         #: optional repro.faults.FaultPlane; None keeps every op fault-free
@@ -77,18 +87,25 @@ class BlockArray:
         #: optional concurrency sanitizer; None skips all shadow recording
         self._sanitizer = None
 
+    def _set_store(self, store: np.ndarray) -> None:
+        """Install ``store`` with its flat view and its shape as ints,
+        which the per-block and small bulk checks read."""
+        self._store = store
+        self._flat = store.reshape(-1, self.block_size)
+        self._n_disks, self._bpd = store.shape[:2]
+
     # ------------------------------------------------------------ properties
     @property
     def n_disks(self) -> int:
-        return self._store.shape[0]
+        return self._n_disks
 
     @property
     def blocks_per_disk(self) -> int:
-        return self._store.shape[1]
+        return self._bpd
 
     @property
     def failed_disks(self) -> frozenset[int]:
-        return frozenset(self._failed)
+        return self._failed
 
     @property
     def total_reads(self) -> int:
@@ -142,6 +159,8 @@ class BlockArray:
 
     # ------------------------------------------------------------------- I/O
     def _check(self, disk: int, block: int) -> None:
+        if 0 <= disk < self._n_disks and 0 <= block < self._bpd and disk not in self._failed:
+            return
         if not 0 <= disk < self.n_disks:
             raise IndexError(f"disk {disk} outside 0..{self.n_disks - 1}")
         if disk in self._failed:
@@ -167,7 +186,8 @@ class BlockArray:
     def write(self, disk: int, block: int, payload: np.ndarray) -> None:
         """Write one block (counted; a fault plane may tear or crash it)."""
         self._check(disk, block)
-        payload = np.asarray(payload, dtype=np.uint8)
+        if not (type(payload) is np.ndarray and payload.dtype is _UINT8):
+            payload = np.asarray(payload, dtype=np.uint8)
         if payload.shape != (self.block_size,):
             raise ValueError(f"payload must be ({self.block_size},), got {payload.shape}")
         if self._fault_plane is not None:
@@ -198,20 +218,38 @@ class BlockArray:
             self._sanitizer.record_write(disk, block)
 
     # -------------------------------------------------------------- bulk I/O
-    def _check_bulk(self, disks, blocks) -> tuple[np.ndarray, np.ndarray]:
+    def _check_bulk(self, disks, blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray | list[int]]:
+        """Checked ``disks`` and ``blocks`` of a bulk op, and their
+        :meth:`flat_view` rows."""
         disks = np.asarray(disks, dtype=np.intp).ravel()
         blocks = np.asarray(blocks, dtype=np.intp).ravel()
         if disks.shape != blocks.shape:
             raise ValueError("disks and blocks must have the same length")
-        if disks.size:
-            if disks.min() < 0 or disks.max() >= self.n_disks:
-                raise IndexError("disk index outside array")
-            if blocks.min() < 0 or blocks.max() >= self.blocks_per_disk:
-                raise IndexError("block index outside disk")
-            if self._failed and np.isin(disks, sorted(self._failed)).any():
-                hit = sorted(set(int(d) for d in disks) & self._failed)
-                raise DiskFailure(f"disk(s) {hit} have failed")
-        return disks, blocks
+        if disks.size <= _SMALL_BULK:
+            d, b = disks.tolist(), blocks.tolist()
+            if not d or (
+                0 <= min(d) and max(d) < self._n_disks
+                and 0 <= min(b) and max(b) < self._bpd
+                and self._failed.isdisjoint(d)
+            ):
+                return disks, blocks, [x * self._bpd + y for x, y in zip(d, b)]
+        if disks.min() < 0 or disks.max() >= self.n_disks:
+            raise IndexError("disk index outside array")
+        if blocks.min() < 0 or blocks.max() >= self.blocks_per_disk:
+            raise IndexError("block index outside disk")
+        if self._failed and np.isin(disks, sorted(self._failed)).any():
+            hit = sorted(set(int(d) for d in disks) & self._failed)
+            raise DiskFailure(f"disk(s) {hit} have failed")
+        return disks, blocks, disks * self._bpd + blocks
+
+    @staticmethod
+    def _count(counter: np.ndarray, disks: np.ndarray) -> None:
+        """One I/O per element of ``disks`` on ``counter``."""
+        if disks.size <= _SMALL_BULK:
+            for d in disks.tolist():
+                counter[d] += 1
+        else:
+            counter += np.bincount(disks, minlength=counter.size)
 
     def _refuse_plane(self, op: str) -> NoReturn:
         raise ValueError(
@@ -228,13 +266,11 @@ class BlockArray:
         """
         if self._fault_plane is not None:
             self._refuse_plane("read_blocks")
-        disks, blocks = self._check_bulk(disks, blocks)
-        self.reads += np.bincount(disks, minlength=self.n_disks)
+        disks, blocks, rows = self._check_bulk(disks, blocks)
+        self._count(self.reads, disks)
         if self._sanitizer is not None:
             self._sanitizer.record_reads(disks, blocks)
-        return self._store.reshape(-1, self.block_size)[
-            disks * self.blocks_per_disk + blocks
-        ]
+        return self._flat[rows]
 
     def write_blocks(self, disks, blocks, payloads: np.ndarray) -> None:
         """Bulk counted write: one scatter, one counted I/O per element.
@@ -245,16 +281,14 @@ class BlockArray:
         """
         if self._fault_plane is not None:
             self._refuse_plane("write_blocks")
-        disks, blocks = self._check_bulk(disks, blocks)
+        disks, blocks, rows = self._check_bulk(disks, blocks)
         payloads = np.asarray(payloads, dtype=np.uint8)
         if payloads.shape != (disks.size, self.block_size):
             raise ValueError(
                 f"payloads must be ({disks.size}, {self.block_size}), got {payloads.shape}"
             )
-        self.writes += np.bincount(disks, minlength=self.n_disks)
-        self._store.reshape(-1, self.block_size)[
-            disks * self.blocks_per_disk + blocks
-        ] = payloads
+        self._count(self.writes, disks)
+        self._flat[rows] = payloads
         if self._sanitizer is not None:
             self._sanitizer.record_writes(disks, blocks)
 
@@ -265,11 +299,9 @@ class BlockArray:
         """
         if self._fault_plane is not None:
             self._refuse_plane("write_zero_blocks")
-        disks, blocks = self._check_bulk(disks, blocks)
-        self.writes += np.bincount(disks, minlength=self.n_disks)
-        self._store.reshape(-1, self.block_size)[
-            disks * self.blocks_per_disk + blocks
-        ] = 0
+        disks, blocks, rows = self._check_bulk(disks, blocks)
+        self._count(self.writes, disks)
+        self._flat[rows] = 0
         if self._sanitizer is not None:
             self._sanitizer.record_writes(disks, blocks)
 
@@ -279,10 +311,8 @@ class BlockArray:
         Mirrors the engine's treatment of vacated slots — freed for
         bit-verifiability without generating array traffic.
         """
-        disks, blocks = self._check_bulk(disks, blocks)
-        self._store.reshape(-1, self.block_size)[
-            disks * self.blocks_per_disk + blocks
-        ] = 0
+        disks, blocks, rows = self._check_bulk(disks, blocks)
+        self._flat[rows] = 0
 
     def gather_raw(self, disks, blocks) -> np.ndarray:
         """Bulk uncounted gather (verification / controller memory).
@@ -292,9 +322,7 @@ class BlockArray:
         """
         disks = np.asarray(disks, dtype=np.intp).ravel()
         blocks = np.asarray(blocks, dtype=np.intp).ravel()
-        return self._store.reshape(-1, self.block_size)[
-            disks * self.blocks_per_disk + blocks
-        ]
+        return self._flat[disks * self._bpd + blocks]
 
     def restore_blocks(self, disks, blocks, payloads: np.ndarray) -> None:
         """Bulk uncounted scatter (journal rollback / stable-storage undo).
@@ -314,9 +342,7 @@ class BlockArray:
             raise ValueError(
                 f"payloads must be ({disks.size}, {self.block_size}), got {payloads.shape}"
             )
-        self._store.reshape(-1, self.block_size)[
-            disks * self.blocks_per_disk + blocks
-        ] = payloads
+        self._flat[disks * self._bpd + blocks] = payloads
 
     def bulk_view(self, disks: slice, blocks: slice) -> np.ndarray:
         """Uncounted ndarray *view* of a rectangular region.
@@ -335,7 +361,7 @@ class BlockArray:
         whole store: block ``b`` of disk ``d`` is row ``d *
         blocks_per_disk + b``, the address :meth:`ArrayCode.syndromes`
         tables use."""
-        return self._store.reshape(-1, self.block_size)
+        return self._flat
 
     def credit_ios(self, reads=None, writes=None) -> None:
         """Add per-disk I/O counts performed out-of-band by a bulk engine.
@@ -346,15 +372,19 @@ class BlockArray:
         credited totals must equal the per-block I/Os the audited path
         would have performed (enforced by the equivalence tests).
         """
-        for name, vec, counter in (("reads", reads, self.reads), ("writes", writes, self.writes)):
-            if vec is None:
-                continue
-            vec = np.asarray(vec, dtype=np.int64)
-            if vec.shape != (self.n_disks,):
-                raise ValueError(f"{name} must have shape ({self.n_disks},), got {vec.shape}")
-            if vec.size and vec.min() < 0:
-                raise ValueError(f"{name} must be non-negative")
-            counter += vec
+        if reads is not None:
+            self._credit("reads", reads, self.reads)
+        if writes is not None:
+            self._credit("writes", writes, self.writes)
+
+    @staticmethod
+    def _credit(name: str, vec, counter: np.ndarray) -> None:
+        vec = np.asarray(vec, dtype=np.int64)
+        if vec.shape != counter.shape:
+            raise ValueError(f"{name} must have shape {counter.shape}, got {vec.shape}")
+        if np.minimum.reduce(vec) < 0:
+            raise ValueError(f"{name} must be non-negative")
+        counter += vec
 
     def restore(self, snapshot: np.ndarray) -> None:
         """Uncounted restore of a :meth:`snapshot` (benchmark/test reset)."""
@@ -369,7 +399,7 @@ class BlockArray:
     def fail_disk(self, disk: int) -> None:
         if not 0 <= disk < self.n_disks:
             raise IndexError(f"disk {disk} outside array")
-        self._failed.add(disk)
+        self._failed = self._failed | {disk}
 
     def require_healthy(self, action: str, width: int | None = None) -> None:
         """Refuse an audit while a disk is failed: its raw bytes are stale.
@@ -384,14 +414,14 @@ class BlockArray:
         """Swap in a blank disk (clears failure state and contents)."""
         if not 0 <= disk < self.n_disks:
             raise IndexError(f"disk {disk} outside array")
-        self._failed.discard(disk)
+        self._failed = self._failed - {disk}
         self._store[disk] = 0
 
     def add_disk(self) -> int:
         """Hot-add a blank disk; returns its index (RAID level migration)."""
         store = _mapped_zeros((self.n_disks + 1,) + self._store.shape[1:])
         store[:-1] = self._store
-        self._store = store
+        self._set_store(store)
         self.reads = np.append(self.reads, 0)
         self.writes = np.append(self.writes, 0)
         return self.n_disks - 1
@@ -401,8 +431,8 @@ class BlockArray:
         if self.n_disks == 1:
             raise ValueError("cannot remove the last disk")
         last = self.n_disks - 1
-        self._failed.discard(last)
-        self._store = self._store[:-1]
+        self._failed = self._failed - {last}
+        self._set_store(self._store[:-1])
         self.reads = self.reads[:-1]
         self.writes = self.writes[:-1]
 

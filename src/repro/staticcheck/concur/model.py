@@ -229,7 +229,7 @@ class _Explorer:
         # snapshot/restore cover bytes only; failure state is explorer
         # bookkeeping (BlockArray has no public "un-replace" — this is
         # state rollback, not a modelled transition)
-        self.array._failed = set(failed)
+        self.array._failed = frozenset(failed)
         self.failed = self.scenario.fail_disk in failed if self.scenario.spare else False
 
     def _hash(self) -> bytes:

@@ -146,6 +146,23 @@ class TestOnlineSmoke:
         assert san.violations == []
         assert san.ops > 0
 
+    def test_every_chain_read_is_shadowed(self, monkeypatch):
+        """A sanitized array is not fused-usable (a fused run credits its
+        chain reads without recording them), so the budget-1 smoke runs
+        the audited loop and records every read: 8 parities x 3 chain
+        reads, 2 per app write (4 writes) and 2 diagonal patches."""
+        reads = []
+        record_read = BlockSanitizer.record_read
+
+        def counted(self, disk, block):
+            reads.append((disk, block))
+            record_read(self, disk, block)
+
+        monkeypatch.setattr(BlockSanitizer, "record_read", counted)
+        san = sanitized_online_smoke(fenced=True)
+        assert len(reads) == 8 * 3 + 4 * 2 + 2
+        assert san.ops == 52
+
     def test_unfenced_run_races(self):
         san = sanitized_online_smoke(fenced=False)
         assert len(san.violations) > 0

@@ -95,6 +95,24 @@ class TestKernelSemantics:
         kernel.region_xor_reduce(dst, [], init=False)
         assert (dst == 0xEE).all()
 
+    def test_stacked_cube_matches_reference(self, kernel):
+        """One ``(k, rows, width)`` ndarray of sources (a gathered run)
+        reduces exactly like the list of its slices, with and without
+        init, and an empty cube zeroes only with init."""
+        rng = np.random.default_rng(6)
+        cube = rng.integers(0, 256, (11, 3, 40), dtype=np.uint8)
+        dst = np.empty((3, 40), dtype=np.uint8)
+        kernel.region_xor_reduce(dst, cube, init=True)
+        assert np.array_equal(dst, _reference_reduce(dst, list(cube), init=True))
+        before = rng.integers(0, 256, (3, 40), dtype=np.uint8)
+        dst = before.copy()
+        kernel.region_xor_reduce(dst, cube, init=False)
+        assert np.array_equal(dst, _reference_reduce(before, list(cube), init=False))
+        kernel.region_xor_reduce(dst, cube[:0], init=False)
+        assert np.array_equal(dst, _reference_reduce(before, list(cube), init=False))
+        kernel.region_xor_reduce(dst, cube[:0], init=True)
+        assert not dst.any()
+
     def test_broadcast_single_row_source(self, kernel):
         """A (1, width) operand folds into every destination row — the
         'const' term of the fused IR."""
@@ -188,13 +206,13 @@ class TestByteIdentity:
 
 
 class TestOnlineBackendMatrix:
-    """Online conversion through the kernel == budget-1 bytes.
+    """Online conversion through the kernel == the audited loop's bytes.
 
     The live-migration analogue of TestByteIdentity: batch sizes x
     {healthy, degraded} x crash/resume at run boundaries, always
-    byte-compared against budget 1 (one-parity runs, the audited loop).
-    Healthy runs of two or more parities go through the kernel; degraded
-    and fault-planed runs never touch it.
+    byte-compared against a budget-1 run under an empty fault plane
+    (which forces the audited per-parity loop).  Every healthy run goes
+    through the kernel; degraded and fault-planed runs never touch it.
     """
 
     @staticmethod
@@ -225,13 +243,16 @@ class TestOnlineBackendMatrix:
     @pytest.mark.parametrize("batch", (2, 4, 8))
     @pytest.mark.parametrize("kernel_name", KERNELS)
     def test_healthy_identity(self, kernel_name, batch, block_size, xor_calls):
+        from repro.faults.plane import FaultPlane
         from repro.migration.online import OnlineCode56Conversion
 
         plan = build_plan("code56", "direct", 5, groups=2)
         ref, _ = prepare_source_array(
             plan, np.random.default_rng(0), block_size=block_size
         )
+        ref.attach_fault_plane(FaultPlane())
         OnlineCode56Conversion(ref, 5).run(self._requests(block_size=block_size))
+        assert xor_calls == []  # the reference is the audited loop
 
         arr, _ = prepare_source_array(
             plan, np.random.default_rng(0), block_size=block_size

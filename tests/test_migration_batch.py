@@ -1,10 +1,12 @@
 """Batched online conversion: fused runs, group commit, overlap check.
 
 The contract under test is strict equivalence: for every batch budget,
-the batched converter must be **byte-identical** to the audited
+the fused converter must be **byte-identical** to the audited
 per-parity path — same final array, same per-disk I/O counters, same
 foreground latencies and stalls — while spending fewer journal flushes
-(one ``mark_many`` per run).  Crash/resume at and inside run boundaries
+(one ``mark_many`` per run).  The audited reference runs under an empty
+:class:`FaultPlane`, which forces the per-parity generator and changes
+no byte or counter.  Crash/resume at and inside run boundaries
 rides the chaos sweep; degraded arrays must fall back to the audited
 generator without losing the run/mark protocol.
 """
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.faults.journal import OnlineJournal
+from repro.faults.plane import FaultPlane
 from repro.migration import build_plan, prepare_source_array
 from repro.migration.batch import fused_run_usable, run_read_credit
 from repro.migration.online import OnlineCode56Conversion, OnlineRequest
@@ -23,6 +26,13 @@ def _online_array(p=5, groups=2, seed=0, block_size=8):
     array, _data = prepare_source_array(
         plan, np.random.default_rng(seed), block_size=block_size
     )
+    return array
+
+
+def _audited(array):
+    """``array`` under an empty fault plane: every run takes the audited
+    per-parity loop, the oracle the fused path must match."""
+    array.attach_fault_plane(FaultPlane())
     return array
 
 
@@ -48,7 +58,7 @@ class TestQuietBatchedIdentity:
 
     @pytest.mark.parametrize("batch", [2, 4, 8])
     def test_bytes_counters_and_ticks_identical(self, batch):
-        ref = _online_array()
+        ref = _audited(_online_array())
         ref_report = OnlineCode56Conversion(ref, 5).run([])
 
         arr = _online_array()
@@ -69,22 +79,24 @@ class TestQuietBatchedIdentity:
         assert report.runs_committed == 2  # 8 parities / budget 4
         assert report.max_run == 4
 
-    def test_executor_choice_by_run_length(self, xor_calls):
-        """One-parity runs take the audited loop (no kernel call); two-parity
-        runs on a healthy array take the fused path; same bytes and counters."""
-        one = _online_array()
-        report_one = OnlineCode56Conversion(one, 5, batch=1).run([])
+    def test_executor_choice_by_array_state(self, xor_calls):
+        """A fault plane forces the audited loop (no kernel call); on a
+        healthy array every run, one parity long included, takes the
+        fused path (one kernel call per run); same bytes and counters."""
+        ref = _audited(_online_array())
+        ref_report = OnlineCode56Conversion(ref, 5, batch=1).run([])
         assert len(xor_calls) == 0
-        assert report_one.runs_committed == 8 and report_one.max_run == 1
+        assert ref_report.runs_committed == 8 and ref_report.max_run == 1
 
-        two = _online_array()
-        report_two = OnlineCode56Conversion(two, 5, batch=2).run([])
-        assert len(xor_calls) == report_two.runs_committed == 4
-
-        assert np.array_equal(one.snapshot(), two.snapshot())
-        assert np.array_equal(one.reads, two.reads)
-        assert np.array_equal(one.writes, two.writes)
-        assert report_one.conversion_ticks == report_two.conversion_ticks
+        for batch, runs in ((1, 8), (2, 4)):
+            xor_calls.clear()
+            arr = _online_array()
+            report = OnlineCode56Conversion(arr, 5, batch=batch).run([])
+            assert len(xor_calls) == report.runs_committed == runs
+            assert np.array_equal(ref.snapshot(), arr.snapshot())
+            assert np.array_equal(ref.reads, arr.reads)
+            assert np.array_equal(ref.writes, arr.writes)
+            assert report.conversion_ticks == ref_report.conversion_ticks
 
     def test_group_commit_is_one_flush_per_run(self):
         journal = OnlineJournal(2, 4)
@@ -126,7 +138,7 @@ class TestBatchedUnderWrites:
     @pytest.mark.parametrize("batch", [2, 3, 4, 24])
     def test_identical_to_per_parity(self, batch):
         reqs = _requests()
-        ref = _online_array()
+        ref = _audited(_online_array())
         ref_report = OnlineCode56Conversion(ref, 5).run(reqs)
 
         arr = _online_array()
@@ -135,6 +147,8 @@ class TestBatchedUnderWrites:
 
         assert conv.verify()
         assert np.array_equal(ref.snapshot(), arr.snapshot())
+        assert np.array_equal(ref.reads, arr.reads)
+        assert np.array_equal(ref.writes, arr.writes)
         # the deadline-shrunk batch claims exactly the per-parity
         # schedule's work per interval, so the foreground (stall +
         # service) is not merely "no worse" — it is identical
@@ -159,6 +173,14 @@ class TestDegradedFallback:
 
     def test_fused_usable_on_healthy_array(self):
         assert fused_run_usable(_online_array())
+
+    def test_fused_unusable_under_a_plane_or_sanitizer(self):
+        from repro.staticcheck.concur.sanitizer import BlockSanitizer
+
+        assert not fused_run_usable(_audited(_online_array()))
+        arr = _online_array()
+        arr.attach_sanitizer(BlockSanitizer())
+        assert not fused_run_usable(arr)
 
     def test_degraded_batched_matches_degraded_per_parity(self):
         ref = _online_array()
@@ -231,7 +253,7 @@ class TestRunProtocol:
         fancy-indexed (non-contiguous) fused gather."""
         from repro.migration.online import OnlineReport
 
-        ref = _online_array()
+        ref = _audited(_online_array())
         OnlineCode56Conversion(ref, 5).run([])
 
         arr = _online_array()
@@ -261,12 +283,12 @@ class TestRunProtocol:
 class TestReadCredit:
     def test_credit_matches_audited_reads(self):
         arr = _online_array()
-        ref = _online_array()
+        ref = _audited(_online_array())
         OnlineCode56Conversion(ref, 5, batch=1).run([])
         OnlineCode56Conversion(arr, 5, batch=8).run([])
-        run = tuple((g, r) for g in range(2) for r in range(4))
-        credit = run_read_credit(arr, 5, run)
+        credit = run_read_credit(arr, 5, np.arange(8))  # groups 0-1, rows 0-3
         assert credit.sum() == 8 * 3  # (p-2) chain reads per parity
+        assert np.array_equal(credit, ref.reads)  # a quiet run reads chains only
         assert np.array_equal(arr.reads, ref.reads)
 
 

@@ -5,8 +5,10 @@ against a number recorded by another run.  Byte and counter identity
 with the audited path is asserted inside the timing loops, so a fast but
 wrong path cannot pass a floor.
 
-* whole-array batched online conversion >= 3x the budget-1 run/mark loop
-  (p=13, 4 KiB blocks, 24 groups);
+* whole-array batched online conversion >= 3x the audited budget-1
+  run/mark loop, and the fused budget-1 loop >= 1.1x it (p=13, 4 KiB
+  blocks, 24 groups; the audited loop runs under an empty fault plane,
+  which forces it);
 * the compiled offline engine >= 10x the audited engine on every
   (code, approach) pair (p=13, ~192 groups);
 * planning and compiling 48 groups costs < 2.5x one alignment cycle,
@@ -34,6 +36,7 @@ import pytest
 import repro
 from repro.compiled import compile_plan, execute_plan_compiled
 from repro.faults.journal import OnlineJournal
+from repro.faults.plane import FaultPlane
 from repro.migration import (
     build_plan,
     execute_plan,
@@ -55,44 +58,75 @@ ONLINE_BLOCK = 4096
 ONLINE_GROUPS = 24
 #: best of several rounds: a fused run takes a few ms and is memory bound,
 #: so one slow round on a shared host would sink the ratio
-ONLINE_ROUNDS = 5
+ONLINE_ROUNDS = 9
 MIN_ONLINE_SPEEDUP = 3.0
+#: fused against audited, both at one parity per run.  Measured at
+#: 1.35-1.68x (8 runs of this test on a 2-CPU x86 host; best of 5
+#: rounds dipped to 1.21x once); the floor leaves room for a noisy
+#: shared host and stays above parity
+MIN_FUSED_BUDGET_ONE_SPEEDUP = 1.1
 
 
-def test_whole_array_online_run_beats_budget_one(record_property):
+@pytest.fixture(scope="module")
+def online_source():
+    """The p=13 source array and its snapshot, restored before each round."""
     plan = build_plan("code56", "direct", P, groups=ONLINE_GROUPS)
     array, _ = prepare_source_array(
         plan, np.random.default_rng(0), block_size=ONLINE_BLOCK
     )
-    snapshot = array.snapshot()
+    return array, array.snapshot()
 
-    def one_round(batch: int) -> float:
-        array.restore(snapshot)
-        array.reset_counters()
-        journal = OnlineJournal(ONLINE_GROUPS, P - 1)
-        conv = OnlineCode56Conversion(array, P, journal=journal, batch=batch)
-        t0 = perf_counter()
-        conv.run([])
-        elapsed = perf_counter() - t0
-        assert conv.verify()
-        return elapsed
 
-    base_s = one_round(1)
+def _online_round(array, snapshot, batch: int, audited: bool) -> float:
+    """Seconds to drain the array at ``batch``; ``audited`` attaches an
+    empty fault plane, which forces the audited per-parity loop."""
+    array.restore(snapshot)
+    array.reset_counters()
+    array.attach_fault_plane(FaultPlane() if audited else None)
+    journal = OnlineJournal(ONLINE_GROUPS, P - 1)
+    conv = OnlineCode56Conversion(array, P, journal=journal, batch=batch)
+    t0 = perf_counter()
+    conv.run([])
+    elapsed = perf_counter() - t0
+    array.attach_fault_plane(None)
+    assert conv.verify()
+    return elapsed
+
+
+def _online_speedup(online_source, batch: int) -> float:
+    """Best audited budget-1 round over best fused round at ``batch``,
+    interleaved; every fused round must land on the audited bytes and
+    per-disk counters."""
+    array, snapshot = online_source
+    base_s = _online_round(array, snapshot, 1, audited=True)
     oracle = array.snapshot()
     oracle_reads, oracle_writes = array.reads.copy(), array.writes.copy()
 
     fused_s = float("inf")
     for _ in range(ONLINE_ROUNDS):
-        fused_s = min(fused_s, one_round(ONLINE_GROUPS * (P - 1)))
+        fused_s = min(fused_s, _online_round(array, snapshot, batch, audited=False))
         assert np.array_equal(array.snapshot(), oracle)
         assert np.array_equal(array.reads, oracle_reads)
         assert np.array_equal(array.writes, oracle_writes)
-        base_s = min(base_s, one_round(1))
+        base_s = min(base_s, _online_round(array, snapshot, 1, audited=True))
+    return base_s / fused_s
 
-    speedup = base_s / fused_s
+
+def test_whole_array_online_run_beats_budget_one(online_source, record_property):
+    speedup = _online_speedup(online_source, ONLINE_GROUPS * (P - 1))
     record_property("speedup", speedup)
     assert speedup >= MIN_ONLINE_SPEEDUP, (
         f"whole-array batched speedup {speedup:.2f}x < {MIN_ONLINE_SPEEDUP}x"
+    )
+
+
+def test_fused_budget_one_beats_audited_loop(online_source, record_property):
+    """One parity per run, the paper's interleave: the fused path must
+    beat the audited loop it replaced on a healthy array."""
+    speedup = _online_speedup(online_source, 1)
+    record_property("speedup", speedup)
+    assert speedup >= MIN_FUSED_BUDGET_ONE_SPEEDUP, (
+        f"fused budget-1 speedup {speedup:.2f}x < {MIN_FUSED_BUDGET_ONE_SPEEDUP}x"
     )
 
 
