@@ -77,7 +77,7 @@ def bench_vectorised_at_scale(benchmark, show):
     region = array.bulk_view(slice(0, p - 1), slice(0, array.blocks_per_disk))
     rng = np.random.default_rng(1)
     region[...] = rng.integers(0, 256, size=region.shape, dtype=np.uint8)
-    run_all = tuple((g, r) for g in range(groups) for r in range(p - 1))
+    run_all = np.arange(groups * (p - 1))  # every parity's cursor key
 
     def run():
         array.reset_counters()

@@ -10,9 +10,9 @@ through reconstruct-on-read.
 
 :class:`ScrubCursor` is the idle-slack parity verifier.  It owns no
 chain arithmetic: every check is one :meth:`ArrayCode.syndromes` call
-over the store's pages in place, through the converter's address table
-(:meth:`OnlineCode56Conversion.cell_addresses`), and its boolean map of
-violated chains is masked by the journal.  A :meth:`~ScrubCursor.step`
+over the store's pages in place, through the volume's address table
+(:attr:`~repro.raid.layouts.VolumeGeometry.addresses`), and its boolean
+map of violated chains is masked by the journal.  A :meth:`~ScrubCursor.step`
 checks one stripe — that row's horizontal chain plus, when the diagonal
 parity of that row is journal-marked, its diagonal chain — over one
 group.  The fleet
@@ -108,9 +108,9 @@ class ScrubCursor:
 
     def _violated(self, groups: slice, chains: list[int]) -> np.ndarray:
         """:meth:`ArrayCode.syndromes` of ``chains`` over ``groups``, read
-        in place through the converter's address table."""
+        in place through the volume's address table."""
         conv = self.conv
-        addr = conv.cell_addresses()[:, groups]
+        addr = conv.geometry.addresses[:, groups]
         return conv.code.syndromes(conv.array.flat_view(), addr, chains)
 
     def step(self) -> int:

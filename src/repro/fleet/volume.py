@@ -239,7 +239,7 @@ class FleetVolume:
                     self._rebuild_disk is not None
                     and self._staged is not None
                 ):
-                    _g, _r, _d, stripe = self.conv.locate(event.lba)
+                    _g, _r, _d, stripe = self.conv.geometry.locate(event.lba)
                     if stripe < self._stage_cursor:
                         self._dirty.add(stripe)
             self.breaker.observe(stall + (clock - start), clock)

@@ -4,12 +4,12 @@ Between application events the online conversion thread claims a *run*
 of pending diagonal parities (:meth:`OnlineCode56Conversion.pending_run`)
 and, when the array is healthy, hands it — one parity long or longer —
 to :func:`execute_run_fused`.  A small run gathers its whole chain cube
-from :meth:`BlockArray.flat_view` through a cached table of every
-parity's chain rows and reduces it in one kernel call; a long run is
-grouped by parity row, each row's chain one fused XOR reduction over
-strided ``bulk_view`` slices of the block store (the ISA-L region-op
-idiom).  Either way the XOR goes through the
-:class:`~repro.kernels.base.XorKernel` that
+from :meth:`BlockArray.flat_view` through the volume's chain-row table
+(:attr:`~repro.raid.layouts.VolumeGeometry.chain_rows`) and reduces it
+in one kernel call; a long run is grouped by parity row, each row's
+chain one fused XOR reduction over strided ``bulk_view`` slices of the
+block store (the ISA-L region-op idiom).  Either way the XOR goes
+through the :class:`~repro.kernels.base.XorKernel` that
 :func:`~repro.kernels.resolve_kernel` returns, and the parities are
 written back through the *counted* :meth:`BlockArray.write_blocks` bulk
 API.  Reads are credited via :meth:`BlockArray.credit_ios` with exactly
@@ -29,14 +29,12 @@ protocol, full fault semantics.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.codes.registry import get_code
 from repro.kernels import ScratchPool, resolve_kernel
 from repro.obs.metrics import get_registry
 from repro.raid.array import BlockArray
+from repro.raid.layouts import VolumeGeometry, volume_geometry
 
 __all__ = ["fused_run_usable", "execute_run_fused", "run_read_credit"]
 
@@ -53,47 +51,6 @@ _RUN_TILE_BYTES = 1 << 17
 _GATHER_RUN_BYTES = 1 << 17
 
 
-@lru_cache(maxsize=None)
-def _diagonal_members(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, cols)[prow, j]``: the square cell at position ``j`` of
-    the chain of diagonal parity row ``prow``, read once per prime from
-    the Code 5-6 chain table (:meth:`ArrayCode.chain_table`: chains
-    ``p-1 .. 2p-3`` of the layout, the parity at term 0).  Read-only."""
-    rows = p - 1
-    r_tab, c_tab = get_code("code56", p).chain_table().terms(range(rows, 2 * rows))
-    members = r_tab[:, 1:], c_tab[:, 1:]
-    for table in members:
-        table.flags.writeable = False
-    return members
-
-
-@lru_cache(maxsize=None)
-def _chain_rows(p: int, blocks_per_disk: int) -> np.ndarray:
-    """``(p-2, blocks_per_disk)``: column ``key`` holds the
-    :meth:`BlockArray.flat_view` rows of the chain of the diagonal parity
-    at cursor key ``key = group * (p-1) + row`` (cell ``(r, c)`` of group
-    ``g`` is row ``c * blocks_per_disk + g * (p-1) + r``).  Read-only."""
-    rows = p - 1
-    r_tab, c_tab = _diagonal_members(p)
-    keys = np.arange(blocks_per_disk)
-    prows = keys % rows
-    table = (c_tab * blocks_per_disk + r_tab)[prows].T + (keys - prows)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
-def _row_read_credit(p: int, n_disks: int) -> np.ndarray:
-    """``(p-1, n_disks)``: the per-disk reads of each diagonal parity
-    row's chain, which the audited path performs once per parity.
-    Read-only."""
-    _r_tab, c_tab = _diagonal_members(p)
-    table = np.zeros((p - 1, n_disks), dtype=np.int64)
-    np.add.at(table, (np.arange(p - 1)[:, None], c_tab), 1)
-    table.flags.writeable = False
-    return table
-
-
 def fused_run_usable(array: BlockArray) -> bool:
     """Fused execution — online runs here and offline phases in
     :mod:`repro.compiled.executor` — bypasses the counted read path, so
@@ -104,10 +61,16 @@ def fused_run_usable(array: BlockArray) -> bool:
     return array.fault_plane is None and not array.failed_disks and array.sanitizer is None
 
 
+def _geometry(array: BlockArray, p: int) -> VolumeGeometry:
+    """The cached :class:`VolumeGeometry` of ``array`` converted at ``p``."""
+    bpd = array.blocks_per_disk
+    return volume_geometry(p, array.n_disks, bpd // (p - 1), bpd)
+
+
 def run_read_credit(array: BlockArray, p: int, keys: np.ndarray) -> np.ndarray:
     """Per-disk read totals the audited path would perform for the run
     at cursor ``keys`` (see :func:`execute_run_fused`)."""
-    return np.add.reduce(_row_read_credit(p, array.n_disks)[keys % (p - 1)])
+    return np.add.reduce(_geometry(array, p).read_credit[keys % (p - 1)])
 
 
 def execute_run_fused(array: BlockArray, p: int, keys: np.ndarray) -> int:
@@ -124,6 +87,7 @@ def execute_run_fused(array: BlockArray, p: int, keys: np.ndarray) -> int:
     if not n:
         return 0
     kernel = resolve_kernel()
+    geometry = _geometry(array, p)
     m = rows = p - 1
     bs = array.block_size
 
@@ -134,7 +98,7 @@ def execute_run_fused(array: BlockArray, p: int, keys: np.ndarray) -> int:
         # region set-up and no per-row Python loop
         out = np.empty((n, bs), dtype=np.uint8)
         out_blocks = keys
-        cube = array.flat_view()[_chain_rows(p, array.blocks_per_disk)[:, keys]]
+        cube = array.flat_view()[geometry.chain_rows[:, keys]]
         kernel.region_xor_reduce(out, cube, init=True)
         xor_bytes = cube.nbytes
     else:
@@ -153,11 +117,10 @@ def execute_run_fused(array: BlockArray, p: int, keys: np.ndarray) -> int:
         by_row: dict[int, list[int]] = {}
         for g, r in zip(groups.tolist(), prows.tolist()):
             by_row.setdefault(r, []).append(g)
-        r_tab, c_tab = _diagonal_members(p)
         pos = 0
         for prow in sorted(by_row):
             gs = by_row[prow]
-            chain = tuple(zip(r_tab[prow].tolist(), c_tab[prow].tolist()))
+            chain = geometry.chain_cells[prow]
             k = len(gs)
             out_blocks[pos : pos + k] = np.asarray(gs, dtype=np.intp) * rows + prow
             contiguous = k == gs[-1] - gs[0] + 1

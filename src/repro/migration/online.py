@@ -81,14 +81,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codes.code56 import diagonal_chain_cells
 from repro.codes.registry import get_code
 from repro.faults.degraded import ReconstructingReader
 from repro.faults.events import DiskFailureEvent
 from repro.migration.batch import execute_run_fused, fused_run_usable
 from repro.obs.tracer import get_tracer
 from repro.raid.array import BlockArray
-from repro.raid.layouts import Raid5Layout, locate_block, parity_disk
+from repro.raid.layouts import volume_geometry
 
 __all__ = [
     "OnlineRequest",
@@ -180,9 +179,11 @@ class OnlineCode56Conversion:
         if array.n_disks < p:
             raise ValueError("add the new disk (Step 2) before converting")
         self.code = get_code("code56", p)
-        self.layout = Raid5Layout.LEFT_ASYMMETRIC
         self.rows = p - 1
         self.groups = array.blocks_per_disk // self.rows
+        #: every address table of the volume (placement, chains, credit)
+        self.geometry = volume_geometry(p, array.n_disks, self.groups, array.blocks_per_disk)
+        self.layout = self.geometry.layout
         #: reconstruct-on-read through the RAID-5 row (failed disks, LSEs)
         self._reader = ReconstructingReader(array, self.m)
         # generated[g][i] — diagonal parity (i, p-1) of group g written?
@@ -195,7 +196,6 @@ class OnlineCode56Conversion:
         #: in-flight run: parities written but not yet marked (None = idle)
         self._run: tuple[tuple[int, int], ...] | None = None
         self._run_keys: np.ndarray | None = None  # cursor keys, ascending
-        self._addr: np.ndarray | None = None  # cell_addresses(), once built
         self.journal = journal
         #: completed events — a resume harness slices its event lists by
         #: these (app serves are never crash-interrupted, so every event
@@ -214,20 +214,16 @@ class OnlineCode56Conversion:
     def _validate_journal(self, journal) -> None:
         """Trust-but-verify resume: recompute every marked parity's chain."""
         stale = 0
-        for group in range(self.groups):
-            for row in range(self.rows):
-                if not journal.is_marked(group, row):
-                    continue
-                # chain blocks on a failed disk are row-reconstructed
-                expect = np.zeros(self.array.block_size, dtype=np.uint8)
-                for r, c in self._diag_chain(row):
-                    np.bitwise_xor(expect, self._reader.peek(c, group * self.rows + r), out=expect)
-                block = group * self.rows + row
-                if np.array_equal(self.array.raw(self.m, block), expect):
-                    self._generated[group, row] = True
-                else:
-                    journal.unmark(group, row)  # stale: regenerate, never trust
-                    stale += 1
+        for group, row in np.argwhere(journal.marked()).tolist():
+            # chain blocks on a failed disk are row-reconstructed
+            expect = np.zeros(self.array.block_size, dtype=np.uint8)
+            for r, c in self.geometry.chain_cells[row]:
+                np.bitwise_xor(expect, self._reader.peek(c, group * self.rows + r), out=expect)
+            if np.array_equal(self.array.raw(self.m, group * self.rows + row), expect):
+                self._generated[group, row] = True
+            else:
+                journal.unmark(group, row)  # stale: regenerate, never trust
+                stale += 1
         if stale:
             plane = self.array.fault_plane
             if plane is not None:
@@ -236,22 +232,11 @@ class OnlineCode56Conversion:
     # ----------------------------------------------------------- geometry
     @property
     def capacity_blocks(self) -> int:
-        return self.groups * self.rows * (self.m - 1)
+        return self.geometry.capacity
 
     def locate(self, lba: int) -> tuple[int, int, int, int]:
-        """lba -> (group, row, disk, block)."""
-        if not 0 <= lba < self.capacity_blocks:
-            raise ValueError(f"lba {lba} outside capacity {self.capacity_blocks}")
-        stripe, disk = locate_block(self.layout, lba, self.m)
-        group, row = divmod(stripe, self.rows)
-        return group, row, disk, stripe
-
-    def _diag_chain(self, parity_row: int) -> tuple[tuple[int, int], ...]:
-        return diagonal_chain_cells(self.p, parity_row)
-
-    def _diag_parity_row_of(self, row: int, col: int) -> int:
-        """Row of the diagonal parity covering square cell (row, col)."""
-        return ((row + col) % self.p + 1) % self.p
+        """lba -> (group, row, disk, stripe), from :attr:`geometry`."""
+        return self.geometry.locate(lba)
 
     # ------------------------------------------------------------- running
     def run(
@@ -381,7 +366,7 @@ class OnlineCode56Conversion:
         run = self.pending_run(budget)
         if not run:
             return 0
-        keys = np.fromiter((g * self.rows + r for g, r in run), dtype=np.intp, count=len(run))
+        keys = self._keys(run)
         if fused_run_usable(self.array):
             cost = execute_run_fused(self.array, self.p, keys)
         else:
@@ -440,13 +425,11 @@ class OnlineCode56Conversion:
         self._generated[...] = generated
         self._done = int(generated.sum())
         self._run = run
-        self._run_keys = (
-            None
-            if run is None
-            else np.fromiter(
-                (g * self.rows + r for g, r in run), dtype=np.intp, count=len(run)
-            )
-        )
+        self._run_keys = None if run is None else self._keys(run)
+
+    def _keys(self, run: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """Cursor keys ``group * rows + row`` of ``run``, ascending."""
+        return np.fromiter((g * self.rows + r for g, r in run), dtype=np.intp, count=len(run))
 
     def _parity_cost_estimate(self) -> int:
         """Upper bound on one parity's tick cost: ``p-1`` healthy, plus
@@ -534,10 +517,9 @@ class OnlineCode56Conversion:
         return value, ios
 
     def _generate_parity(self, group: int, parity_row: int, report: OnlineReport) -> int:
-        chain = self._diag_chain(parity_row)
         acc = np.zeros(self.array.block_size, dtype=np.uint8)
         ios = 0
-        for r, c in chain:
+        for r, c in self.geometry.chain_cells[parity_row]:
             block = group * self.rows + r
             value, cost = self._read_block(c, block, report)
             np.bitwise_xor(acc, value, out=acc)
@@ -574,7 +556,8 @@ class OnlineCode56Conversion:
         return 2
 
     def _serve(self, req: OnlineRequest, clock: float, report: OnlineReport) -> float:
-        group, row, disk, stripe = self.locate(req.lba)
+        geometry = self.geometry
+        group, row, disk, stripe = geometry.locate(req.lba)
         failed = self.array.failed_disks
         if not req.is_write:
             _value, ios = self._read_block(disk, stripe, report)
@@ -595,7 +578,7 @@ class OnlineCode56Conversion:
         # else: the block's new content lives only through the parities
         # until the disk is rebuilt (a reconstruct-write).
         # horizontal parity (always exists: it is the old RAID-5 parity)
-        pd = parity_disk(self.layout, stripe, self.m)
+        pd = geometry.parity_of[stripe]
         if pd not in failed:
             hp = self.array.read(pd, stripe)
             ios += 1
@@ -606,7 +589,7 @@ class OnlineCode56Conversion:
         # overlap check keeps batched runs and app writes coherent.  XOR
         # commutes, so a crash before the run's marks still resumes
         # idempotently (the regenerated chain folds the new data in).
-        prow = self._diag_parity_row_of(row, disk)
+        prow = geometry.diagonal_row[row][disk]
         if self._generated[group, prow] or self.run_overlaps(group, prow):
             ios += self._patch_diagonal(group, prow, delta, report)
         else:
@@ -615,30 +598,17 @@ class OnlineCode56Conversion:
         return clock + ios
 
     # ---------------------------------------------------------------- audit
-    def cell_addresses(self) -> np.ndarray:
-        """Read-only ``(rows * p, groups)`` address table of the converted
-        array over :meth:`BlockArray.flat_view`, built once: columns
-        ``0..p-2`` are disks ``0..p-2`` and column ``p-1`` is the diagonal
-        disk ``m``, so cell ``(r, c)`` of group ``g`` is row ``c * bpd +
-        g * rows + r``."""
-        if self._addr is None:
-            col = np.arange(self.p)[None, :, None] * self.array.blocks_per_disk
-            group = np.arange(self.groups)[None, None, :] * self.rows
-            addr = (col + group + np.arange(self.rows)[:, None, None]).reshape(-1, self.groups)
-            addr.flags.writeable = False
-            self._addr = addr
-        return self._addr
-
     def verify(self) -> bool:
         """Uncounted whole-array audit of the converted RAID-6.
 
         One :meth:`ArrayCode.verify_cells` over the store's pages in
-        place (:meth:`BlockArray.flat_view`) and :meth:`cell_addresses`:
-        every chain is checked for every group without copying a stripe.
+        place (:meth:`BlockArray.flat_view`) and the geometry's address
+        table (:attr:`VolumeGeometry.addresses`): every chain is checked
+        for every group without copying a stripe.
 
         Requires a healthy array — rebuild failed disks first (e.g. via
         ``Raid6Array.rebuild_disks``); a degraded array's failed columns
         hold stale bytes that only the erasure code can interpret.
         """
         self.array.require_healthy("verifying")
-        return self.code.verify_cells(self.array.flat_view(), self.cell_addresses())
+        return self.code.verify_cells(self.array.flat_view(), self.geometry.addresses)

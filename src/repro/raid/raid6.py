@@ -16,6 +16,7 @@ from repro.codes.base import ArrayCode
 from repro.codes.decoder import apply_recovery_plan
 from repro.codes.geometry import Cell
 from repro.raid.array import BlockArray
+from repro.raid.layouts import address_table
 
 __all__ = ["Raid6Array"]
 
@@ -226,12 +227,10 @@ class Raid6Array:
         ``[r * cols + c, g]`` is the :meth:`BlockArray.flat_view` row of
         cell ``(r, c)`` of group ``g``, on disk ``disk_of(g, c)`` (-1 on
         a virtual column)."""
-        groups, rows = np.arange(self.groups), np.arange(self.rows)[:, None]
-        addr = np.full((self.rows, self.code.cols, self.groups), -1, dtype=np.intp)
+        disks = np.full((self.code.cols, self.groups), -1, dtype=np.intp)
         for c in self._physical_cols:
-            disks = np.array([self.disk_of(g, c) for g in groups], dtype=np.intp)
-            addr[:, c] = disks * self.array.blocks_per_disk + groups * self.rows + rows
-        return addr.reshape(-1, self.groups)
+            disks[c] = [self.disk_of(g, c) for g in range(self.groups)]
+        return address_table(disks, self.rows, self.array.blocks_per_disk)
 
     def verify(self) -> bool:
         """Uncounted parity check of every group: :meth:`ArrayCode.verify_cells`

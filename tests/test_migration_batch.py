@@ -17,7 +17,7 @@ import pytest
 from repro.faults.journal import OnlineJournal
 from repro.faults.plane import FaultPlane
 from repro.migration import build_plan, prepare_source_array
-from repro.migration.batch import fused_run_usable, run_read_credit
+from repro.migration.batch import _GATHER_RUN_BYTES, fused_run_usable, run_read_credit
 from repro.migration.online import OnlineCode56Conversion, OnlineRequest
 
 
@@ -56,13 +56,18 @@ def _requests(p=5, groups=2, seed=1, n=12, block_size=8):
 class TestQuietBatchedIdentity:
     """No application traffic: fused runs == audited path, exactly."""
 
-    @pytest.mark.parametrize("batch", [2, 4, 8])
-    def test_bytes_counters_and_ticks_identical(self, batch):
-        ref = _audited(_online_array())
-        ref_report = OnlineCode56Conversion(ref, 5).run([])
+    @pytest.mark.parametrize(
+        "batch,p,groups,block_size",
+        [pytest.param(batch, 5, 2, 8, id=str(batch)) for batch in (2, 4, 8)]
+        # 48 parities of 4 KiB exceed _GATHER_RUN_BYTES: the streaming branch
+        + [pytest.param(48, 13, 4, 4096, id="p13-4KiB")],
+    )
+    def test_bytes_counters_and_ticks_identical(self, batch, p, groups, block_size):
+        ref = _audited(_online_array(p, groups, block_size=block_size))
+        ref_report = OnlineCode56Conversion(ref, p).run([])
 
-        arr = _online_array()
-        conv = OnlineCode56Conversion(arr, 5, batch=batch)
+        arr = _online_array(p, groups, block_size=block_size)
+        conv = OnlineCode56Conversion(arr, p, batch=batch)
         report = conv.run([])
 
         assert conv.verify()
@@ -274,6 +279,39 @@ class TestRunProtocol:
         conv.mark_run_step()
         assert conv.verify()
         assert np.array_equal(ref.snapshot(), arr.snapshot())
+
+    def test_streaming_resume_over_journal_holes(self):
+        """A resume whose journal marks leave holes claims one run of
+        non-contiguous keys, too large for the gather (``n * bs >
+        _GATHER_RUN_BYTES``): the streaming branch's fancy-indexed rows.
+        Bytes, per-disk counters and ticks equal the audited loop's."""
+        p, groups, bs = 13, 8, 4096
+        rows = p - 1
+        done = _online_array(p, groups, block_size=bs)
+        OnlineCode56Conversion(done, p).run([])
+        marked = [(g, r) for g in range(groups) for r in range(rows) if (g + r) % 3 == 0]
+
+        def resumed(array):
+            journal = OnlineJournal(groups, rows)
+            for g, r in marked:
+                array.raw(p - 1, g * rows + r)[...] = done.raw(p - 1, g * rows + r)
+                journal.mark(g, r)
+            return OnlineCode56Conversion(array, p, journal=journal, batch=groups * rows)
+
+        ref = resumed(_audited(_online_array(p, groups, block_size=bs)))
+        ref_report = ref.run([])
+        conv = resumed(_online_array(p, groups, block_size=bs))
+        run = conv.pending_run()
+        assert len(run) * bs > _GATHER_RUN_BYTES
+        assert run[:3] == ((0, 1), (0, 2), (0, 4))
+        report = conv.run([])
+
+        assert report.runs_committed == 1
+        assert conv.verify()
+        assert np.array_equal(ref.array.snapshot(), conv.array.snapshot())
+        assert np.array_equal(ref.array.reads, conv.array.reads)
+        assert np.array_equal(ref.array.writes, conv.array.writes)
+        assert report.conversion_ticks == ref_report.conversion_ticks
 
     def test_batch_zero_rejected(self):
         with pytest.raises(ValueError):
