@@ -4,13 +4,14 @@ When one Code 5-6 data column fails, mixing horizontal and diagonal
 recovery chains shares reads between chains: 9 reads per stripe instead
 of 12 at p = 5 (the paper rounds the ratio 12/9 = 1.33x to "up to 33%"
 fewer reads).  The benchmark measures the optimiser itself and prints
-per-p read counts.
+per-p read counts; each row's optimum matches the conjectured closed
+form (3p² − 10p + 11)/4, a fit to these exact optima, not a proof.
 """
 
 from repro.codes import code56_layout
 from repro.core import plan_hybrid_recovery
 
-PRIMES = (5, 7, 11, 13)
+PRIMES = (5, 7, 11, 13, 17, 19)
 
 
 def _sweep():
@@ -37,3 +38,4 @@ def bench_fig06_single_recovery(benchmark, show):
     assert by_p[5] == (9, 12)  # the paper's exact numbers
     for p, hyb, conv, _ in rows:
         assert hyb < conv
+        assert hyb == (3 * p * p - 10 * p + 11) // 4, p

@@ -40,36 +40,23 @@ class DegradedReadProfile:
         return self.data_fraction * avg + (1 - self.data_fraction) * 1.0
 
 
-def _cheapest_chain_reads(layout: CodeLayout, cell: Cell, lost: set[Cell]) -> int | None:
-    best: int | None = None
-    virtual = layout.virtual_cells
-    for chain in layout.chains:
-        terms = [t for t in (chain.parity, *chain.members) if t not in virtual]
-        hit = [t for t in terms if t in lost]
-        if hit != [cell]:
-            continue
-        cost = len(terms) - 1
-        if best is None or cost < best:
-            best = cost
-    return best
-
-
 def degraded_read_profile(layout: CodeLayout, column: int) -> DegradedReadProfile:
     """Cost profile for reads while ``column`` is failed (pre-rebuild)."""
     if column not in layout.physical_cols:
         raise ValueError(f"column {column} is not physical in {layout.name}")
-    lost = {
+    lost = frozenset(
         (r, column)
         for r in range(layout.rows)
         if (r, column) not in layout.virtual_cells
-    }
+    )
     data_lost = [c for c in lost if c in set(layout.data_cells)]
+    isolating = layout.isolating_chains(lost)
     per_cell: dict[Cell, int] = {}
     for cell in data_lost:
-        cost = _cheapest_chain_reads(layout, cell, lost)
-        if cost is None:
+        if not isolating[cell]:
             raise ValueError(f"{layout.name}: cell {cell} unrecoverable alone")
-        per_cell[cell] = cost
+        # the first cheapest chain, the one a degraded Raid6Array read uses
+        per_cell[cell] = min(len(sources) for _chain, sources in isolating[cell])
     return DegradedReadProfile(
         layout_name=layout.name,
         column=column,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codes.geometry import Cell, CodeLayout
+from repro.codes.geometry import CodeLayout
 
 __all__ = ["PartialWriteCost", "partial_write_cost", "average_partial_write_cost"]
 
@@ -46,18 +46,6 @@ class PartialWriteCost:
         return self.reconstruct_ios < self.rmw_ios
 
 
-def _touched_parities(layout: CodeLayout, cells: list[Cell]) -> set[Cell]:
-    touched: set[Cell] = set()
-    frontier = list(cells)
-    while frontier:
-        cur = frontier.pop()
-        for chain in layout.chains_of_cell.get(cur, ()):
-            if chain.parity not in touched:
-                touched.add(chain.parity)
-                frontier.append(chain.parity)
-    return {c for c in touched if c not in layout.virtual_cells}
-
-
 def partial_write_cost(layout: CodeLayout, start: int, length: int) -> PartialWriteCost:
     """Cost of writing ``length`` consecutive data blocks from ``start``."""
     data = layout.data_cells
@@ -66,7 +54,12 @@ def partial_write_cost(layout: CodeLayout, start: int, length: int) -> PartialWr
     if not 1 <= length <= len(data) - start:
         raise ValueError(f"length {length} does not fit the stripe from {start}")
     cells = list(data[start : start + length])
-    touched = _touched_parities(layout, cells)
+    touched = {
+        parity
+        for cell in cells
+        for parity in layout.write_closure(cell)
+        if parity not in layout.virtual_cells
+    }
     rmw = 2 * length + 2 * len(touched)
     reconstruct = (len(data) - length) + length + layout.num_parity
     return PartialWriteCost(

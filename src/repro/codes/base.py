@@ -323,10 +323,11 @@ class ArrayCode:
     def update_block(self, stripe: Stripe, cell: Cell, new_value: npt.ArrayLike) -> int:
         """Read-modify-write a single data block, patching parities.
 
-        Uses the delta method (optimal update): parity ^= old ^ new along
-        every chain the cell participates in, propagating through parity
-        members transitively.  Returns the number of parity cells written
-        (the paper's *single write performance* metric; 2 is optimal).
+        Uses the delta method (optimal update): parity ^= old ^ new on
+        every parity of :meth:`CodeLayout.write_closure`, which follows
+        parity members transitively.  Returns the number of parity cells
+        written (the paper's *single write performance* metric; 2 is
+        optimal).
         """
         self._check_shape(stripe)
         r, c = cell
@@ -337,19 +338,9 @@ class ArrayCode:
         value: Stripe = np.asarray(new_value, dtype=np.uint8)
         delta = np.bitwise_xor(stripe[..., r, c, :], value)
         stripe[..., r, c, :] = value
-        touched: list[Cell] = []
-        frontier: list[Cell] = [cell]
-        seen: set[Cell] = set()
-        while frontier:
-            cur = frontier.pop()
-            for chain in self.layout.chains_of_cell.get(cur, ()):
-                if chain.parity in seen:
-                    continue
-                seen.add(chain.parity)
-                pr, pc = chain.parity
-                np.bitwise_xor(stripe[..., pr, pc, :], delta, out=stripe[..., pr, pc, :])
-                touched.append(chain.parity)
-                frontier.append(chain.parity)
+        touched = self.layout.write_closure(cell)
+        for pr, pc in touched:
+            np.bitwise_xor(stripe[..., pr, pc, :], delta, out=stripe[..., pr, pc, :])
         return len(touched)
 
     # -------------------------------------------------------------- helpers

@@ -10,8 +10,10 @@ layout — no per-code encode/decode logic is duplicated.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 Cell = tuple[int, int]  # (row, col) within one stripe
 
@@ -57,6 +59,10 @@ class ParityChain:
         return max(len(self.members) - 1, 0)
 
 
+#: a chain that isolates one lost cell, with the chain's surviving terms
+Isolation = tuple[ParityChain, tuple[Cell, ...]]
+
+
 @dataclass
 class CodeLayout:
     """Complete declarative geometry of one stripe.
@@ -89,6 +95,12 @@ class CodeLayout:
     chains: list[ParityChain]
     virtual_cols: frozenset[int] = field(default_factory=frozenset)
     extra_virtual_cells: frozenset[Cell] = field(default_factory=frozenset)
+    _write_closures: dict[Cell, tuple[Cell, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _isolating: dict[frozenset[Cell], Mapping[Cell, tuple[Isolation, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         seen: set[Cell] = set()
@@ -164,21 +176,51 @@ class CodeLayout:
                 out.setdefault(m, []).append(chain)
         return {cell: tuple(chains) for cell, chains in out.items()}
 
-    def update_penalty(self, cell: Cell) -> int:
-        """Parity writes triggered by a single write to ``cell``.
+    def write_closure(self, cell: Cell) -> tuple[Cell, ...]:
+        """Parity cells a write to ``cell`` touches, in depth-first order.
 
-        Counts chains reachable transitively (a parity member of another
-        chain propagates the update).  Optimal is 2 for RAID-6.
+        Follows chains transitively (a parity member of another chain
+        propagates the update), popping the most recently touched parity
+        first.  Cached per cell.
         """
-        touched: set[Cell] = set()
-        frontier = [cell]
-        while frontier:
-            cur = frontier.pop()
-            for chain in self.chains_of_cell.get(cur, ()):
-                if chain.parity not in touched:
-                    touched.add(chain.parity)
-                    frontier.append(chain.parity)
-        return len(touched)
+        closure = self._write_closures.get(cell)
+        if closure is None:
+            touched: dict[Cell, None] = {}
+            frontier = [cell]
+            while frontier:
+                for chain in self.chains_of_cell.get(frontier.pop(), ()):
+                    if chain.parity not in touched:
+                        touched[chain.parity] = None
+                        frontier.append(chain.parity)
+            closure = self._write_closures[cell] = tuple(touched)
+        return closure
+
+    def update_penalty(self, cell: Cell) -> int:
+        """Parity writes triggered by a single write to ``cell``
+        (:meth:`write_closure`).  Optimal is 2 for RAID-6."""
+        return len(self.write_closure(cell))
+
+    def isolating_chains(self, lost: frozenset[Cell]) -> Mapping[Cell, tuple[Isolation, ...]]:
+        """Per lost cell: every chain whose only lost term is that cell.
+
+        Each entry pairs the chain with its sources, the chain's other
+        non-virtual terms in chain order (parity first); entries follow
+        the layout's chain order, and a cell no chain isolates maps to
+        ``()``.  Cached per lost set (read-only).
+        """
+        table = self._isolating.get(lost)
+        if table is None:
+            virtual = self.virtual_cells
+            found: dict[Cell, list[Isolation]] = {cell: [] for cell in sorted(lost)}
+            for chain in self.chains:
+                terms = [t for t in (chain.parity, *chain.members) if t not in virtual]
+                hit = [t for t in terms if t in lost]
+                if len(hit) == 1:
+                    found[hit[0]].append((chain, tuple(t for t in terms if t != hit[0])))
+            table = self._isolating[lost] = MappingProxyType(
+                {cell: tuple(opts) for cell, opts in found.items()}
+            )
+        return table
 
     # ---------------------------------------------------------- encode order
     @cached_property

@@ -116,19 +116,20 @@ class Raid6Array:
     def _degraded_read(self, group: int, cell: Cell) -> np.ndarray:
         lost = self._lost_cells(group)
         # fast path: one parity chain covers the cell and touches no other
-        # lost cell — serve the read with a single XOR pass (p-2 reads
-        # instead of a whole-column rebuild).
-        chain_sources = self._single_chain_sources(cell, lost)
-        if chain_sources is not None:
+        # lost cell — serve the read with a single XOR pass over the first
+        # cheapest such chain (p-2 reads instead of a whole-column rebuild).
+        options = self.code.layout.isolating_chains(lost)[cell]
+        if options:
+            _chain, sources = min(options, key=lambda option: len(option[1]))
             acc = np.zeros(self.array.block_size, dtype=np.uint8)
-            for r, c in chain_sources:
+            for r, c in sources:
                 disk = self.disk_of(group, c)
                 np.bitwise_xor(
                     acc, self.array.read(disk, self.block_of(group, r)), out=acc
                 )
             return acc
         # slow path (e.g. double failure tangles the chains): full plan
-        plan = self.code.plan_cell_recovery(tuple(sorted(lost | {cell})))
+        plan = self.code.plan_cell_recovery(tuple(sorted(lost)))
         stripe = self.code.empty_stripe(self.array.block_size)
         for src in plan.read_set:
             disk = self.disk_of(group, src[1])
@@ -136,30 +137,16 @@ class Raid6Array:
         apply_recovery_plan(plan, stripe)
         return stripe[cell[0], cell[1]].copy()
 
-    def _single_chain_sources(self, cell: Cell, lost: set[Cell]) -> tuple[Cell, ...] | None:
-        """Cheapest chain isolating ``cell`` from the surviving cells."""
-        layout = self.code.layout
-        virtual = layout.virtual_cells
-        best: tuple[Cell, ...] | None = None
-        for chain in layout.chains:
-            terms = [t for t in (chain.parity, *chain.members) if t not in virtual]
-            hit = [t for t in terms if t in lost or t == cell]
-            if hit != [cell]:
-                continue
-            sources = tuple(t for t in terms if t != cell)
-            if best is None or len(sources) < len(best):
-                best = sources
-        return best
-
-    def _lost_cells(self, group: int) -> set[Cell]:
+    def _lost_cells(self, group: int) -> frozenset[Cell]:
         failed = self.array.failed_disks
-        lost: set[Cell] = set()
-        for col in self._physical_cols:
-            if self.disk_of(group, col) in failed:
-                for row in range(self.rows):
-                    if (row, col) not in self.code.layout.virtual_cells:
-                        lost.add((row, col))
-        return lost
+        virtual = self.code.layout.virtual_cells
+        return frozenset(
+            (row, col)
+            for col in self._physical_cols
+            if self.disk_of(group, col) in failed
+            for row in range(self.rows)
+            if (row, col) not in virtual
+        )
 
     def write(self, lba: int, payload: np.ndarray) -> int:
         """Read-modify-write with delta parity updates; returns I/Os."""
@@ -177,24 +164,15 @@ class Raid6Array:
         self.array.write(disk, self.block_of(group, row), payload)
         ios += 1
         delta = np.bitwise_xor(old, payload)
-        # propagate the delta through every (transitive) parity chain
-        seen: set[Cell] = set()
-        frontier: list[Cell] = [(row, col)]
-        while frontier:
-            cur = frontier.pop()
-            for chain in self.code.layout.chains_of_cell.get(cur, ()):
-                if chain.parity in seen:
-                    continue
-                seen.add(chain.parity)
-                frontier.append(chain.parity)
-                pdisk = self.disk_of(group, chain.parity[1])
-                if pdisk in failed:
-                    continue
-                pblock = self.block_of(group, chain.parity[0])
-                cur_val = self.array.read(pdisk, pblock)
-                ios += 1
-                self.array.write(pdisk, pblock, np.bitwise_xor(cur_val, delta))
-                ios += 1
+        for prow, pcol in self.code.layout.write_closure((row, col)):
+            pdisk = self.disk_of(group, pcol)
+            if pdisk in failed:
+                continue
+            pblock = self.block_of(group, prow)
+            cur_val = self.array.read(pdisk, pblock)
+            ios += 1
+            self.array.write(pdisk, pblock, np.bitwise_xor(cur_val, delta))
+            ios += 1
         return ios
 
     # ---------------------------------------------------------------- repair

@@ -1,5 +1,7 @@
 """Hybrid single-disk recovery (Section III-E.4, Figure 6) for every code."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -100,13 +102,14 @@ class TestCorrectness:
                 conventional = plan_double_column_recovery(lay, col).total_reads
                 assert plan_hybrid_recovery(lay, col).conventional_reads == conventional
 
-    def test_large_p_heuristic_path(self, rng):
-        """p=19 exceeds the exhaustive bound; the local search must still
-        produce a correct, no-worse-than-conventional plan."""
+    def test_large_p_exact_search(self, rng):
+        """p=19 (2^17 choice vectors per data column) is searched exactly:
+        column 3 reads the optimum 226, and the plan round-trips a
+        payload."""
         p = 19
         lay = code56_layout(p)
         h = plan_hybrid_recovery(lay, 3)
-        assert h.reads <= h.conventional_reads
+        assert h.reads == 226
         code = get_code("code56", p)
         data = rng.integers(0, 256, size=(code.num_data, 4), dtype=np.uint8)
         stripe = code.make_stripe(data)
@@ -139,14 +142,51 @@ class TestCorrectness:
             assert np.array_equal(broken, stripe)
 
 
+def product_order_minimum(layout, column):
+    """Reference planner: per lost cell, the sorted sources of every chain
+    whose only lost term is that cell, horizontal chains first; then the
+    first choice vector, in ``itertools.product`` order, with the fewest
+    distinct reads.  Returns the plan's steps as ``(target, sources)``."""
+    virtual = layout.virtual_cells
+    lost = {(r, column) for r in range(layout.rows) if (r, column) not in virtual}
+    ranked = {cell: [] for cell in lost}
+    for chain in layout.chains:
+        terms = [t for t in (chain.parity, *chain.members) if t not in virtual]
+        hit = [t for t in terms if t in lost]
+        if len(hit) == 1:
+            sources = tuple(sorted(t for t in terms if t != hit[0]))
+            ranked[hit[0]].append((chain.kind is not ChainKind.HORIZONTAL, sources))
+    cells = sorted(lost)
+    options = [[s for _rank, s in sorted(ranked[cell])] for cell in cells]
+
+    def reads(choice):
+        return len(set().union(*(opts[k] for opts, k in zip(options, choice))))
+
+    best = min(itertools.product(*(range(len(o)) for o in options)), key=reads)
+    return [(cell, opts[k]) for cell, opts, k in zip(cells, options, best)]
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize(
+        "name, p",
+        [(name, p) for p in (5, 7, 11) for name in CODE_NAMES]
+        + [("code56", 13), ("rdp", 13)],
+    )
+    def test_matches_product_order_minimum(self, name, p):
+        """The branch-and-bound returns exactly the plan a full
+        enumeration's first minimum gives, ties included."""
+        lay = get_layout(name, p)
+        for col in lay.physical_cols:
+            steps = [(s.target, s.sources) for s in plan_hybrid_recovery(lay, col).plan.steps]
+            assert steps == product_order_minimum(lay, col), (name, p, col)
+
+
 class TestKnownResults:
     def test_matches_specialised_code56_optimiser(self):
         """The optimum the former Code 5-6-only planner found by
         enumerating every row/diagonal mix (through p=17): the same
         hybrid and conventional reads on every data column, and the
-        diagonal column's unshareable cost.  p=17 sits right at the
-        exhaustive bound (2^15 choice vectors); greedy descent from the
-        conventional pick stops at 180 reads on column 3, not 177."""
+        diagonal column's unshareable cost."""
         reads = {5: (9, 12), 7: (22, 30), 11: (66, 90), 13: (97, 132), 17: (177, 240)}
         for p, (hybrid, conventional) in reads.items():
             lay = code56_layout(p)
@@ -155,6 +195,16 @@ class TestKnownResults:
                 assert (h.reads, h.conventional_reads) == (hybrid, conventional), (p, col)
             h = plan_hybrid_recovery(lay, p - 1)
             assert h.reads == h.conventional_reads == conventional
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+    def test_code56_data_column_closed_form(self, p):
+        """Every Code 5-6 data column reads (3p^2 - 10p + 11)/4.  This is a
+        conjecture: a fit to the exact optima at p = 5..19, not a proof.
+        The p=19 sample holds columns where a greedy single-flip descent
+        stops 1-7 reads above the optimum."""
+        lay = code56_layout(p)
+        for col in (0, 1, 8, 16) if p == 19 else range(p - 1):
+            assert plan_hybrid_recovery(lay, col).reads == (3 * p * p - 10 * p + 11) // 4
 
     def test_rdp_xiang_saving(self):
         """Xiang et al. (SIGMETRICS'10): hybrid recovery of an RDP data
