@@ -160,15 +160,13 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
         schedule = None
         if args.trace is not None:
-            from repro.simdisk import closed_request_schedule, get_preset, simulate_closed
+            from repro.simdisk import closed_request_schedule, get_preset
             from repro.workloads import conversion_trace
 
             with tracer.span("timeline", cat="cli", disk=args.disk):
                 stream = conversion_trace(plan, block_size=4096)
-                model = get_preset(args.disk)
-                schedule = closed_request_schedule(stream, model)
-                sim_res = simulate_closed(stream, model)
-            obs.record_sim_result(sim_res, registry, prefix="sim")
+                schedule = closed_request_schedule(stream, get_preset(args.disk))
+            obs.record_sim_result(schedule.sim_result(len(stream)), registry, prefix="sim")
         if observing:
             obs.record_conversion(result, registry)
             obs.record_compiler_cache(registry)
@@ -638,14 +636,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Parallel evaluation grid; writes BENCH_sweep.json (serial vs pool).
 
-    Runs the requested grid three times — serial baseline, cold parallel,
-    warm parallel (same program-cache directory) — asserts the merged
-    payloads are byte-identical, and reports wall-clock plus compiler
-    cache counters.  Exit 1 on any digest mismatch.
+    Runs the requested grid twice — serial baseline, then parallel —
+    asserts the merged payloads are byte-identical, and reports
+    wall-clock.  Exit 1 on a digest mismatch.
     """
     import json
     import os
-    import tempfile
     from pathlib import Path
 
     from repro import obs
@@ -677,8 +673,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
           f"{len(workloads)} workloads), workers={workers}")
 
     serial = run_sweep(spec, workers=0)
-    print(f"  serial   : {serial.wall_s:8.2f}s  digest {serial.digest()[:16]}  "
-          f"compiled {serial.cache['parent']['compiled']}")
+    print(f"  serial   : {serial.wall_s:8.2f}s  digest {serial.digest()[:16]}")
 
     bench = {
         "bench": "sweep",
@@ -686,45 +681,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "workers": workers,
         "n_tasks": n_tasks,
         "spec": spec.to_dict(),
-        "serial": {"wall_s": serial.wall_s, "digest": serial.digest(),
-                   "cache": serial.cache},
+        "serial": {"wall_s": serial.wall_s, "digest": serial.digest()},
     }
     result = serial
     identical = True
     if workers > 0:
-        tmp = None
-        if args.cache_dir is not None:
-            cache_dir = Path(args.cache_dir)
-            cache_dir.mkdir(parents=True, exist_ok=True)
-        else:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-sweep-cache-")
-            cache_dir = Path(tmp.name)
-        try:
-            cold = run_sweep(spec, workers=workers, chunksize=args.chunksize,
-                             cache_dir=cache_dir)
-            print(f"  parallel : {cold.wall_s:8.2f}s  digest {cold.digest()[:16]}  "
-                  f"compiled {cold.cache['compiled_total']}  "
-                  f"(retried {cold.retried_chunks} chunks, "
-                  f"{cold.fallback_tasks} tasks inline)")
-            warm = run_sweep(spec, workers=workers, chunksize=args.chunksize,
-                             cache_dir=cache_dir)
-            print(f"  warm     : {warm.wall_s:8.2f}s  digest {warm.digest()[:16]}  "
-                  f"compiled {warm.cache['compiled_total']}")
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
-        identical = serial.digest() == cold.digest() == warm.digest()
+        par = run_sweep(spec, workers=workers, chunksize=args.chunksize)
+        print(f"  parallel : {par.wall_s:8.2f}s  digest {par.digest()[:16]}  "
+              f"(retried {par.retried_chunks} chunks, "
+              f"{par.fallback_tasks} tasks inline)")
+        identical = serial.digest() == par.digest()
         bench["parallel"] = {
-            "wall_s": cold.wall_s, "digest": cold.digest(), "cache": cold.cache,
-            "retried_chunks": cold.retried_chunks,
-            "fallback_tasks": cold.fallback_tasks,
+            "wall_s": par.wall_s, "digest": par.digest(),
+            "retried_chunks": par.retried_chunks,
+            "fallback_tasks": par.fallback_tasks,
         }
-        bench["warm"] = {
-            "wall_s": warm.wall_s, "digest": warm.digest(),
-            "compiled_total": warm.cache["compiled_total"], "cache": warm.cache,
-        }
-        bench["speedup"] = serial.wall_s / cold.wall_s if cold.wall_s else None
-        result = cold
+        bench["speedup"] = serial.wall_s / par.wall_s if par.wall_s else None
+        result = par
     bench["identical"] = identical
 
     out = Path(args.out)
@@ -957,9 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--chunksize", type=int, default=None,
                          help="tasks per worker dispatch (default: auto)")
-    p_sweep.add_argument("--cache-dir", default=None, metavar="PATH",
-                         help="persistent compiled-program cache directory "
-                              "(default: fresh temp dir per invocation)")
     p_sweep.add_argument("--out", default="BENCH_sweep.json", metavar="PATH")
     p_sweep.add_argument("--trace", default=None, metavar="PATH",
                          help="write the merged Perfetto timeline "

@@ -14,15 +14,12 @@ are the whole-array tensor forms of the same reads.  See
 """
 
 from repro.compiled.compiler import (
-    LOWERING_VERSION,
-    PROGRAM_CACHE_VERSION,
     UnsupportedPlanError,
     clear_program_cache,
     compile_plan,
     lower_program,
     plan_cache_key,
     program_cache_dir,
-    program_cache_file,
     program_cache_info,
     set_program_cache_dir,
 )
@@ -40,8 +37,6 @@ from repro.compiled.recovery import assemble_all_groups, batch_recover_columns
 __all__ = [
     "CompiledPlan",
     "FusedPhase",
-    "LOWERING_VERSION",
-    "PROGRAM_CACHE_VERSION",
     "PhaseProgram",
     "RegionOp",
     "RegionTerm",
@@ -56,7 +51,6 @@ __all__ = [
     "lower_program",
     "plan_cache_key",
     "program_cache_dir",
-    "program_cache_file",
     "program_cache_info",
     "set_program_cache_dir",
 ]

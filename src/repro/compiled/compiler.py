@@ -29,33 +29,15 @@ is migration-then-encode, which batching preserves).  A hand-built plan
 them raises :class:`UnsupportedPlanError` instead of silently
 diverging; callers fall back to the audited engine.
 
-Programs are cached per ``(code, approach, p, m, n, groups,
-blocks_per_disk, extra)`` so benchmark sweeps that rebuild identical
-plans pay compilation once.
-
-Two cache tiers share that key:
-
-* the in-process dict above (``_CACHE``), and
-* an optional **persistent on-disk cache** (:func:`set_program_cache_dir`
-  or the ``REPRO_PROGRAM_CACHE`` environment variable): compiled phase
-  vectors are serialised to a content-addressed ``.npz`` (sha-256 of the
-  cache key plus :data:`PROGRAM_CACHE_VERSION`), so neither sweep pool
-  workers nor successive CLI runs ever recompile an unchanged plan.  A
-  geometry change or a version bump hashes to a different file (a clean
-  miss); a corrupted or mismatched file is treated as a miss and
-  overwritten — never served.  :func:`program_cache_info` exposes the
-  tier-by-tier counters (``compiled`` counts actual compilations).
+Programs are memoised in-process per ``(code, approach, p, m, n,
+groups, blocks_per_disk, extra)`` so benchmark sweeps that rebuild
+identical plans pay compilation once per process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
-import zipfile
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 
@@ -76,11 +58,8 @@ __all__ = [
     "lower_program",
     "clear_program_cache",
     "program_cache_info",
-    "PROGRAM_CACHE_VERSION",
-    "LOWERING_VERSION",
     "set_program_cache_dir",
     "program_cache_dir",
-    "program_cache_file",
 ]
 
 
@@ -92,49 +71,23 @@ class UnsupportedPlanError(ValueError):
 # executor (within a phase) apply them
 _MIGRATE, _NULL, _TRIM, _PARITY = range(4)
 
-#: bump when the compiled-program layout changes; old cache files then
-#: hash to different names and are recompiled, not misread
-PROGRAM_CACHE_VERSION = 1
-
-#: bump when the region-fusion pass changes.  The fused IR is derived
-#: deterministically from the phase vectors and never serialised, but
-#: the version participates in the cache digest so a lowering change
-#: invalidates persistent entries wholesale (a clean recompile beats
-#: debugging a stale program whose re-derived fusion disagrees with the
-#: vectors that produced it).  The *kernel backend* is deliberately NOT
-#: part of the key: every backend executes the same lowered program.
-LOWERING_VERSION = 1
-
 _CACHE: dict[tuple, CompiledPlan] = {}
 #: module-lifetime cache outcomes (mirrored into the repro.obs registry
 #: by record_compiler_cache; kept here so clearing the registry cannot
-#: lose the authoritative numbers).  ``hits``/``misses`` are the
-#: in-memory tier; ``disk_*`` the persistent tier; ``compiled`` counts
-#: actual compilations (a warm two-tier cache keeps it at zero).
-_CACHE_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "disk_hits": 0,
-    "disk_misses": 0,
-    "disk_errors": 0,
-    "compiled": 0,
-}
-
-_DISK_CACHE_DIR: Path | None = (
-    Path(os.environ["REPRO_PROGRAM_CACHE"]) if os.environ.get("REPRO_PROGRAM_CACHE") else None
-)
+#: lose the authoritative numbers)
+_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
-def set_program_cache_dir(path: str | Path | None) -> Path | None:
-    """Point the persistent tier at ``path`` (None disables); returns previous."""
-    global _DISK_CACHE_DIR
-    prev = _DISK_CACHE_DIR
-    _DISK_CACHE_DIR = Path(path) if path is not None else None
-    return prev
+# The benchmark harness still imports these two names (``run.py`` calls
+# ``set_program_cache_dir(None)``; ``results.py`` records
+# ``program_cache_dir()``); there is no on-disk program cache to point.
+def set_program_cache_dir(path: None) -> None:
+    if path is not None:
+        raise ValueError("there is no on-disk program cache")
 
 
-def program_cache_dir() -> Path | None:
-    return _DISK_CACHE_DIR
+def program_cache_dir() -> None:
+    return None
 
 
 def plan_cache_key(plan: ConversionPlan) -> tuple:
@@ -161,113 +114,13 @@ def program_cache_info() -> dict[str, int]:
     return {"entries": len(_CACHE), **_CACHE_STATS}
 
 
-# --------------------------------------------------------------------------
-# persistent tier: content-addressed .npz of the phase index vectors
-# --------------------------------------------------------------------------
-
-#: the PhaseProgram index-vector fields, in serialisation order
-_PHASE_FIELDS = (
-    "migrate_src_disk", "migrate_src_block", "migrate_dst_disk", "migrate_dst_block",
-    "null_disk", "null_block", "trim_disk", "trim_block",
-    "read_disk", "read_block", "read_cell",
-    "fill_disk", "fill_block", "fill_cell",
-    "parity_disk", "parity_block", "parity_cell",
-    "check_disk", "check_block", "check_cell",
-)
-
-
-def _key_json(key: tuple) -> list:
-    """The cache key as JSON-safe nested lists (tuples become lists)."""
-    return [
-        [list(cell) if isinstance(cell, tuple) else cell for cell in item]
-        if isinstance(item, tuple)
-        else item
-        for item in key
-    ]
-
-
-def program_cache_file(key: tuple) -> Path | None:
-    """Content-addressed path of ``key`` in the persistent tier (or None)."""
-    if _DISK_CACHE_DIR is None:
-        return None
-    digest = hashlib.sha256(
-        json.dumps(
-            [PROGRAM_CACHE_VERSION, LOWERING_VERSION, _key_json(key)], sort_keys=True
-        ).encode()
-    ).hexdigest()
-    return _DISK_CACHE_DIR / f"{key[0]}-{key[1]}-p{key[2]}-{digest[:32]}.npz"
-
-
-def _store_program_to_disk(path: Path, program: CompiledPlan) -> None:
-    """Atomic write (tmp + rename) so racing pool workers never see torn files."""
-    arrays: dict[str, np.ndarray] = {}
-    meta = {
-        "version": PROGRAM_CACHE_VERSION,
-        "key": _key_json(program.key),
-        "n_disks": program.n_disks,
-        "blocks_per_disk": program.blocks_per_disk,
-        "phases": [{"phase": ph.phase, "batch": ph.batch} for ph in program.phases],
-    }
-    for i, ph in enumerate(program.phases):
-        for field in _PHASE_FIELDS:
-            arrays[f"p{i}_{field}"] = getattr(ph, field)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, meta=np.str_(json.dumps(meta)), **arrays)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def _load_program_from_disk(path: Path, key: tuple, plan: ConversionPlan) -> CompiledPlan | None:
-    """Deserialise ``path``; None on any corruption or key mismatch."""
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta["version"] != PROGRAM_CACHE_VERSION or meta["key"] != _key_json(key):
-                return None
-            phases = []
-            for i, ph_meta in enumerate(meta["phases"]):
-                vectors = {
-                    field: np.asarray(data[f"p{i}_{field}"], dtype=np.intp)
-                    for field in _PHASE_FIELDS
-                }
-                phases.append(
-                    PhaseProgram(phase=ph_meta["phase"], batch=ph_meta["batch"], **vectors)
-                )
-        return CompiledPlan(
-            key=key,
-            code=plan.code,
-            n_disks=int(meta["n_disks"]),
-            blocks_per_disk=int(meta["blocks_per_disk"]),
-            phases=tuple(phases),
-        )
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile,
-            json.JSONDecodeError):
-        return None
-
-
 def compile_plan(plan: ConversionPlan, use_cache: bool = True) -> CompiledPlan:
-    """Compile ``plan`` (two-tier cached); raises :class:`UnsupportedPlanError`."""
+    """Compile ``plan`` (memoised); raises :class:`UnsupportedPlanError`."""
     key = plan_cache_key(plan)
     if use_cache and key in _CACHE:
         _CACHE_STATS["hits"] += 1
         return _CACHE[key]
     _CACHE_STATS["misses"] += 1
-    disk_path = program_cache_file(key) if use_cache else None
-    if disk_path is not None and disk_path.exists():
-        program = _load_program_from_disk(disk_path, key, plan)
-        if program is not None:
-            _CACHE_STATS["disk_hits"] += 1
-            program = _lowered(program)
-            _CACHE[key] = program
-            return program
-        _CACHE_STATS["disk_errors"] += 1
-    elif disk_path is not None:
-        _CACHE_STATS["disk_misses"] += 1
-    _CACHE_STATS["compiled"] += 1
     by_phase: dict[int, list[GroupWork]] = defaultdict(list)
     for gw in sorted(plan.cycle_works, key=lambda g: (g.phase, g.group)):
         by_phase[gw.phase].append(gw)
@@ -291,9 +144,6 @@ def compile_plan(plan: ConversionPlan, use_cache: bool = True) -> CompiledPlan:
         blocks_per_disk=plan.blocks_per_disk,
         phases=phases,
     )
-    if use_cache and disk_path is not None:
-        # persist the raw index vectors only; the fused IR is re-derived
-        _store_program_to_disk(disk_path, program)
     program = _lowered(program)
     if use_cache:
         _CACHE[key] = program

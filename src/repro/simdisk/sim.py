@@ -78,47 +78,6 @@ class SimResult:
         }
 
 
-def _closed_queue_order(
-    trace: Trace, n: int, reorder_window: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-disk queue layout shared by the engine and the timeline.
-
-    Returns ``(idx, d_sorted, blocks, first, seg_starts, counts)`` where
-    ``idx`` maps each queue position back to its request index in the
-    trace (after dropping requests beyond disk ``n``), ``d_sorted`` /
-    ``blocks`` are the concatenated per-disk queues in service order,
-    ``first`` marks each disk's first request, and ``seg_starts`` /
-    ``counts`` delimit the per-disk segments.
-    """
-    disk = np.asarray(trace.disk)
-    served = disk < n
-    idx = np.flatnonzero(served)
-    m = idx.size
-    if m == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty, np.zeros(0, dtype=bool), empty, empty
-    # One stable sort groups every disk's queue in arrival order —
-    # identical to per_disk_blocks(d) for each d, without the n passes.
-    arrival = np.asarray(trace.arrival_ms)[idx]
-    order = np.lexsort((arrival, disk[idx]))
-    idx = idx[order]
-    d_sorted = disk[idx]
-    blocks = np.asarray(trace.block, dtype=np.int64)[idx]
-    first = np.empty(m, dtype=bool)  # segment starts (one segment per disk)
-    first[0] = True
-    np.not_equal(d_sorted[1:], d_sorted[:-1], out=first[1:])
-    seg_starts = np.flatnonzero(first)
-    counts = np.diff(np.append(seg_starts, m))
-    if reorder_window is not None and reorder_window > 1:
-        # bounded elevator: ascending blocks within each window of the
-        # per-disk queue — one argsort pass, no per-window copy+sort.
-        pos = np.arange(m) - np.repeat(seg_starts, counts)
-        perm = np.lexsort((blocks, pos // reorder_window, d_sorted))
-        blocks = blocks[perm]
-        idx = idx[perm]
-    return idx, d_sorted, blocks, first, seg_starts, counts
-
-
 def simulate_closed(
     trace: Trace,
     model: DiskModel,
@@ -142,42 +101,10 @@ def simulate_closed(
     position; reported for completeness, the headline output is the
     makespan.
     """
-    if reorder_window is not None and reorder_window < 1:
-        raise ValueError("reorder_window must be >= 1")
-    n = n_disks if n_disks is not None else trace.n_disks
-    validate_trace(trace, model, n)
-    busy = np.zeros(n)
-    requests = np.zeros(n, dtype=np.int64)
-    idx, d_sorted, blocks, first, seg_starts, counts = _closed_queue_order(
-        trace, n, reorder_window
-    )
-    m = d_sorted.size
-    if m == 0:
-        return SimResult(0.0, busy, 0, 0.0, 0.0, per_disk_requests=requests)
-    service = model.service_ms_vector(blocks, trace.block_size, first=first)
+    schedule = closed_request_schedule(trace, model, n_disks, reorder_window, faults)
     if faults is not None:
-        delays = faults.delays_ms(len(trace))[idx]
-        service = service + delays
-        faults.record(delays)
-    # per-disk cumulative completion via one global cumsum minus the
-    # running total at each disk's segment start
-    cum = np.cumsum(service)
-    offset = np.where(seg_starts > 0, cum[seg_starts - 1], 0.0)
-    completion = cum - np.repeat(offset, counts)
-    seg_ends = seg_starts + counts - 1
-    busy[d_sorted[seg_starts]] = completion[seg_ends]
-    requests[d_sorted[seg_starts]] = counts
-    mean, p50, p95, p99 = _percentiles(completion)
-    return SimResult(
-        makespan_ms=float(busy.max()),
-        per_disk_busy_ms=busy,
-        n_requests=len(trace),
-        mean_latency_ms=mean,
-        p99_latency_ms=p99,
-        p50_latency_ms=p50,
-        p95_latency_ms=p95,
-        per_disk_requests=requests,
-    )
+        faults.record(schedule.fault_ms)
+    return schedule.sim_result(len(trace))
 
 
 @dataclass(frozen=True)
@@ -216,9 +143,35 @@ class DiskSchedule:
         return self.completion_ms - self.start_ms
 
     def per_disk_busy_ms(self) -> np.ndarray:
+        """Each disk's last completion (entries are disk-major)."""
         busy = np.zeros(self.n_disks)
-        np.maximum.at(busy, self.disk, self.completion_ms)
+        if len(self):
+            ends = np.flatnonzero(np.append(self.disk[1:] != self.disk[:-1], True))
+            busy[self.disk[ends]] = self.completion_ms[ends]
         return busy
+
+    def sim_result(self, n_requests: int) -> SimResult:
+        """The :class:`SimResult` this schedule reduces to.
+
+        ``n_requests`` is the trace's length: requests beyond the array
+        are dropped from the schedule but still counted, unless none is
+        served at all.
+        """
+        busy = self.per_disk_busy_ms()
+        requests = np.bincount(self.disk, minlength=self.n_disks).astype(np.int64)
+        if not len(self):
+            return SimResult(0.0, busy, 0, 0.0, 0.0, per_disk_requests=requests)
+        mean, p50, p95, p99 = _percentiles(self.completion_ms)
+        return SimResult(
+            makespan_ms=float(busy.max()),
+            per_disk_busy_ms=busy,
+            n_requests=n_requests,
+            mean_latency_ms=mean,
+            p99_latency_ms=p99,
+            p50_latency_ms=p50,
+            p95_latency_ms=p95,
+            per_disk_requests=requests,
+        )
 
 
 def closed_request_schedule(
@@ -230,34 +183,41 @@ def closed_request_schedule(
 ) -> DiskSchedule:
     """The closed-loop engine's schedule, one entry per served request.
 
-    Same queue ordering and service model as :func:`simulate_closed`
-    (including NCQ reordering and transient-retry penalties), but keeps
-    the per-request start times and the seek/rotate/transfer
-    decomposition instead of reducing to a makespan — the raw material
-    for the Perfetto disk timeline.
+    Takes the same arguments as :func:`simulate_closed`, which reduces
+    this schedule to a :class:`SimResult` (:meth:`DiskSchedule.sim_result`);
+    the per-request start times and seek/rotate/transfer decomposition
+    are the raw material for the Perfetto disk timeline.
     """
     if reorder_window is not None and reorder_window < 1:
         raise ValueError("reorder_window must be >= 1")
     n = n_disks if n_disks is not None else trace.n_disks
     validate_trace(trace, model, n)
-    idx, d_sorted, blocks, first, seg_starts, counts = _closed_queue_order(
-        trace, n, reorder_window
-    )
+    # One stable sort groups every disk's queue in arrival order; requests
+    # beyond disk ``n`` are dropped.
+    disk = np.asarray(trace.disk)
+    idx = np.flatnonzero(disk < n)
+    idx = idx[np.lexsort((np.asarray(trace.arrival_ms)[idx], disk[idx]))]
+    d_sorted = disk[idx]
+    blocks = np.asarray(trace.block, dtype=np.int64)[idx]
+    first = np.ones(idx.size, dtype=bool)  # segment starts (one segment per disk)
+    np.not_equal(d_sorted[1:], d_sorted[:-1], out=first[1:])
+    seg_starts = np.flatnonzero(first)
+    counts = np.diff(np.append(seg_starts, idx.size))
+    if reorder_window is not None and reorder_window > 1:
+        # bounded elevator: ascending blocks within each window of the
+        # per-disk queue — one argsort pass, no per-window copy+sort.
+        pos = np.arange(idx.size) - np.repeat(seg_starts, counts)
+        perm = np.lexsort((blocks, pos // reorder_window, d_sorted))
+        blocks = blocks[perm]
+        idx = idx[perm]
     seek, rot, xfer = model.service_components_vector(blocks, trace.block_size, first=first)
-    fault = (
-        faults.delays_ms(len(trace))[idx]
-        if faults is not None and idx.size
-        else np.zeros(idx.size)
-    )
-    service = seek + rot + xfer + fault if seek.size else np.zeros(0)
+    fault = faults.delays_ms(len(trace))[idx] if faults is not None else np.zeros(idx.size)
+    service = seek + rot + xfer + fault
+    # per-disk cumulative completion via one global cumsum minus the
+    # running total at each disk's segment start
     cum = np.cumsum(service)
-    offset = (
-        np.repeat(np.where(seg_starts > 0, cum[seg_starts - 1], 0.0), counts)
-        if seg_starts.size
-        else np.zeros(0)
-    )
-    completion = cum - offset
-    is_write = np.asarray(trace.is_write, dtype=bool)[idx] if idx.size else np.zeros(0, dtype=bool)
+    completion = cum - np.repeat(np.where(seg_starts > 0, cum[seg_starts - 1], 0.0), counts)
+    is_write = np.asarray(trace.is_write, dtype=bool)[idx]
     return DiskSchedule(
         n_disks=n,
         block_size=trace.block_size,

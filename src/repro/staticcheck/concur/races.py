@@ -1,12 +1,12 @@
 """AST happens-before race detector (SC-R rules).
 
-Static shared-state taint analysis over the modules that cross a process
-boundary: the sweep pool (``repro.sweep``) and the on-disk
-compiled-program cache (``repro.compiled.compiler``).  The crash
-journals are in-memory (no pool, initializer or file), so no rule can
-fire there and they are out of scope.  The question each rule asks is the happens-before
-question: *is this access to shared state ordered by an explicit
-synchronization edge?*  The edges this codebase recognises:
+Static shared-state taint analysis over the one package that crosses a
+process boundary: the sweep pool (``repro.sweep``).  The compiled-program
+cache and the crash journals are in-memory (no pool, initializer or
+file), so no rule can fire there and they are out of scope.  The
+question each rule asks is the happens-before question: *is this access
+to shared state ordered by an explicit synchronization edge?*  The edges
+this codebase recognises:
 
 * **pool initializer** — ``ProcessPoolExecutor(initializer=f)`` runs
   ``f`` in the worker before any submitted task; state ``f`` populates
@@ -31,7 +31,7 @@ Rules (all purely syntactic — nothing is imported or executed):
   reader of such a file can observe a torn write.
 * **SC-R004** — a worker-context function other than the initializer
   calls a process-wide singleton mutator (``set_registry`` /
-  ``set_tracer`` / ``set_program_cache_dir``).
+  ``set_tracer``).
   Swapping a singleton mid-task races every other task in the same
   worker; the initializer is the one ordered place to do it.
 """
@@ -48,11 +48,8 @@ __all__ = ["RULES", "DEFAULT_SCOPE", "analyze_source", "run_races"]
 RULES = ("SC-R001", "SC-R002", "SC-R004")
 
 #: files (relative to the ``repro`` package root) the detector scans:
-#: everything that touches process pools or cross-process cache files
-DEFAULT_SCOPE = (
-    "sweep/",
-    "compiled/compiler.py",
-)
+#: everything that touches process pools
+DEFAULT_SCOPE = ("sweep/",)
 
 #: module-level values considered shared mutable state
 _MUTABLE_CALLS = frozenset(
@@ -66,9 +63,7 @@ _MUTATORS = frozenset(
     }
 )
 #: process-wide singleton mutators (SC-R004)
-_SINGLETON_MUTATORS = frozenset(
-    {"set_registry", "set_tracer", "set_program_cache_dir"}
-)
+_SINGLETON_MUTATORS = frozenset({"set_registry", "set_tracer"})
 #: functions whose results name a pid/temp-private path (SC-R002)
 _PRIVATE_PATH_CALLS = frozenset(
     {"getpid", "mkstemp", "mkdtemp", "NamedTemporaryFile", "TemporaryDirectory"}

@@ -20,10 +20,6 @@ Mechanics:
   raises is retried on a fresh pool up to ``retries`` times, then (by
   default) recomputed inline by the parent, so a flaky worker degrades
   throughput, never results;
-* **persistent program cache** — workers and parent share the on-disk
-  compiled-program tier (:func:`repro.compiled.set_program_cache_dir`),
-  so a warm sweep performs zero plan compilations in any process
-  (``SweepResult.cache["compiled_total"]``);
 * **observability merge** — each worker snapshots its private metrics
   registry and tracer per chunk; the parent folds them into one registry
   (:func:`repro.obs.merge_snapshot`) and one span list with per-worker
@@ -210,13 +206,10 @@ def run_task(task: SweepTask, pool: np.ndarray | None = None, pool_seed: int = 0
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(pool_seed: int, cache_dir: str | None) -> None:
-    """Pool initializer: private obs state, the source-data pool, disk cache."""
-    from repro.compiled import set_program_cache_dir
+def _worker_init(pool_seed: int) -> None:
+    """Pool initializer: private obs state and the source-data pool."""
     from repro.obs import set_registry, set_tracer
 
-    if cache_dir is not None:
-        set_program_cache_dir(cache_dir)
     registry = MetricsRegistry(enabled=True)
     tracer = Tracer(enabled=True)
     set_registry(registry)
@@ -226,7 +219,6 @@ def _worker_init(pool_seed: int, cache_dir: str | None) -> None:
 
 def _run_chunk(task_dicts: list[dict]) -> dict:
     """Execute a chunk of tasks; returns per-task records plus obs state."""
-    from repro.compiled import program_cache_info
     from repro.obs import get_registry, get_tracer
 
     registry: MetricsRegistry = _WORKER_STATE.get("registry") or get_registry()
@@ -242,11 +234,9 @@ def _run_chunk(task_dicts: list[dict]) -> dict:
         "results": out,
         "metrics": registry.snapshot(),
         "spans": [s.to_dict() for s in tracer.spans],
-        "cache": program_cache_info(),
     }
     # per-chunk obs state is merged exactly once by the parent; reset so
-    # the next chunk from this process reports only its own work (the
-    # cache info stays cumulative — the parent keeps last-per-pid)
+    # the next chunk from this process reports only its own work
     registry.clear()
     tracer.clear()
     return response
@@ -264,7 +254,6 @@ class SweepResult:
     workers: int
     results: list[dict]
     wall_s: float
-    cache: dict
     registry: MetricsRegistry
     spans: list[SpanRecord] = field(default_factory=list)
     retried_chunks: int = 0
@@ -288,14 +277,6 @@ def _chunked(items: list, size: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _cache_delta(before: dict, after: dict) -> dict:
-    """Per-run view of the process-lifetime compiler cache counters."""
-    return {
-        k: after[k] - before.get(k, 0) if k != "entries" else after[k]
-        for k in after
-    }
-
-
 def run_sweep(
     spec: SweepSpec,
     workers: int = 0,
@@ -304,7 +285,6 @@ def run_sweep(
     task_timeout: float | None = None,
     retries: int = 2,
     fallback_serial: bool = True,
-    cache_dir: str | os.PathLike | None = None,
     mp_context: str = "spawn",
     executor_factory=None,
 ) -> SweepResult:
@@ -320,10 +300,8 @@ def run_sweep(
     ``executor_factory`` (tests) builds the pool given ``(workers,
     initargs)``; by default a spawn-context :class:`ProcessPoolExecutor`.
     """
-    from repro.compiled import program_cache_info, set_program_cache_dir
     from repro.obs import set_registry, set_tracer
 
-    # validate before touching any process state (the program cache dir)
     if any(
         w.kind == "execute" and w.options["block_size"] > POOL_BLOCK_SIZE
         for w in spec.workloads
@@ -339,115 +317,98 @@ def run_sweep(
     retried = 0
     fellback = 0
 
-    prev_cache_dir = set_program_cache_dir(cache_dir) if cache_dir is not None else None
-    cache_before = program_cache_info()
     needs_pool = any(w.kind == "execute" for w in spec.workloads)
+    local_pool = data_pool(spec.seed) if needs_pool else None
+    if workers <= 0:
+        # mirror the worker environment: a private registry/tracer so
+        # hot-path metrics and spans land in this run's snapshot
+        tracer = Tracer(enabled=True)
+        prev_reg, prev_tr = set_registry(registry), set_tracer(tracer)
+        try:
+            for task in tasks:
+                with tracer.span("task", cat="sweep.task", task=task.task_id):
+                    results[task.index] = run_task(
+                        task, pool=local_pool, pool_seed=spec.seed
+                    )
+        finally:
+            set_registry(prev_reg)
+            set_tracer(prev_tr)
+        spans.extend(tracer.spans)
+    else:
+        chunks = _chunked(
+            [t.to_dict() for t in tasks],
+            chunksize or max(1, -(-len(tasks) // (workers * 4))),
+        )
+        init_args = (spec.seed,)
+        if executor_factory is None:
+            def executor_factory(n, initargs):
+                return ProcessPoolExecutor(
+                    max_workers=n,
+                    mp_context=get_context(mp_context),
+                    initializer=_worker_init,
+                    initargs=initargs,
+                )
 
-    worker_stats: dict[int, dict] = {}
-    try:
-        local_pool = data_pool(spec.seed) if needs_pool else None
-        if workers <= 0:
-            # mirror the worker environment: a private registry/tracer so
-            # hot-path metrics and spans land in this run's snapshot
-            tracer = Tracer(enabled=True)
-            prev_reg, prev_tr = set_registry(registry), set_tracer(tracer)
-            try:
-                for task in tasks:
-                    with tracer.span("task", cat="sweep.task", task=task.task_id):
+        pending = list(range(len(chunks)))
+        attempt = 0
+        while pending:
+            if attempt > retries:
+                if not fallback_serial:
+                    raise SweepError(
+                        f"{len(pending)} chunk(s) failed after {retries} retries"
+                    )
+                for ci in pending:
+                    for d in chunks[ci]:
+                        task = SweepTask.from_dict(d)
                         results[task.index] = run_task(
                             task, pool=local_pool, pool_seed=spec.seed
                         )
-            finally:
-                set_registry(prev_reg)
-                set_tracer(prev_tr)
-            spans.extend(tracer.spans)
-        else:
-            chunks = _chunked(
-                [t.to_dict() for t in tasks],
-                chunksize or max(1, -(-len(tasks) // (workers * 4))),
-            )
-            init_args = (spec.seed, str(cache_dir) if cache_dir else None)
-            if executor_factory is None:
-                def executor_factory(n, initargs):
-                    return ProcessPoolExecutor(
-                        max_workers=n,
-                        mp_context=get_context(mp_context),
-                        initializer=_worker_init,
-                        initargs=initargs,
+                        fellback += 1
+                pending = []
+                break
+            executor = executor_factory(min(workers, len(pending)), init_args)
+            failed: list[int] = []
+            try:
+                futures = {executor.submit(_run_chunk, chunks[ci]): ci for ci in pending}
+                not_done = set(futures)
+                while not_done:
+                    done, not_done = wait(
+                        not_done, timeout=task_timeout, return_when=FIRST_COMPLETED
                     )
-
-            pending = list(range(len(chunks)))
-            attempt = 0
-            while pending:
-                if attempt > retries:
-                    if not fallback_serial:
-                        raise SweepError(
-                            f"{len(pending)} chunk(s) failed after {retries} retries"
-                        )
-                    for ci in pending:
-                        for d in chunks[ci]:
-                            task = SweepTask.from_dict(d)
-                            results[task.index] = run_task(
-                                task, pool=local_pool, pool_seed=spec.seed
+                    if not done:  # task_timeout with nothing finishing
+                        failed.extend(futures[f] for f in not_done)
+                        for f in not_done:
+                            f.cancel()
+                        break
+                    for fut in done:
+                        ci = futures[fut]
+                        try:
+                            response = fut.result()
+                        except Exception:
+                            failed.append(ci)
+                            continue
+                        for item in response["results"]:
+                            results[item["index"]] = item["record"]
+                        merge_snapshot(response["metrics"], registry)
+                        spans.extend(
+                            spans_from_dicts(
+                                response["spans"],
+                                track_prefix=f"worker-{response['pid']}/",
                             )
-                            fellback += 1
-                    pending = []
-                    break
-                executor = executor_factory(min(workers, len(pending)), init_args)
-                failed: list[int] = []
-                try:
-                    futures = {executor.submit(_run_chunk, chunks[ci]): ci for ci in pending}
-                    not_done = set(futures)
-                    while not_done:
-                        done, not_done = wait(
-                            not_done, timeout=task_timeout, return_when=FIRST_COMPLETED
                         )
-                        if not done:  # task_timeout with nothing finishing
-                            failed.extend(futures[f] for f in not_done)
-                            for f in not_done:
-                                f.cancel()
-                            break
-                        for fut in done:
-                            ci = futures[fut]
-                            try:
-                                response = fut.result()
-                            except Exception:
-                                failed.append(ci)
-                                continue
-                            for item in response["results"]:
-                                results[item["index"]] = item["record"]
-                            merge_snapshot(response["metrics"], registry)
-                            spans.extend(
-                                spans_from_dicts(
-                                    response["spans"],
-                                    track_prefix=f"worker-{response['pid']}/",
-                                )
-                            )
-                            worker_stats[response["pid"]] = response["cache"]
-                finally:
-                    executor.shutdown(wait=not failed, cancel_futures=True)
-                if failed:
-                    retried += len(failed)
-                pending = sorted(failed)
-                attempt += 1
-    finally:
-        if cache_dir is not None:
-            set_program_cache_dir(prev_cache_dir)
+            finally:
+                executor.shutdown(wait=not failed, cancel_futures=True)
+            if failed:
+                retried += len(failed)
+            pending = sorted(failed)
+            attempt += 1
 
     assert all(r is not None for r in results)
-    parent_cache = _cache_delta(cache_before, program_cache_info())
-    cache = {
-        "parent": parent_cache,
-        "workers": {str(pid): info for pid, info in sorted(worker_stats.items())},
-        "compiled_total": parent_cache["compiled"]
-        + sum(info["compiled"] for info in worker_stats.values()),
-    }
     return SweepResult(
         spec=spec,
         workers=workers,
         results=results,  # type: ignore[arg-type]
         wall_s=time.perf_counter() - t0,
-        cache=cache,
         registry=registry,
         spans=spans,
         retried_chunks=retried,

@@ -306,21 +306,13 @@ class TestSweepCli:
     def test_parallel_bench_and_trace(self, capsys, tmp_path):
         out = tmp_path / "BENCH_sweep.json"
         trace = tmp_path / "sweep_trace.json"
-        cache = tmp_path / "cache"
         assert run_cli(
             "sweep", "--workers", "2", "--primes", "5",
             "--workloads", "analysis", "execute",
             "--out", str(out), "--trace", str(trace),
-            "--cache-dir", str(cache),
         ) == 0
         bench = json.loads(out.read_text())
         assert bench["identical"] is True
         assert bench["serial"]["digest"] == bench["parallel"]["digest"]
-        assert bench["parallel"]["digest"] == bench["warm"]["digest"]
-        # cold parallel compiled the grid's programs; the warm rerun
-        # served every one from the persistent cache
-        assert bench["parallel"]["cache"]["compiled_total"] >= 1
-        assert bench["warm"]["compiled_total"] == 0
         assert bench["speedup"] > 0
-        assert list(cache.glob("*.npz"))
         validate_chrome_trace(load_chrome_trace(trace))

@@ -22,6 +22,9 @@ from repro.compiled import (
     execute_compiled,
     execute_plan_compiled,
     plan_cache_key,
+    program_cache_dir,
+    program_cache_info,
+    set_program_cache_dir,
 )
 from repro.migration import (
     build_plan,
@@ -111,6 +114,23 @@ class TestProgramCache:
         a = compile_plan(plan)
         b = compile_plan(plan, use_cache=False)
         assert a is not b
+
+    def test_hits_and_misses_counted(self):
+        plan = _cycle_plan("code56", "direct", 5)
+        clear_program_cache()
+        before = program_cache_info()
+        compile_plan(plan)
+        compile_plan(plan)
+        after = program_cache_info()
+        assert after["misses"] - before["misses"] == 1
+        assert after["hits"] - before["hits"] == 1
+        assert set(after) == {"entries", "hits", "misses"}
+
+    def test_no_on_disk_cache_to_point(self):
+        set_program_cache_dir(None)
+        assert program_cache_dir() is None
+        with pytest.raises(ValueError):
+            set_program_cache_dir("programs")
 
 
 class TestHazardRejection:

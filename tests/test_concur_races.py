@@ -140,14 +140,14 @@ class TestSingletonMutators:
 
     def test_initializer_singleton_setup_allowed(self):
         src = """
-            def _init(cache_dir):
-                from repro.compiled import set_program_cache_dir
-                set_program_cache_dir(cache_dir)
+            def _init(registry):
+                from repro.obs import set_registry
+                set_registry(registry)
 
-            def go(cache_dir):
+            def go(registry):
                 from concurrent.futures import ProcessPoolExecutor
                 return ProcessPoolExecutor(2, initializer=_init,
-                                           initargs=(cache_dir,))
+                                           initargs=(registry,))
         """
         assert rules(src) == []
 

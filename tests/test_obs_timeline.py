@@ -1,5 +1,6 @@
 """Chrome trace export: schema, disk tracks vs. simulator ground truth."""
 
+import itertools
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.obs.timeline import (
     write_chrome_trace,
 )
 from repro.obs.tracer import Tracer
-from repro.simdisk import closed_request_schedule, get_preset, simulate_closed
+from repro.simdisk import ServiceFaults, closed_request_schedule, get_preset, simulate_closed
 from repro.workloads import conversion_trace, uniform_trace
 
 
@@ -79,15 +80,36 @@ class TestDiskEvents:
 
 
 class TestBuildAndValidate:
-    def test_busy_matches_simulator(self, schedule):
+    def test_busy_matches_simulator(self):
+        """Every SimResult field, recomputed from the exported schedule."""
         plan = build_plan("code56", "direct", p=5)
         trace = conversion_trace(plan, block_size=4096)
-        result = simulate_closed(trace, get_preset("sas-15k"))
-        doc = build_chrome_trace(schedule=schedule)
-        np.testing.assert_allclose(
-            doc["otherData"]["per_disk_busy_ms"], result.per_disk_busy_ms, rtol=1e-9
-        )
-        assert doc["otherData"]["disk_requests"] == result.n_requests
+        model = get_preset("sas-15k")
+        faults = ServiceFaults(seed=3, transient_rate=0.2, retry_penalty_ms=7.0)
+        for window, plane in itertools.product((None, 64), (None, faults)):
+            schedule = closed_request_schedule(
+                trace, model, reorder_window=window, faults=plane
+            )
+            result = simulate_closed(trace, model, reorder_window=window, faults=plane)
+            assert (schedule.fault_ms.any()) == (plane is not None)
+            doc = build_chrome_trace(schedule=schedule)
+            busy = np.zeros(trace.n_disks)
+            np.maximum.at(busy, schedule.disk, schedule.completion_ms)
+            np.testing.assert_array_equal(result.per_disk_busy_ms, busy)
+            np.testing.assert_allclose(
+                doc["otherData"]["per_disk_busy_ms"], busy, rtol=1e-9
+            )
+            assert result.makespan_ms == busy.max()
+            np.testing.assert_array_equal(
+                result.per_disk_requests,
+                np.bincount(schedule.disk, minlength=trace.n_disks),
+            )
+            assert result.n_requests == len(trace) == doc["otherData"]["disk_requests"]
+            latency = schedule.completion_ms
+            assert result.mean_latency_ms == latency.mean()
+            assert [result.p50_latency_ms, result.p95_latency_ms, result.p99_latency_ms] == (
+                np.percentile(latency, [50, 95, 99]).tolist()
+            )
 
     def test_schema_valid(self, schedule):
         doc = build_chrome_trace(

@@ -15,13 +15,8 @@ import numpy as np
 import pytest
 
 from repro.compiled import recovery
-from repro.compiled.compiler import (
-    _PHASE_FIELDS,
-    _lower_phase,
-    compile_plan,
-    lower_program,
-)
-from repro.compiled.program import CompiledPlan
+from repro.compiled.compiler import _lower_phase, compile_plan, lower_program
+from repro.compiled.program import CompiledPlan, PhaseProgram
 from repro.migration.approaches import (
     alignment_cycle,
     build_plan,
@@ -34,6 +29,12 @@ from tests.plan_oracle import legacy_compile, legacy_plan
 PRIMES = (5, 7, 11, 13, 17, 19, 23)
 #: where the verifier's gather indices are also checked against a dict walk
 GATHER_PRIMES = (5, 7, 13)
+
+#: the index-vector fields of a compiled phase
+_PHASE_FIELDS = tuple(
+    f.name for f in dataclasses.fields(PhaseProgram)
+    if f.name.endswith(("_disk", "_block", "_cell"))
+)
 
 TALLIES = (
     "xors", "invalid_parities", "migrated_parities", "new_parities", "read_ios", "write_ios",
