@@ -68,15 +68,16 @@ def bench_engine_compiled(benchmark):
 
 
 def bench_vectorised_at_scale(benchmark, show):
-    """The fused run lowering at a million-block scale (pure conversion math)."""
+    """The fused run lowering at a million-block scale (pure conversion
+    math), then one check of every chain: a wrong gather-tile boundary
+    leaves a diagonal parity stale."""
     p, groups, bs = 7, 5000, 512  # 5000 groups * 30 data blocks = 150k blocks
+    from repro.codes import get_code
     from repro.migration.batch import execute_run_fused
-    from repro.raid import BlockArray
+    from repro.raid.layouts import volume_geometry
 
-    array = BlockArray(p, groups * (p - 1), block_size=bs)
-    region = array.bulk_view(slice(0, p - 1), slice(0, array.blocks_per_disk))
-    rng = np.random.default_rng(1)
-    region[...] = rng.integers(0, 256, size=region.shape, dtype=np.uint8)
+    plan = build_plan("code56", "direct", p, groups=groups)
+    array, _data = prepare_source_array(plan, np.random.default_rng(1), block_size=bs)
     run_all = np.arange(groups * (p - 1))  # every parity's cursor key
 
     def run():
@@ -85,6 +86,8 @@ def bench_vectorised_at_scale(benchmark, show):
         return len(run_all)
 
     written = benchmark(run)
+    geometry = volume_geometry(p, array.n_disks, groups, array.blocks_per_disk)
+    assert get_code("code56", p).verify_cells(array.flat_view(), geometry.addresses)
     data_mb = groups * (p - 1) * (p - 2) * bs / 1e6
     show(
         f"vectorised Code 5-6 conversion: {data_mb:.0f}MB of data, "

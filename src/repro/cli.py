@@ -166,7 +166,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             with tracer.span("timeline", cat="cli", disk=args.disk):
                 stream = conversion_trace(plan, block_size=4096)
                 schedule = closed_request_schedule(stream, get_preset(args.disk))
-            obs.record_sim_result(schedule.sim_result(len(stream)), registry, prefix="sim")
+            obs.record_sim_result(schedule.sim_result(), registry, prefix="sim")
         if observing:
             obs.record_conversion(result, registry)
             obs.record_compiler_cache(registry)

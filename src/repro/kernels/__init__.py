@@ -1,9 +1,10 @@
 """The XOR kernel behind the fused execution paths.
 
 The compiled engine's lowering pass (:mod:`repro.compiled.compiler`)
-and the online converter's fused runs (:mod:`repro.migration.batch`)
-turn per-block XOR chains into contiguous-region reduction ops; this
-package executes them.  :class:`~repro.kernels.base.XorKernel` is the
+turns per-block XOR chains into contiguous-region reduction ops, and
+the online converter's fused runs (:mod:`repro.migration.batch`)
+gather each tile's chain cells into one stacked cube; this package
+reduces both.  :class:`~repro.kernels.base.XorKernel` is the
 two-primitive seam and :class:`~repro.kernels.numpy_backend.
 NumpyXorKernel` its one implementation.
 

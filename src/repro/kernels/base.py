@@ -75,7 +75,7 @@ class ScratchPool:
     """Grow-only scratch backing for fused-kernel destinations.
 
     One flat uint8 allocation is reused for every output region (and
-    across calls within a process), eliminating per-phase / per-run
+    across calls within a process), eliminating per-phase
     large-allocation churn.  ``take`` returns a shaped view of the pool —
     callers must be done with the previous view before taking the next.
     """

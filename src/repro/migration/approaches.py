@@ -436,71 +436,35 @@ def _plan_direct_code56(
     )
 
 
-def _plan_direct_xcode(p: int, groups: int) -> ConversionPlan:
-    """X-Code direct conversion (Figure 1(c)).
+def _plan_direct_inplace(
+    code_name: str,
+    p: int,
+    groups: int,
+    m: int,
+    rows_pg: int,
+    first_row: int,
+    reserve_rows: tuple[int, ...],
+) -> ConversionPlan:
+    """In-place direct conversion of X-Code (Figure 1(c)) and P-Code.
 
-    Source RAID-5 of ``m = p`` disks; every group takes ``p-2`` source
-    rows as its data rows, invalidates the old parities inside them
-    (NULL writes) and writes the two parity rows into reserved capacity
-    (extra-space ratio ``2/p``).
+    Source RAID-5 of ``m`` disks (X-Code ``p``, P-Code ``p-1``); every
+    group takes ``rows_pg`` source rows (``p-2``; ``(p-3)/2``) as its
+    data rows, stripe rows ``first_row..`` (0; 1), invalidates the old
+    parities inside them (NULL writes) and writes the parity rows
+    ``reserve_rows`` into reserved capacity (extra-space ratio ``2/p``;
+    ``2/(p-1)``).
     """
-    m = p
-    code = get_code("xcode", p)
+    code = get_code(code_name, p)
     ctx = _Context(
         code,
         "direct",
         m,
         groups,
-        alignment_cycle("xcode", p),
-        source_rows_per_group=p - 2,
-        col_to_disk={c: c for c in range(p)},
-        new_disks=(),
-        reserve_rows=(p - 2, p - 1),
-    )
-    chains = list(code.layout.chains)
-    works: list[GroupWork] = []
-    for g in range(ctx.span):
-        gw = GroupWork(group=g)
-        dead: set[Cell] = set()
-        for r in range(p - 2):
-            pd = ctx.old_parity_disk(g * (p - 2) + r)
-            cell = (r, pd)
-            dead.add(cell)
-            gw.null_writes[cell] = ctx.loc(g, cell)
-            gw.invalid_parities += 1
-        for r in range(p - 2):
-            for c in range(p):
-                if (r, c) not in dead:
-                    gw.reads[(r, c)] = ctx.loc(g, (r, c))
-        for ch in chains:
-            gw.parity_writes[ch.parity] = ctx.loc(g, ch.parity)
-        gw.new_parities = len(chains)
-        gw.xors = _chain_xors(chains, code.layout, frozenset(dead))
-        works.append(gw)
-    data = _inplace_data(ctx, col_of_disk={d: d for d in range(m)})
-    return _finish(ctx, works, data)
-
-
-def _plan_direct_pcode(p: int, groups: int) -> ConversionPlan:
-    """P-Code direct conversion.
-
-    Source RAID-5 of ``m = p-1`` disks; each group takes ``(p-3)/2``
-    source rows as stripe rows ``1..``, invalidates old parities, and
-    writes the parity row 0 into reserved capacity (ratio ``2/(p-1)``).
-    """
-    m = p - 1
-    code = get_code("pcode", p)
-    rows_pg = (p - 3) // 2
-    ctx = _Context(
-        code,
-        "direct",
-        m,
-        groups,
-        alignment_cycle("pcode", p),
+        alignment_cycle(code_name, p),
         source_rows_per_group=rows_pg,
-        col_to_disk={c: c for c in range(p - 1)},
+        col_to_disk={c: c for c in range(m)},
         new_disks=(),
-        reserve_rows=(0,),
+        reserve_rows=reserve_rows,
     )
     chains = list(code.layout.chains)
     works: list[GroupWork] = []
@@ -509,7 +473,7 @@ def _plan_direct_pcode(p: int, groups: int) -> ConversionPlan:
         dead: set[Cell] = set()
         for src_r in range(rows_pg):
             pd = ctx.old_parity_disk(g * rows_pg + src_r)
-            cell = (src_r + 1, pd)
+            cell = (src_r + first_row, pd)
             dead.add(cell)
             gw.null_writes[cell] = ctx.loc(g, cell)
             gw.invalid_parities += 1
@@ -929,12 +893,11 @@ def build_plan(
             return _plan_direct_code56(p, groups, n)
         if code_name == "code56-right":
             return _plan_direct_code56(p, groups, n, orientation="right")
-        builder = {
-            "xcode": _plan_direct_xcode,
-            "pcode": _plan_direct_pcode,
-            "hdp": _plan_direct_hdp,
-        }[code_name]
-        return builder(p, groups)
+        if code_name == "xcode":
+            return _plan_direct_inplace("xcode", p, groups, p, p - 2, 0, (p - 2, p - 1))
+        if code_name == "pcode":
+            return _plan_direct_inplace("pcode", p, groups, p - 1, (p - 3) // 2, 1, (0,))
+        return _plan_direct_hdp(p, groups)
     if approach == "via-raid0":
         return _plan_via_raid0(code_name, p, groups, n)
     return _plan_via_raid4(code_name, p, groups, n)

@@ -349,8 +349,8 @@ class OnlineCode56Conversion:
         """Transition: claim a run and write every parity in it — array only.
 
         On a healthy array (:func:`repro.migration.batch.
-        fused_run_usable`) every run, whatever its length, is lowered to
-        fused region ops (:func:`repro.migration.batch.
+        fused_run_usable`) every run, whatever its length, is one tiled
+        chain-cube gather (:func:`repro.migration.batch.
         execute_run_fused` — counted bulk write, credited reads, zero
         counter drift).  Every other run goes through the audited
         per-parity generator: under a fault plane or with failed disks

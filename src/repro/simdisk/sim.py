@@ -104,7 +104,7 @@ def simulate_closed(
     schedule = closed_request_schedule(trace, model, n_disks, reorder_window, faults)
     if faults is not None:
         faults.record(schedule.fault_ms)
-    return schedule.sim_result(len(trace))
+    return schedule.sim_result()
 
 
 @dataclass(frozen=True)
@@ -150,13 +150,11 @@ class DiskSchedule:
             busy[self.disk[ends]] = self.completion_ms[ends]
         return busy
 
-    def sim_result(self, n_requests: int) -> SimResult:
-        """The :class:`SimResult` this schedule reduces to.
-
-        ``n_requests`` is the trace's length: requests beyond the array
-        are dropped from the schedule but still counted, unless none is
-        served at all.
-        """
+    def sim_result(self) -> SimResult:
+        """The :class:`SimResult` this schedule reduces to; its
+        ``n_requests`` counts the served requests (requests beyond the
+        array are dropped from the schedule), as ``per_disk_requests``
+        does."""
         busy = self.per_disk_busy_ms()
         requests = np.bincount(self.disk, minlength=self.n_disks).astype(np.int64)
         if not len(self):
@@ -165,7 +163,7 @@ class DiskSchedule:
         return SimResult(
             makespan_ms=float(busy.max()),
             per_disk_busy_ms=busy,
-            n_requests=n_requests,
+            n_requests=len(self),
             mean_latency_ms=mean,
             p99_latency_ms=p99,
             p50_latency_ms=p50,

@@ -17,7 +17,8 @@ import pytest
 from repro.faults.journal import OnlineJournal
 from repro.faults.plane import FaultPlane
 from repro.migration import build_plan, prepare_source_array
-from repro.migration.batch import _GATHER_RUN_BYTES, fused_run_usable, run_read_credit
+from repro.migration import batch as batch_mod
+from repro.migration.batch import fused_run_usable, run_read_credit
 from repro.migration.online import OnlineCode56Conversion, OnlineRequest
 
 
@@ -34,6 +35,11 @@ def _audited(array):
     per-parity loop, the oracle the fused path must match."""
     array.attach_fault_plane(FaultPlane())
     return array
+
+
+def _tile_keys(p, block_size):
+    """Keys per gather tile of :func:`execute_run_fused` at ``p``."""
+    return max(1, batch_mod._TILE_BYTES // ((p - 2) * block_size))
 
 
 def _requests(p=5, groups=2, seed=1, n=12, block_size=8):
@@ -59,10 +65,13 @@ class TestQuietBatchedIdentity:
     @pytest.mark.parametrize(
         "batch,p,groups,block_size",
         [pytest.param(batch, 5, 2, 8, id=str(batch)) for batch in (2, 4, 8)]
-        # 48 parities of 4 KiB exceed _GATHER_RUN_BYTES: the streaming branch
+        # 48 parities of 4 KiB: several gather tiles and a partial last one
         + [pytest.param(48, 13, 4, 4096, id="p13-4KiB")],
     )
     def test_bytes_counters_and_ticks_identical(self, batch, p, groups, block_size):
+        if block_size == 4096:
+            tile = _tile_keys(p, block_size)
+            assert tile < batch and batch % tile
         ref = _audited(_online_array(p, groups, block_size=block_size))
         ref_report = OnlineCode56Conversion(ref, p).run([])
 
@@ -76,6 +85,46 @@ class TestQuietBatchedIdentity:
         assert np.array_equal(ref.writes, arr.writes)
         assert report.conversion_ticks == ref_report.conversion_ticks
         assert report.parities_generated == ref_report.parities_generated
+
+    @pytest.mark.parametrize(
+        "p,groups,block_size,tile_keys",
+        [
+            # 24 B chains: shrink the tile to 3 keys so runs cross it
+            pytest.param(5, 6, 8, 3, id="p5-8B"),
+            pytest.param(13, 4, 4096, None, id="p13-4KiB"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", ["one", "sub-tile", "k-tiles", "k-tiles+partial"])
+    def test_run_shapes_against_tile(
+        self, monkeypatch, xor_calls, p, groups, block_size, tile_keys, shape
+    ):
+        """Runs of one parity, less than a tile, exactly k tiles and k
+        tiles plus a partial tile: one kernel call per tile, and bytes,
+        counters and ticks equal the audited loop's."""
+        if tile_keys is not None:
+            monkeypatch.setattr(batch_mod, "_TILE_BYTES", tile_keys * (p - 2) * block_size)
+        tile = _tile_keys(p, block_size)
+        batch = {
+            "one": 1,
+            "sub-tile": tile - 1,
+            "k-tiles": 2 * tile,
+            "k-tiles+partial": 2 * tile + 1,
+        }[shape]
+        assert 1 <= batch <= groups * (p - 1)
+
+        ref = _audited(_online_array(p, groups, block_size=block_size))
+        ref_report = OnlineCode56Conversion(ref, p).run([])
+        arr = _online_array(p, groups, block_size=block_size)
+        xor_calls.clear()
+        report = OnlineCode56Conversion(arr, p, batch=batch).run([])
+
+        full_runs, last_run = divmod(groups * (p - 1), batch)
+        assert report.max_run == batch
+        assert len(xor_calls) == full_runs * -(-batch // tile) + -(-last_run // tile)
+        assert np.array_equal(ref.snapshot(), arr.snapshot())
+        assert np.array_equal(ref.reads, arr.reads)
+        assert np.array_equal(ref.writes, arr.writes)
+        assert report.conversion_ticks == ref_report.conversion_ticks
 
     def test_batched_report_accounting(self):
         arr = _online_array()
@@ -280,11 +329,11 @@ class TestRunProtocol:
         assert conv.verify()
         assert np.array_equal(ref.snapshot(), arr.snapshot())
 
-    def test_streaming_resume_over_journal_holes(self):
+    def test_tiled_resume_over_journal_holes(self, xor_calls):
         """A resume whose journal marks leave holes claims one run of
-        non-contiguous keys, too large for the gather (``n * bs >
-        _GATHER_RUN_BYTES``): the streaming branch's fancy-indexed rows.
-        Bytes, per-disk counters and ticks equal the audited loop's."""
+        non-contiguous keys spanning several gather tiles and ending in a
+        partial one.  Bytes, per-disk counters and ticks equal the
+        audited loop's."""
         p, groups, bs = 13, 8, 4096
         rows = p - 1
         done = _online_array(p, groups, block_size=bs)
@@ -302,11 +351,14 @@ class TestRunProtocol:
         ref_report = ref.run([])
         conv = resumed(_online_array(p, groups, block_size=bs))
         run = conv.pending_run()
-        assert len(run) * bs > _GATHER_RUN_BYTES
+        tile = _tile_keys(p, bs)
+        assert len(run) > tile and len(run) % tile
         assert run[:3] == ((0, 1), (0, 2), (0, 4))
+        xor_calls.clear()
         report = conv.run([])
 
         assert report.runs_committed == 1
+        assert len(xor_calls) == -(-len(run) // tile)
         assert conv.verify()
         assert np.array_equal(ref.array.snapshot(), conv.array.snapshot())
         assert np.array_equal(ref.array.reads, conv.array.reads)

@@ -224,6 +224,16 @@ class TestVectorisedClosedLoop:
         res = simulate_closed(trace, model, n_disks=3)
         assert res.n_requests == 0 and res.makespan_ms == 0.0
 
+    def test_dropped_requests_are_not_counted(self, model):
+        trace = Trace(
+            arrival_ms=np.zeros(3),
+            disk=np.array([0, 5, 1], dtype=np.int32),
+            block=np.array([0, 1, 2], dtype=np.int64),
+            is_write=np.zeros(3, dtype=bool),
+        )
+        res = simulate_closed(trace, model, n_disks=3)
+        assert res.n_requests == res.per_disk_requests.sum() == 2
+
     def test_idle_disks_report_zero_busy(self, model):
         trace = Trace(
             arrival_ms=np.zeros(3),
